@@ -37,6 +37,8 @@ def constant_c(q: float, D: float) -> float:
 
 
 def _threshold(sigma: float, cq: float, q: float, D: float, u: float) -> float:
+    if not 0.0 < u < 1.0:
+        raise InvalidLevelError(f"u must lie in (0, 1), got {u}")
     return D * sigma * math.sqrt(2.0 * math.log(2.0 / u)) \
         + constant_c(q, D) * cq * (2.0 / u) ** (1.0 / q)
 
@@ -46,12 +48,24 @@ def confidence_bound(profile: MomentProfile, D: float, u: float) -> BoundResult:
 
     B(u) = D sigma sqrt(2 log(2/u)) + c(q, D) C_q (2/u)^(1/q).
     """
-    if not 0.0 < u < 1.0:
-        raise InvalidLevelError(f"u must lie in (0, 1), got {u}")
     value = _threshold(profile.sigma, profile.cq, profile.q, D, u)
     return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD,
                        inputs={"q": profile.q, "D": D, "sigma_sq": profile.sigma_sq,
                                "cq_to_q": profile.cq_to_q, "u": u})
+
+
+def _tail_terms(profile: MomentProfile, D: float, t: float) -> tuple:
+    """The polynomial and Gaussian terms 2 (2 c C_q / t)^q and
+    2 exp(-t^2 / (8 D^2 sigma^2)) of the tail bound at t. A zero moment
+    drops its term; a polynomial term beyond the float range reads inf."""
+    c = constant_c(profile.q, D)
+    try:
+        poly = 2.0 * (2.0 * c * profile.cq / t) ** profile.q if profile.cq_to_q > 0 else 0.0
+    except OverflowError:
+        poly = math.inf
+    gauss = 0.0 if profile.sigma_sq == 0.0 else \
+        2.0 * math.exp(-t * t / (8.0 * D * D * profile.sigma_sq))
+    return poly, gauss
 
 
 def tail_bound(profile: MomentProfile, D: float, t: float) -> BoundResult:
@@ -59,10 +73,7 @@ def tail_bound(profile: MomentProfile, D: float, t: float) -> BoundResult:
     clamped to [0, 1]. A zero sigma drops the Gaussian term."""
     if t <= 0:
         raise InvalidThresholdError(f"t must be positive, got {t}")
-    c = constant_c(profile.q, D)
-    poly = 2.0 * (2.0 * c * profile.cq / t) ** profile.q if profile.cq_to_q > 0 else 0.0
-    gauss = 0.0 if profile.sigma_sq == 0.0 else \
-        2.0 * math.exp(-t * t / (8.0 * D * D * profile.sigma_sq))
+    poly, gauss = _tail_terms(profile, D, t)
     return BoundResult(value=min(1.0, poly + gauss), kind=TAIL_PROBABILITY,
                        inputs={"q": profile.q, "D": D, "sigma_sq": profile.sigma_sq,
                                "cq_to_q": profile.cq_to_q, "t": t})
@@ -125,9 +136,8 @@ def mcdiarmid_bound(sigma_sq: float, cq_to_q: float, q: float, D: float,
     independent inputs with summed conditional moment bounds
     (sigma^2, C_q^q); the Doob decomposition makes this the martingale
     bound with the same constants."""
-    if not 0.0 < u < 1.0:
-        raise InvalidLevelError(f"u must lie in (0, 1), got {u}")
-    value = _threshold(math.sqrt(sigma_sq), cq_to_q ** (1.0 / q), q, D, u)
+    profile = MomentProfile(sigma_sq=sigma_sq, cq_to_q=cq_to_q, q=q)
+    value = _threshold(profile.sigma, profile.cq, q, D, u)
     return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD,
                        inputs={"q": q, "D": D, "sigma_sq": sigma_sq,
                                "cq_to_q": cq_to_q, "u": u})

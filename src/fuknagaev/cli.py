@@ -7,28 +7,31 @@ reports (--out with --format csv|json) are byte-stable: keys are sorted and
 floats are printed with 17 significant digits; human summaries round to 6.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 validation or
-usage error.
+usage error, 3 internal error (two computations of one quantity disagree).
+
+A campaign's --D must be at least the smoothness constant of its space:
+1 for euclidean, sqrt(p - 1) for l^p. Where a moment has no closed form,
+Monte Carlo estimates of both orders come from one fixed-seed draw of 1e6
+increments.
 """
 
 import argparse
 import configparser
+import math
 import os
 import sys
 
 from . import bounds, legendre, quantile, spaces, stochastic, verify
-from .errors import (DomainError, InfiniteMomentError, InternalInconsistencyError,
-                     InvalidCountError, InvalidDimensionError, InvalidLevelError,
-                     InvalidQError, InvalidThresholdError, PreconditionError,
-                     UnsupportedExponentError, UnsupportedFunctionError)
+from .errors import InternalInconsistencyError, UnsupportedFunctionError
 
-_USER_ERRORS = (InvalidDimensionError, UnsupportedExponentError, InvalidLevelError,
-                InvalidThresholdError, InvalidQError, InfiniteMomentError,
-                UnsupportedFunctionError, PreconditionError, InvalidCountError,
-                DomainError, InternalInconsistencyError, ValueError, OSError)
+_USER_ERRORS = (ValueError, UnsupportedFunctionError, OSError)
 
 SEED_ENV = "FUKNAGAEV_SEED"
 
-_DIST_CHOICES = ("rademacher", "pareto", "student_t", "uniform_cube", "gaussian")
+_DISTS = {"rademacher": stochastic.rademacher, "pareto": stochastic.symmetric_pareto,
+          "student_t": stochastic.student_t, "uniform_cube": stochastic.uniform_cube,
+          "gaussian": stochastic.gaussian}
+_DIST_CHOICES = tuple(_DISTS)
 
 
 def _fmt_machine(x):
@@ -146,83 +149,70 @@ def _build_dist(params):
     p = params.get("p")
     space = spaces.make_lp(dim, float(p)) if p is not None else spaces.make_euclidean(dim)
     name = params.get("dist", "rademacher")
-    a = float(params.get("alpha", 1.0))
-    if name == "rademacher":
-        return stochastic.rademacher(space, a)
-    if name == "pareto":
-        return stochastic.symmetric_pareto(space, a)
-    if name == "student_t":
-        return stochastic.student_t(space, a)
-    if name == "uniform_cube":
-        return stochastic.uniform_cube(space, a)
-    if name == "gaussian":
-        return stochastic.gaussian(space, a)
-    raise ValueError(f"unknown distribution {name!r}, choose from {_DIST_CHOICES}")
+    if name not in _DISTS:
+        raise ValueError(f"unknown distribution {name!r}, choose from {_DIST_CHOICES}")
+    return _DISTS[name](space, float(params.get("alpha", 1.0)))
 
 
-def _maybe_emit(args, params, report):
+def _moment_inputs(params):
+    """(MomentProfile, D, report config) from --q, --D, --sigma and --cq.
+    sigma and C_q are checked before a power could hide their sign."""
+    q, D = _need(params, "q"), _need(params, "D")
+    sigma, cq = _need(params, "sigma"), _need(params, "cq")
+    for key, value in (("sigma", sigma), ("cq", cq)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"--{key} must be finite and >= 0, got {value}")
+    try:
+        cq_to_q = math.pow(cq, q)
+    except (OverflowError, ValueError):  # C_q^q overflows, or q < 0 with C_q = 0
+        cq_to_q = math.inf  # MomentProfile rejects it, or first rejects q
+    profile = stochastic.MomentProfile(sigma_sq=sigma * sigma, cq_to_q=cq_to_q, q=q)
+    return profile, D, {"q": q, "D": D, "sigma": sigma, "cq": cq}
+
+
+def _maybe_emit(args, params, config, rows, seed=None):
     out = params.get("out")
     if out:
-        emit_report(report, params.get("format", "json"), out)
+        emit_report({"config": config, "rows": rows,
+                     "meta": {"tool": "fuknagaev", "subcommand": args.subcommand,
+                              "seed": seed}},
+                    params.get("format", "json"), out)
 
 
 def _cmd_bound(args):
-    params = _merged(args, ("q", "D", "sigma", "cq", "u", "t", "out", "format", "seed"))
-    q = _need(params, "q")
-    if q <= 2:
-        raise InvalidQError("q must exceed 2")
-    D = _need(params, "D")
-    sigma = _need(params, "sigma")
-    cq = _need(params, "cq")
-    profile = stochastic.MomentProfile(sigma_sq=sigma * sigma, cq_to_q=cq ** q, q=q)
+    params = _merged(args, ("q", "D", "sigma", "cq", "u", "t", "out", "format"))
+    profile, D, config = _moment_inputs(params)
     rows = []
-    if params.get("u") is not None:
-        u = float(params["u"])
-        res = bounds.confidence_bound(profile, D, u)
-        print(f"confidence threshold B({_fmt_human(u)}) = {_fmt_human(res.value)}")
-        rows.append({"level": u, "kind": res.kind, "value": res.value})
-    if params.get("t") is not None:
-        t = float(params["t"])
-        res = bounds.tail_bound(profile, D, t)
-        print(f"tail probability at t = {_fmt_human(t)}: {_fmt_human(res.value)}")
-        rows.append({"level": t, "kind": res.kind, "value": res.value})
+    for key, evaluate, line in (
+            ("u", bounds.confidence_bound, "confidence threshold B({}) = {}"),
+            ("t", bounds.tail_bound, "tail probability at t = {}: {}")):
+        if params.get(key) is not None:
+            level = float(params[key])
+            res = evaluate(profile, D, level)
+            print(line.format(_fmt_human(level), _fmt_human(res.value)))
+            rows.append({"level": level, "kind": res.kind, "value": res.value})
     if not rows:
         raise ValueError("bound needs --u (confidence) or --t (tail threshold)")
-    _maybe_emit(args, params, {
-        "config": {"q": q, "D": D, "sigma": sigma, "cq": cq},
-        "rows": rows,
-        "meta": {"tool": "fuknagaev", "subcommand": "bound", "seed": None},
-    })
+    _maybe_emit(args, params, config, rows)
     return 0
 
 
 def _cmd_mcdiarmid(args):
     params = _merged(args, ("q", "D", "sigma", "cq", "u", "out", "format"))
-    q = _need(params, "q")
-    if q <= 2:
-        raise InvalidQError("q must exceed 2")
-    D = _need(params, "D")
-    sigma = _need(params, "sigma")
-    cq = _need(params, "cq")
+    profile, D, config = _moment_inputs(params)
     u = _need(params, "u")
-    res = bounds.mcdiarmid_bound(sigma * sigma, cq ** q, q, D, u)
+    res = bounds.mcdiarmid_bound(profile.sigma_sq, profile.cq_to_q, profile.q, D, u)
     print(f"||f(Z) - E f(Z)|| <= {_fmt_human(res.value)} with probability >= "
           f"{_fmt_human(1 - u)}")
-    _maybe_emit(args, params, {
-        "config": {"q": q, "D": D, "sigma": sigma, "cq": cq, "u": u},
-        "rows": [{"level": u, "kind": res.kind, "value": res.value}],
-        "meta": {"tool": "fuknagaev", "subcommand": "mcdiarmid", "seed": None},
-    })
+    _maybe_emit(args, params, {**config, "u": u},
+                [{"level": u, "kind": res.kind, "value": res.value}])
     return 0
 
 
 def _cmd_proofcheck(args):
     params = _merged(args, ("q", "D", "sigma", "u", "out", "format"))
-    q = _need(params, "q")
-    if q <= 2:
-        raise InvalidQError("q must exceed 2")
-    report = legendre.proof_chain(q, _need(params, "D"), _need(params, "sigma"),
-                                  _need(params, "u"))
+    report = legendre.proof_chain(_need(params, "q"), _need(params, "D"),
+                                  _need(params, "sigma"), _need(params, "u"))
     print(f"x_hat = {_fmt_human(report.x_hat)}  L = {_fmt_human(report.trunc_L)}  "
           f"alpha = {_fmt_human(report.alpha_qD)}")
     print(f"{'step':<12} {'lhs':>14} {'rhs':>14}  verdict")
@@ -230,12 +220,10 @@ def _cmd_proofcheck(args):
         print(f"{s.name:<12} {_fmt_human(s.lhs):>14} {_fmt_human(s.rhs):>14}  "
               f"{'pass' if s.passed else 'FAIL'}")
     print(f"final coefficient c = {_fmt_human(report.final_coefficient)}")
-    _maybe_emit(args, params, {
-        "config": {"q": report.q, "D": report.D, "sigma": report.sigma, "u": report.u},
-        "rows": [{"step": s.name, "lhs": s.lhs, "rhs": s.rhs, "verdict": s.passed}
-                 for s in report.steps],
-        "meta": {"tool": "fuknagaev", "subcommand": "proofcheck", "seed": None},
-    })
+    _maybe_emit(args, params,
+                {"q": report.q, "D": report.D, "sigma": report.sigma, "u": report.u},
+                [{"step": s.name, "lhs": s.lhs, "rhs": s.rhs, "verdict": s.passed}
+                 for s in report.steps])
     return 0 if report.all_passed else 1
 
 
@@ -259,14 +247,12 @@ def _cmd_verify(args):
         print(f"{_fmt_human(r.level):>8} {_fmt_human(r.bound):>12} {r.exceed:>8} "
               f"{_fmt_human(r.rate):>10} {_fmt_human(r.cp_upper):>10}  "
               f"{'pass' if r.passed else 'FAIL'}")
-    _maybe_emit(args, params, {
-        "config": {"dist": dist.kind, "param": dist.param,
-                   "dim": dist.space.dimension, "norm": dist.space.norm_kind,
-                   "n": config.n, "trials": config.trials, "q": config.q,
-                   "D": config.D, "confidence": config.confidence},
-        "rows": report.row_dicts(),
-        "meta": {"tool": "fuknagaev", "subcommand": "verify", "seed": config.seed},
-    })
+    _maybe_emit(args, params,
+                {"dist": dist.kind, "param": dist.param,
+                 "dim": dist.space.dimension, "norm": dist.space.norm_kind,
+                 "n": config.n, "trials": config.trials, "q": config.q,
+                 "D": config.D, "confidence": config.confidence},
+                report.row_dicts(), seed=config.seed)
     return 0 if report.passed else 1
 
 
@@ -281,11 +267,8 @@ def _cmd_quantile(args):
         print(f"{_fmt_human(u):>8} {_fmt_human(trip.q):>12} "
               f"{_fmt_human(trip.q1):>12} {_fmt_human(trip.qinf):>12}")
         rows.append({"level": u, "q": trip.q, "q1": trip.q1, "qinf": trip.qinf})
-    _maybe_emit(args, params, {
-        "config": {"sample_file": str(args.sample_file), "size": len(sample)},
-        "rows": rows,
-        "meta": {"tool": "fuknagaev", "subcommand": "quantile", "seed": None},
-    })
+    _maybe_emit(args, params, {"sample_file": str(args.sample_file), "size": len(sample)},
+                rows)
     return 0
 
 
@@ -319,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="evaluate the confidence or tail bound")
     common(p_bound, "q", "D", "sigma", "cq", "u", "out")
     p_bound.add_argument("--t", type=float, help="tail threshold, > 0")
-    p_bound.add_argument("--seed", type=int, help="unused, accepted for uniformity")
 
     p_verify = sub.add_parser("verify", help="run a Monte Carlo coverage campaign")
     common(p_verify, "q", "D", "u", "out")
@@ -374,6 +356,9 @@ def run(argv) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -30,10 +30,7 @@ class SmoothSpace:
 
     def norm(self, v) -> float:
         """Norm of a single coordinate vector."""
-        v = np.asarray(v, dtype=float)
-        if self.norm_kind == EUCLIDEAN:
-            return float(np.sqrt((v * v).sum()))
-        return float((np.abs(v) ** self.p).sum() ** (1.0 / self.p))
+        return float(self.norms(np.reshape(v, (1, -1)))[0])
 
     def norms(self, rows) -> np.ndarray:
         """Row-wise norms of an (m, dimension) array."""

@@ -85,8 +85,18 @@ def tail_index(dist: IncrementDistribution) -> float:
     return math.inf
 
 
+def _norm_bound(dist: IncrementDistribution) -> float:
+    """Supremum of ||xi||, which is also the default truncation level of a
+    bounded law; inf for an unbounded one."""
+    if dist.kind == RADEMACHER:
+        return dist.param
+    if dist.kind == UNIFORM_CUBE:
+        return float(dist.space.norms(np.full((1, dist.space.dimension), dist.param))[0])
+    return math.inf
+
+
 def has_bounded_support(dist: IncrementDistribution) -> bool:
-    return dist.kind in (RADEMACHER, UNIFORM_CUBE)
+    return _norm_bound(dist) < math.inf
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,13 @@ class MomentProfile:
     q: float
     mc_errors: tuple | None = None
 
+    def __post_init__(self):
+        if not self.q > 2:
+            raise InvalidQError(f"q must exceed 2, got {self.q}")
+        for name in ("sigma_sq", "cq_to_q"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
     @property
     def sigma(self) -> float:
         return math.sqrt(self.sigma_sq)
@@ -148,11 +165,8 @@ def trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
 
 
 def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    return np.random.Generator(np.random.Philox(ss))
+    # Philox wraps a non-SeedSequence seed in SeedSequence(seed) itself
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _sphere_directions(rng, n, space) -> np.ndarray:
@@ -200,10 +214,9 @@ def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
 
     Ties ||xi|| = L are kept, matching the indicator 1{||xi|| <= L}.
     """
-    L = level.trunc_L if isinstance(level, TruncationLevel) else float(level)
-    if not L > 0:
-        raise ValueError(f"truncation level must be positive, got {L}")
-    keep = diffs.norms() <= L
+    if not isinstance(level, TruncationLevel):
+        level = TruncationLevel(float(level))
+    keep = diffs.norms() <= level.trunc_L
     return DifferenceSequence(increments=diffs.increments * keep[:, None],
                               space=diffs.space)
 
@@ -211,46 +224,55 @@ def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
 # ---------------------------------------------------------------------------
 # moments of ||xi||
 
-def _norm_moment(dist: IncrementDistribution, p: float):
-    """(E ||xi||^p, standard error); closed form where available, else a
-    fixed-seed Monte Carlo estimate on >= 1e6 draws."""
+def _closed_norm_moment(dist: IncrementDistribution, p: float):
+    """E ||xi||^p in closed form, or None where there is none."""
     if p >= tail_index(dist):
         raise InfiniteMomentError(
             f"moment order {p} >= tail index {tail_index(dist)} of {dist.kind}")
     kind, d, a = dist.kind, dist.space.dimension, dist.param
     if kind == RADEMACHER:
-        return a ** p, 0.0
+        return a ** p
     if kind == SYMMETRIC_PARETO:
-        return a / (a - p), 0.0
+        return a / (a - p)
     if kind == STUDENT_T:
         logm = (0.5 * p * math.log(a) + gammaln((p + 1) / 2)
                 + gammaln((a - p) / 2) - 0.5 * math.log(math.pi) - gammaln(a / 2))
-        return math.exp(logm), 0.0
+        return math.exp(logm)
     if kind == GAUSSIAN:
         if a == 0.0:
-            return 0.0, 0.0
+            return 0.0
         if dist.space.norm_kind == EUCLIDEAN:
             # chi(d) moments
             logm = 0.5 * p * math.log(2.0) + gammaln((d + p) / 2) - gammaln(d / 2)
-            return a ** p * math.exp(logm), 0.0
+            return a ** p * math.exp(logm)
     if kind == UNIFORM_CUBE:
         if d == 1:
-            return a ** p / (p + 1.0), 0.0
+            return a ** p / (p + 1.0)
         if dist.space.norm_kind == EUCLIDEAN and p == 2:
-            return d * a * a / 3.0, 0.0
+            return d * a * a / 3.0
         if dist.space.norm_kind == EUCLIDEAN and p == 4:
-            return d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0, 0.0
-    # Monte Carlo fallback
-    xi = sample_increments(dist, _MC_MOMENT_DRAWS, _MC_MOMENT_SEED)
-    vals = xi.norms() ** p
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals)))
-    return est, se
+            return d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
+    return None
+
+
+def _norm_moments(dist: IncrementDistribution, orders) -> list:
+    """[(E ||xi||^p, standard error) for p in orders]; closed forms where
+    available, else fixed-seed Monte Carlo estimates that all share one
+    draw of 1e6 increments."""
+    closed = [_closed_norm_moment(dist, p) for p in orders]
+    norms = sample_increments(dist, _MC_MOMENT_DRAWS, _MC_MOMENT_SEED).norms() \
+        if None in closed else None
+    return [(m, 0.0) if m is not None else _mean_and_se(norms ** p)
+            for m, p in zip(closed, orders)]
+
+
+def _mean_and_se(vals: np.ndarray) -> tuple:
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def norm_moment(dist: IncrementDistribution, p: float) -> float:
     """E ||xi||^p for a single increment."""
-    return _norm_moment(dist, p)[0]
+    return _norm_moments(dist, (p,))[0][0]
 
 
 def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfile:
@@ -259,8 +281,7 @@ def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfi
         raise InvalidQError(f"q must exceed 2, got {q}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m2, se2 = _norm_moment(dist, 2.0)
-    mq, seq_ = _norm_moment(dist, q)
+    (m2, se2), (mq, seq_) = _norm_moments(dist, (2.0, q))
     errs = None if (se2 == 0.0 and seq_ == 0.0) else (n * se2, n * seq_)
     return MomentProfile(sigma_sq=n * m2, cq_to_q=n * mq, q=float(q), mc_errors=errs)
 
@@ -310,14 +331,29 @@ def doob_martingale(f_spec: SeparableFunction, realization) -> MartingalePath:
 # ---------------------------------------------------------------------------
 # exponential-moment (Pinelis) check
 
+class _FoldedT(stats.rv_continuous):
+    """|T| for a Student-t variable T with ``df`` degrees of freedom."""
+
+    def _pdf(self, x, df):
+        return 2.0 * stats.t.pdf(x, df)
+
+    def _sf(self, x, df):
+        return 2.0 * stats.t.sf(x, df)
+
+
+_folded_t = _FoldedT(a=0.0, name="folded_t")
+
+
 def _scalar_norm_law(dist: IncrementDistribution):
-    """Frozen scipy distribution of ||xi|| when it has a scalar law."""
+    """Law of ||xi||: a float for a point mass, else a frozen scipy
+    distribution; None when the norm has no closed-form scalar law."""
     kind, d, a = dist.kind, dist.space.dimension, dist.param
+    if kind == RADEMACHER or (kind == GAUSSIAN and a == 0.0):
+        return a
     if kind == SYMMETRIC_PARETO:
         return stats.pareto(b=a)
     if kind == STUDENT_T:
-        # |T| via folding: handled by callers using 2*pdf on [0, inf)
-        return stats.t(df=a)
+        return _folded_t(a)
     if kind == GAUSSIAN and d == 1:
         return stats.halfnorm(scale=a)
     if kind == GAUSSIAN and dist.space.norm_kind == EUCLIDEAN:
@@ -327,44 +363,33 @@ def _scalar_norm_law(dist: IncrementDistribution):
     return None
 
 
-def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
-    """E exp(t ||xi~||) for the level-L truncation, computed without
-    sampling (closed form or adaptive quadrature on the scalar norm law)."""
+def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L) -> float:
+    """E h(||xi~||) for the level-L truncation, computed without sampling.
+
+    The truncated mass sits at zero; the rest is a quadrature of h against
+    the law of ||xi|| over its support within [0, L].
+    """
     L = trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
-    kind, a = dist.kind, dist.param
-    if kind == RADEMACHER:
-        return math.exp(t * a) if a <= L else 1.0
-    if kind == UNIFORM_CUBE and dist.space.dimension == 1:
-        lim = min(L, a)
-        if t == 0:
-            return 1.0
-        return (math.exp(t * lim) - 1.0) / (t * a) + max(0.0, 1.0 - lim / a)
     law = _scalar_norm_law(dist)
     if law is None:
         raise PreconditionError(
-            f"no scalar norm law for {kind} in dimension {dist.space.dimension}")
-    fold = 2.0 if kind == STUDENT_T else 1.0
-    val, _ = integrate.quad(lambda x: math.exp(t * x) * fold * law.pdf(x),
-                            0.0, L, limit=200)
-    return val + fold * law.sf(L)  # truncated mass sits at zero, exp(0) = 1
+            f"no scalar norm law for {dist.kind} in dimension {dist.space.dimension}")
+    if isinstance(law, float):
+        return h(law) if law <= L else h(0.0)
+    lo, hi = law.support()  # lo >= 0 for every norm law
+    val = integrate.quad(lambda x: h(x) * law.pdf(x), lo, min(hi, L), limit=200)[0] \
+        if lo < L else 0.0
+    return val + h(0.0) * law.sf(L)
+
+
+def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
+    """E exp(t ||xi~||) for the level-L truncation."""
+    return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L)
 
 
 def truncated_norm_mean(dist: IncrementDistribution, trunc_L) -> float:
     """E ||xi~|| for the level-L truncation."""
-    L = trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
-    kind, a = dist.kind, dist.param
-    if kind == RADEMACHER:
-        return a if a <= L else 0.0
-    if kind == UNIFORM_CUBE and dist.space.dimension == 1:
-        lim = min(L, a)
-        return lim * lim / (2.0 * a)
-    law = _scalar_norm_law(dist)
-    if law is None:
-        raise PreconditionError(
-            f"no scalar norm law for {kind} in dimension {dist.space.dimension}")
-    fold = 2.0 if kind == STUDENT_T else 1.0
-    val, _ = integrate.quad(lambda x: x * fold * law.pdf(x), 0.0, L, limit=200)
-    return val
+    return _truncated_norm_expectation(dist, lambda x: x, trunc_L)
 
 
 @dataclass(frozen=True)
@@ -393,34 +418,44 @@ class PinelisState:
     passed: bool
 
 
-def pinelis_supermartingale_profile(ensemble, t: float, D: float,
-                                    dist: IncrementDistribution,
-                                    trunc_L=None) -> PinelisState:
-    """Track E G_i over an iid truncated ensemble, step by step."""
+def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
+                   trunc_L):
+    """Input checks shared by both Pinelis checks. Returns the step term
+    e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
+    ||M~_i|| of the partial sums."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    if trunc_L is None and not has_bounded_support(dist):
-        raise PreconditionError(
-            f"{dist.kind} increments are unbounded; truncate first and pass "
-            "the truncation level")
+    if trunc_L is None:
+        if not has_bounded_support(dist):
+            raise PreconditionError(
+                f"{dist.kind} increments are unbounded; truncate first and pass "
+                "the truncation level")
+        trunc_L = _norm_bound(dist)  # truncation at the support bound changes nothing
     ensemble = list(ensemble)
     if not ensemble:
         raise ValueError("empty ensemble")
     n = len(ensemble[0])
-    if trunc_L is None:
-        trunc_L = dist.param if dist.kind == RADEMACHER else \
-            dist.space.norms(np.full((1, dist.space.dimension), dist.param))[0]
+    if any(len(diffs) != n for diffs in ensemble):
+        raise ValueError("all sequences in the ensemble must share n")
+    space = ensemble[0].space
+    sums = np.stack([diffs.increments for diffs in ensemble])
+    np.cumsum(sums, axis=1, out=sums)
+    norms = space.norms(sums.reshape(-1, space.dimension)).reshape(len(ensemble), n)
     mgf = truncated_norm_exp_moment(dist, t, trunc_L)
     mean = truncated_norm_mean(dist, trunc_L)
-    e_term = D * D * (mgf - 1.0 - t * mean)
-    norms = np.empty((len(ensemble), n))
-    for j, diffs in enumerate(ensemble):
-        sums = np.cumsum(diffs.increments, axis=0)
-        norms[j] = diffs.space.norms(sums)
+    return D * D * (mgf - 1.0 - t * mean), norms
+
+
+def pinelis_supermartingale_profile(ensemble, t: float, D: float,
+                                    dist: IncrementDistribution,
+                                    trunc_L=None) -> PinelisState:
+    """Track E G_i over an iid truncated ensemble, step by step."""
+    e_term, norms = _pinelis_terms(ensemble, t, D, dist, trunc_L)
+    trials, n = norms.shape
     denom = np.cumprod(np.full(n, 1.0 + e_term))
     g = np.cosh(t * norms) / denom[None, :]
     g_means = np.concatenate(([1.0], g.mean(axis=0)))
-    g_se = np.concatenate(([0.0], g.std(axis=0, ddof=1) / math.sqrt(len(ensemble))))
+    g_se = np.concatenate(([0.0], g.std(axis=0, ddof=1) / math.sqrt(trials)))
     passed = bool(np.all(g_means <= 1.0 + 3.0 * g_se))
     return PinelisState(t=t, e_terms=np.full(n, e_term), g_means=g_means,
                         g_standard_errors=g_se, passed=passed)
@@ -436,37 +471,13 @@ def pinelis_check(ensemble, t: float, D: float,
     be computed analytically. Verdict: empirical <= product within three
     Monte Carlo standard errors.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if trunc_L is None and not has_bounded_support(dist):
-        raise PreconditionError(
-            f"{dist.kind} increments are unbounded; truncate first and pass "
-            "the truncation level")
-    ensemble = list(ensemble)
-    if not ensemble:
-        raise ValueError("empty ensemble")
-    n = len(ensemble[0])
-    finals = np.empty(len(ensemble))
-    for j, diffs in enumerate(ensemble):
-        if len(diffs) != n:
-            raise ValueError("all sequences in the ensemble must share n")
-        if n == 0:
-            finals[j] = 0.0
-        else:
-            finals[j] = diffs.space.norm(diffs.increments.sum(axis=0))
-    cosh_vals = np.cosh(t * finals)
+    e_term, norms = _pinelis_terms(ensemble, t, D, dist, trunc_L)
+    trials, n = norms.shape
+    cosh_vals = np.cosh(t * norms[:, -1]) if n else np.ones(trials)
     emp = float(cosh_vals.mean())
-    se = float(cosh_vals.std(ddof=1) / math.sqrt(len(cosh_vals))) if len(cosh_vals) > 1 else 0.0
-
-    if trunc_L is None:
-        # bounded support: effective truncation beyond the support bound
-        trunc_L = dist.param if dist.kind == RADEMACHER else \
-            dist.space.norms(np.full((1, dist.space.dimension), dist.param))[0]
-    mgf = truncated_norm_exp_moment(dist, t, trunc_L)
-    mean = truncated_norm_mean(dist, trunc_L)
-    e_term = D * D * (mgf - 1.0 - t * mean)
+    se = float(cosh_vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     product = (1.0 + e_term) ** n
-    return PinelisReport(t=t, D=D, n=n, trials=len(ensemble),
+    return PinelisReport(t=t, D=D, n=n, trials=trials,
                          empirical_cosh=emp, standard_error=se,
                          e_term=e_term, product_bound=product,
                          passed=bool(emp <= product + 3.0 * se))
@@ -549,8 +560,7 @@ def running_max_ensemble(dist: IncrementDistribution, n: int, trials: int,
         diffs = sample_increments(dist, n, trial_seed(seed, j))
         if trunc_L is not None:
             diffs = truncate(diffs, trunc_L)
-        sums = np.cumsum(diffs.increments, axis=0)
-        out[j] = diffs.space.norms(sums).max()
+        out[j] = build_martingale(diffs).running_max
     return out
 
 

@@ -7,7 +7,6 @@ Clopper-Pearson upper limit (exceedance counts near zero are the common
 case, where normal approximations are useless).
 """
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -15,7 +14,7 @@ import numpy as np
 from scipy.stats import beta
 from scipy.optimize import brentq
 
-from .bounds import confidence_bound, constant_c
+from .bounds import _tail_terms, confidence_bound
 from .errors import InvalidCountError, InvalidLevelError, InvalidQError
 from .quantile import make_sample, quantile_q
 from .stochastic import (IncrementDistribution, MomentProfile, moment_profile,
@@ -51,8 +50,9 @@ class CampaignConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.q <= 2:
             raise InvalidQError(f"q must exceed 2, got {self.q}")
-        if self.D < 1:
-            raise ValueError(f"D must be >= 1, got {self.D}")
+        if not self.D >= self.dist.space.smoothness_D:
+            raise ValueError(f"D must be >= the smoothness constant "
+                             f"{self.dist.space.smoothness_D:.6g} of the space, got {self.D}")
         if not self.u_grid:
             raise ValueError("u grid must be nonempty")
         for u in self.u_grid:
@@ -165,17 +165,12 @@ def tightness(config: CampaignConfig, n_boot: int = 200) -> TightnessReport:
         emp = quantile_q(sample, u)
         boot_q = np.array([quantile_q(make_sample(rm[row]), u) for row in idx])
         se_q = float(boot_q.std(ddof=1))
-        if emp <= 0.0:
-            rows.append(TightnessRow(level=float(u), bound=b, empirical_q=emp,
-                                     ratio=None, bootstrap_se=se_q,
-                                     applicable=False, passed=True))
-            continue
-        ratio = b / emp
-        se_ratio = b * se_q / (emp * emp)
+        applicable = emp > 0.0
+        ratio = b / emp if applicable else None
+        se = b * se_q / (emp * emp) if applicable else se_q
         rows.append(TightnessRow(level=float(u), bound=b, empirical_q=emp,
-                                 ratio=ratio, bootstrap_se=se_ratio,
-                                 applicable=True,
-                                 passed=bool(ratio >= 1.0 - 3.0 * se_ratio)))
+                                 ratio=ratio, bootstrap_se=se, applicable=applicable,
+                                 passed=not applicable or bool(ratio >= 1.0 - 3.0 * se)))
     return TightnessReport(rows=tuple(rows), profile=profile, config=config,
                            runtime_s=time.perf_counter() - start)
 
@@ -193,12 +188,9 @@ def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,
     t_lo, t_hi = bracket
     if not 0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got {bracket}")
-    c = constant_c(profile.q, D)
 
     def g(t):
-        poly = 2.0 * (2.0 * c * profile.cq / t) ** profile.q if profile.cq_to_q > 0 else 0.0
-        gauss = 0.0 if profile.sigma_sq == 0.0 else \
-            2.0 * math.exp(-t * t / (8.0 * D * D * profile.sigma_sq))
+        poly, gauss = _tail_terms(profile, D, t)
         return gauss - poly
 
     ts = np.geomspace(t_lo, t_hi, grid_points)

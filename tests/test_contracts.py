@@ -1,0 +1,224 @@
+"""Contracts of the shared implementations: the documented draw order of
+every sampler, one Monte Carlo draw per moment profile, the Pinelis pair
+read from one set of partial sums, the truncated moments of the scalar norm
+law, and the input checks and exit codes of the command line."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fuknagaev import cli, quantile, stochastic
+from fuknagaev.bounds import tail_bound
+from fuknagaev.errors import InternalInconsistencyError, InvalidQError
+from fuknagaev.spaces import make_euclidean, make_lp
+from fuknagaev.stochastic import (MomentProfile, gaussian, moment_profile,
+                                  norm_moment, pinelis_check,
+                                  pinelis_supermartingale_profile, rademacher,
+                                  sample_increments, student_t,
+                                  symmetric_pareto, trial_seed,
+                                  truncated_ensemble, truncated_norm_exp_moment,
+                                  truncated_norm_mean, uniform_cube)
+from fuknagaev.verify import CampaignConfig, crossover_scan
+
+R1 = make_euclidean(1)
+R3 = make_euclidean(3)
+
+
+# ---------------------------------------------------------------- (a) draw order
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _directions(rng, n, space):
+    g = rng.standard_normal((n, space.dimension))
+    return g / space.norms(g)[:, None]
+
+
+@pytest.mark.parametrize("space", [R1, R3, make_lp(4, 3.0)])
+def test_sampler_draw_order(space):
+    n, seed, a = 7, 1234, 4.5
+    rebuilt = {}
+    rng = _philox(seed)
+    rebuilt[gaussian(space, a)] = a * rng.standard_normal((n, space.dimension))
+    rng = _philox(seed)
+    rebuilt[uniform_cube(space, a)] = rng.uniform(-a, a, size=(n, space.dimension))
+    rng = _philox(seed)
+    rebuilt[rademacher(space, a)] = np.full(n, a)[:, None] * _directions(rng, n, space)
+    rng = _philox(seed)
+    theta = _directions(rng, n, space)
+    rebuilt[symmetric_pareto(space, a)] = \
+        ((1.0 - rng.random(n)) ** (-1.0 / a))[:, None] * theta
+    rng = _philox(seed)
+    theta = _directions(rng, n, space)
+    rebuilt[student_t(space, a)] = rng.standard_t(a, size=n)[:, None] * theta
+    for dist, expected in rebuilt.items():
+        got = sample_increments(dist, n, seed).increments
+        assert np.array_equal(got, expected), dist.kind
+    # a per-trial SeedSequence feeds the same construction
+    ss = trial_seed(seed, 3)
+    rng = np.random.Generator(np.random.Philox(trial_seed(seed, 3)))
+    assert np.array_equal(sample_increments(gaussian(space, 1.0), n, ss).increments,
+                          rng.standard_normal((n, space.dimension)))
+
+
+# ---------------------------------------------------------------- (b) one draw
+
+def test_moment_profile_draws_once(monkeypatch):
+    dist = gaussian(make_lp(3, 3.0), 1.0)
+    calls = []
+    real = stochastic.sample_increments
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "sample_increments", counting)
+    prof = moment_profile(dist, q=4.0, n=5)
+    assert len(calls) == 1
+    assert prof.mc_errors is not None and min(prof.mc_errors) > 0
+    assert prof.sigma_sq == 5 * norm_moment(dist, 2.0)
+    assert prof.cq_to_q == 5 * norm_moment(dist, 4.0)
+
+
+def test_closed_form_profile_draws_nothing(monkeypatch):
+    monkeypatch.setattr(stochastic, "sample_increments", None)
+    prof = moment_profile(symmetric_pareto(R3, 4.5), q=4.0, n=2)
+    assert prof.mc_errors is None and prof.cq_to_q == 2 * 4.5 / 0.5
+
+
+# ---------------------------------------------------------------- (c) Pinelis pair
+
+def test_pinelis_pair_share_partial_sums():
+    dist, L, t, n = symmetric_pareto(R3, 4.5), 3.0, 0.5, 8
+    ens = truncated_ensemble(dist, n, 1500, seed=21, trunc_L=L)
+    rep = pinelis_check(ens, t=t, D=1.0, dist=dist, trunc_L=L)
+
+    finals = np.array([R3.norm(diffs.increments.sum(axis=0)) for diffs in ens])
+    cosh_vals = np.cosh(t * finals)
+    e_term = truncated_norm_exp_moment(dist, t, L) - 1.0 - t * truncated_norm_mean(dist, L)
+    assert rep.trials == len(ens) and rep.n == n
+    assert rep.e_term == e_term
+    assert rep.product_bound == (1.0 + e_term) ** n
+    assert rep.empirical_cosh == pytest.approx(cosh_vals.mean(), rel=1e-12)
+    assert rep.standard_error == pytest.approx(
+        cosh_vals.std(ddof=1) / math.sqrt(len(ens)), rel=1e-9)
+
+    state = pinelis_supermartingale_profile(ens, t=t, D=1.0, dist=dist, trunc_L=L)
+    assert state.g_means[0] == 1.0 and state.g_standard_errors[0] == 0.0
+    assert len(state.g_means) == n + 1
+    assert state.g_means[-1] * (1.0 + e_term) ** n == pytest.approx(rep.empirical_cosh,
+                                                                  rel=1e-12)
+
+    mixed = ens[:10] + truncated_ensemble(dist, n + 1, 2, seed=22, trunc_L=L)
+    for check in (pinelis_check, pinelis_supermartingale_profile):
+        with pytest.raises(ValueError, match="must share n"):
+            check(mixed, t=t, D=1.0, dist=dist, trunc_L=L)
+
+
+# ---------------------------------------------------------------- (d) truncated moments
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("L", [0.4, 1.0, 1.5, 2.0, 5.0])
+def test_uniform_truncated_moments_match_closed_forms(t, L):
+    a = 1.5
+    dist = uniform_cube(R1, a)
+    lim = min(L, a)
+    mgf = 1.0 if t == 0 else (math.exp(t * lim) - 1.0) / (t * a) + max(0.0, 1.0 - lim / a)
+    assert truncated_norm_exp_moment(dist, t, L) == pytest.approx(mgf, rel=0, abs=1e-12)
+    assert truncated_norm_mean(dist, L) == pytest.approx(lim * lim / (2.0 * a),
+                                                         rel=0, abs=1e-12)
+
+
+def test_zero_gaussian_truncated_moments():
+    dist = gaussian(R1, 0.0)
+    assert truncated_norm_exp_moment(dist, 1.0, 2.0) == 1.0
+    assert truncated_norm_mean(dist, 2.0) == 0.0
+
+
+def test_rademacher_truncated_moments_are_point_masses():
+    dist = rademacher(R1, 2.0)
+    assert truncated_norm_exp_moment(dist, 0.5, 2.0) == math.exp(1.0)
+    assert truncated_norm_exp_moment(dist, 0.5, 1.9) == 1.0
+    assert truncated_norm_mean(dist, 3.0) == 2.0
+
+
+# ---------------------------------------------------------------- invalid moments
+
+_bad_values = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([math.nan, math.inf]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bad_values)
+def test_invalid_moment_inputs_rejected(bad):
+    for fields in ({"sigma_sq": bad, "cq_to_q": 1.0}, {"sigma_sq": 1.0, "cq_to_q": bad}):
+        with pytest.raises(ValueError):
+            MomentProfile(q=4.0, **fields)
+    for sub, extra in (("bound", ["--u", "0.1"]), ("mcdiarmid", ["--u", "0.1"])):
+        for flag in ("sigma", "cq"):
+            other = "cq" if flag == "sigma" else "sigma"
+            argv = [sub, "--q", "4.5", "--D", "1", f"--{flag}={bad!r}",
+                    f"--{other}", "1"] + extra
+            assert cli.run(argv) == 2, argv
+
+
+def test_negative_cq_message(capsys):
+    assert cli.run(["bound", "--q", "4.5", "--D", "1", "--sigma", "1",
+                    "--cq=-1", "--u", "0.1"]) == 2
+    assert "--cq must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_small_q_rejected_by_profile(capsys):
+    with pytest.raises(InvalidQError):
+        MomentProfile(sigma_sq=1.0, cq_to_q=1.0, q=2.0)
+    assert cli.run(["mcdiarmid", "--q=-1", "--D", "1", "--sigma", "1", "--cq", "0",
+                    "--u", "0.1"]) == 2
+    assert "q must exceed 2" in capsys.readouterr().err
+
+
+def test_bound_has_no_seed_flag():
+    assert cli.run(["bound", "--q", "4", "--D", "1", "--sigma", "1", "--cq", "1",
+                    "--u", "0.1", "--seed", "3"]) == 2
+
+
+# ---------------------------------------------------------------- smoothness constant
+
+def test_campaign_rejects_D_below_smoothness_constant(capsys):
+    dist = rademacher(make_lp(3, 4.0), 1.0)
+    base = dict(dist=dist, n=5, trials=100, q=4.0, u_grid=(0.1,), seed=0)
+    with pytest.raises(ValueError, match="smoothness constant"):
+        CampaignConfig(D=1.0, **base)
+    with pytest.raises(ValueError):
+        CampaignConfig(D=math.nan, **base)
+    CampaignConfig(D=math.sqrt(3.0), **base)
+    assert cli.run(["verify", "--dist", "rademacher", "--alpha", "1", "--dim", "3",
+                    "--p", "4", "--n", "5", "--trials", "100", "--q", "4",
+                    "--D", "1", "--u", "0.1"]) == 2
+    assert "smoothness constant" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- tail overflow
+
+def test_tail_bound_overflow_clamps_to_one(capsys):
+    assert cli.run(["bound", "--q", "10", "--D", "1", "--sigma", "1", "--cq", "1",
+                    "--t", "1e-300"]) == 0
+    assert "tail probability at t = 1e-300: 1\n" in capsys.readouterr().out
+    prof = MomentProfile(sigma_sq=1.0, cq_to_q=1.0, q=10.0)
+    assert tail_bound(prof, 1.0, 1e-300).value == 1.0
+    assert crossover_scan(prof, 1.0, (1e-300, 1e-290)) is None
+
+
+# ---------------------------------------------------------------- exit codes
+
+def test_internal_inconsistency_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.txt"
+    path.write_text("1\n2\n3\n", encoding="utf-8")
+
+    def broken(sample, u):
+        raise InternalInconsistencyError("CVaR forms disagree")
+
+    monkeypatch.setattr(quantile, "cvar_q1", broken)
+    assert cli.run(["quantile", str(path), "--u", "0.5"]) == 3
+    assert "internal error: CVaR forms disagree" in capsys.readouterr().err
