@@ -28,10 +28,10 @@ class BoundResult:
 
 def constant_c(q: float, D: float) -> float:
     """The bound constant c(q, D); e.g. c(3, 1) = 41/30."""
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    if not 2 < q < math.inf:
+        raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
+    if not 1 <= D < math.inf:
+        raise ValueError(f"D must be finite and >= 1, got {D}")
     return 1.0 / (2.0 * q) + min(1.0 / q, 0.2) + 1.0 \
         + (D * D * q / 3.0 if q > 3 else 0.0)
 
@@ -39,8 +39,11 @@ def constant_c(q: float, D: float) -> float:
 def _threshold(sigma: float, cq: float, q: float, D: float, u: float) -> float:
     if not 0.0 < u < 1.0:
         raise InvalidLevelError(f"u must lie in (0, 1), got {u}")
-    return D * sigma * math.sqrt(2.0 * math.log(2.0 / u)) \
+    value = D * sigma * math.sqrt(2.0 * math.log(2.0 / u)) \
         + constant_c(q, D) * cq * (2.0 / u) ** (1.0 / q)
+    if not value < math.inf:
+        raise InvalidLevelError(f"the threshold B(u) overflows at u = {u}")
+    return value
 
 
 def confidence_bound(profile: MomentProfile, D: float, u: float) -> BoundResult:
@@ -71,8 +74,8 @@ def _tail_terms(profile: MomentProfile, D: float, t: float) -> tuple:
 def tail_bound(profile: MomentProfile, D: float, t: float) -> BoundResult:
     """P[max_i ||M_i|| > t] <= 2 (2 c C_q / t)^q + 2 exp(-t^2 / (8 D^2 sigma^2)),
     clamped to [0, 1]. A zero sigma drops the Gaussian term."""
-    if t <= 0:
-        raise InvalidThresholdError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise InvalidThresholdError(f"t must be positive and finite, got {t}")
     poly, gauss = _tail_terms(profile, D, t)
     return BoundResult(value=min(1.0, poly + gauss), kind=TAIL_PROBABILITY,
                        inputs={"q": profile.q, "D": D, "sigma_sq": profile.sigma_sq,

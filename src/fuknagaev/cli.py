@@ -9,10 +9,10 @@ floats are printed with 17 significant digits; human summaries round to 6.
 Exit codes: 0 success, 1 a verification verdict failed, 2 validation or
 usage error, 3 internal error (two computations of one quantity disagree).
 
-A campaign's --D must be at least the smoothness constant of its space:
-1 for euclidean, sqrt(p - 1) for l^p. Where a moment has no closed form,
-Monte Carlo estimates of both orders come from one fixed-seed draw of 1e6
-increments.
+A campaign's --D must be at least the smoothness constant of its space,
+1 for euclidean and sqrt(p - 1) for l^p, and defaults to it. Where a moment
+has no closed form, Monte Carlo estimates of both orders come from one
+fixed-seed draw of 1e6 increments.
 """
 
 import argparse
@@ -57,14 +57,10 @@ def _json_dump(obj, indent=0):
             return "[]"
         items = [f"{pad}  {_json_dump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, float):
-        return _fmt_machine(obj)
-    if isinstance(obj, int):
-        return str(obj)
+    if isinstance(obj, (bool, float, int)):
+        return _row_cell(obj)
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -236,7 +232,7 @@ def _cmd_verify(args):
         n=_need(params, "n", int),
         trials=_need(params, "trials", int),
         q=_need(params, "q"),
-        D=_need(params, "D"),
+        D=float(params.get("D", dist.space.smoothness_D)),
         u_grid=_parse_u_grid(_need(params, "u", str)),
         seed=_default_seed(params),
     )
@@ -304,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--t", type=float, help="tail threshold, > 0")
 
     p_verify = sub.add_parser("verify", help="run a Monte Carlo coverage campaign")
-    common(p_verify, "q", "D", "u", "out")
+    common(p_verify, "q", "u", "out")
+    p_verify.add_argument("--D", type=float,
+                          help="smoothness constant, at least and by default the space's "
+                               "own: 1 for euclidean, sqrt(p - 1) for l^p")
     p_verify.add_argument("--dist", type=str, choices=_DIST_CHOICES,
                           help="increment law")
     p_verify.add_argument("--alpha", type=float,

@@ -244,10 +244,10 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     The recorded final coefficient is the constant in front of (2/u)^(1/q)
     in the user-facing bound; it matches bounds.constant_c exactly.
     """
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
-    if D < 1 or sigma <= 0 or not 0.0 < u < 1.0:
-        raise ValueError("need D >= 1, sigma > 0, u in (0, 1)")
+    if not 2 < q < math.inf:
+        raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
+    if not (1 <= D < math.inf and 0 < sigma < math.inf and 0.0 < u < 1.0):
+        raise ValueError("need finite D >= 1 and sigma > 0, and u in (0, 1)")
     x_hat = math.log(2.0 / u)
     L = (2.0 / u) ** (1.0 / q)
     alpha = D * D * min(1.0 / q, 0.2) + 1.0

@@ -30,14 +30,14 @@ class SmoothSpace:
 
     def norm(self, v) -> float:
         """Norm of a single coordinate vector."""
-        return float(self.norms(np.reshape(v, (1, -1)))[0])
+        return float(self.norms(v))
 
     def norms(self, rows) -> np.ndarray:
-        """Row-wise norms of an (m, dimension) array."""
+        """Norms along the last axis of an (..., dimension) array."""
         rows = np.asarray(rows, dtype=float)
         if self.norm_kind == EUCLIDEAN:
-            return np.sqrt((rows * rows).sum(axis=1))
-        return (np.abs(rows) ** self.p).sum(axis=1) ** (1.0 / self.p)
+            return np.sqrt((rows * rows).sum(axis=-1))
+        return (np.abs(rows) ** self.p).sum(axis=-1) ** (1.0 / self.p)
 
 
 def make_euclidean(d: int) -> SmoothSpace:

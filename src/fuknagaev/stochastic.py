@@ -27,6 +27,7 @@ GAUSSIAN = "gaussian"
 
 _MC_MOMENT_DRAWS = 1_000_000
 _MC_MOMENT_SEED = 0x5EED0
+_BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
 
 
 @dataclass(frozen=True)
@@ -78,30 +79,20 @@ def gaussian(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
     return IncrementDistribution(GAUSSIAN, space, float(scale))
 
 
-def tail_index(dist: IncrementDistribution) -> float:
-    """Largest p with E ||xi||^p < infinity (inf for light tails)."""
-    if dist.kind == SYMMETRIC_PARETO or dist.kind == STUDENT_T:
-        return dist.param
-    return math.inf
-
-
 def _norm_bound(dist: IncrementDistribution) -> float:
     """Supremum of ||xi||, which is also the default truncation level of a
     bounded law; inf for an unbounded one."""
     if dist.kind == RADEMACHER:
         return dist.param
     if dist.kind == UNIFORM_CUBE:
-        return float(dist.space.norms(np.full((1, dist.space.dimension), dist.param))[0])
+        return dist.space.norm(np.full(dist.space.dimension, dist.param))
     return math.inf
-
-
-def has_bounded_support(dist: IncrementDistribution) -> bool:
-    return _norm_bound(dist) < math.inf
 
 
 @dataclass(frozen=True)
 class DifferenceSequence:
-    """Martingale differences xi_1..xi_n as rows of an (n, d) array."""
+    """Martingale differences xi_1..xi_n as rows of an (n, d) array (or a
+    (trials, n, d) stack of such, inside the ensemble engine)."""
     increments: np.ndarray
     space: SmoothSpace
 
@@ -160,18 +151,30 @@ class TruncationLevel:
 
 
 def trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
-    """Splittable per-trial seed, independent of execution order."""
+    """Splittable seed of one trial or one block of trials, order-independent."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
 
 
-def _generator(seed) -> np.random.Generator:
-    # Philox wraps a non-SeedSequence seed in SeedSequence(seed) itself
-    return np.random.Generator(np.random.Philox(seed))
-
-
-def _sphere_directions(rng, n, space) -> np.ndarray:
-    g = rng.standard_normal((n, space.dimension))
-    return g / space.norms(g)[:, None]
+def _draw(dist: IncrementDistribution, shape: tuple, rng) -> np.ndarray:
+    """A shape + (d,) array of iid increments. The Gaussian and cube laws
+    fill it directly; the radial laws draw all normal directions first,
+    then one radius per increment."""
+    full = shape + (dist.space.dimension,)
+    if dist.kind == GAUSSIAN:
+        return dist.param * rng.standard_normal(full)
+    if dist.kind == UNIFORM_CUBE:
+        return rng.uniform(-dist.param, dist.param, size=full)
+    xi = rng.standard_normal(full)
+    xi /= dist.space.norms(xi)[..., None]  # uniform on the unit sphere
+    if dist.kind == RADEMACHER:
+        xi *= dist.param
+    elif dist.kind == SYMMETRIC_PARETO:
+        xi *= ((1.0 - rng.random(shape)) ** (-1.0 / dist.param))[..., None]
+    elif dist.kind == STUDENT_T:
+        xi *= rng.standard_t(dist.param, size=shape)[..., None]
+    else:
+        raise ValueError(f"unknown increment kind {dist.kind!r}")
+    return xi
 
 
 def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSequence:
@@ -179,34 +182,25 @@ def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSe
     bit-identical output."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = _generator(seed)
-    d = dist.space.dimension
-    if dist.kind == GAUSSIAN:
-        xi = dist.param * rng.standard_normal((n, d))
-    elif dist.kind == UNIFORM_CUBE:
-        xi = rng.uniform(-dist.param, dist.param, size=(n, d))
-    else:
-        theta = _sphere_directions(rng, n, dist.space)
-        if dist.kind == RADEMACHER:
-            r = np.full(n, dist.param)
-        elif dist.kind == SYMMETRIC_PARETO:
-            r = (1.0 - rng.random(n)) ** (-1.0 / dist.param)
-        elif dist.kind == STUDENT_T:
-            r = rng.standard_t(dist.param, size=n)
-        else:
-            raise ValueError(f"unknown increment kind {dist.kind!r}")
-        xi = r[:, None] * theta
-    return DifferenceSequence(increments=xi, space=dist.space)
+    rng = np.random.Generator(np.random.Philox(seed))  # Philox seeds via SeedSequence(seed)
+    return DifferenceSequence(increments=_draw(dist, (n,), rng), space=dist.space)
+
+
+def _paths(xi: np.ndarray, space: SmoothSpace) -> tuple:
+    """Partial sums, norms and running maxima (0 if empty) of (trials, n, d)
+    paths. The partial sums overwrite xi, which callers own."""
+    sums = np.cumsum(xi, axis=1, out=xi)
+    norms = space.norms(sums)
+    return sums, norms, norms.max(axis=1, initial=0.0)
 
 
 def build_martingale(diffs: DifferenceSequence) -> MartingalePath:
     """Partial sums and running maximum max_i ||M_i||."""
     if len(diffs) == 0:
         raise ValueError("difference sequence must be nonempty")
-    sums = np.cumsum(diffs.increments, axis=0)
-    norms = diffs.space.norms(sums)
-    return MartingalePath(partial_sums=sums, norms=norms,
-                          running_max=float(norms.max()), space=diffs.space)
+    sums, norms, top = _paths(diffs.increments[None].copy(), diffs.space)
+    return MartingalePath(partial_sums=sums[0], norms=norms[0],
+                          running_max=float(top[0]), space=diffs.space)
 
 
 def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
@@ -217,7 +211,7 @@ def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
     if not isinstance(level, TruncationLevel):
         level = TruncationLevel(float(level))
     keep = diffs.norms() <= level.trunc_L
-    return DifferenceSequence(increments=diffs.increments * keep[:, None],
+    return DifferenceSequence(increments=diffs.increments * keep[..., None],
                               space=diffs.space)
 
 
@@ -226,9 +220,9 @@ def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
 
 def _closed_norm_moment(dist: IncrementDistribution, p: float):
     """E ||xi||^p in closed form, or None where there is none."""
-    if p >= tail_index(dist):
+    if dist.kind in (SYMMETRIC_PARETO, STUDENT_T) and p >= dist.param:  # the tail index
         raise InfiniteMomentError(
-            f"moment order {p} >= tail index {tail_index(dist)} of {dist.kind}")
+            f"moment order {p} >= tail index {dist.param} of {dist.kind}")
     kind, d, a = dist.kind, dist.space.dimension, dist.param
     if kind == RADEMACHER:
         return a ** p
@@ -292,8 +286,13 @@ def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfi
 @dataclass(frozen=True)
 class CoordinateTerm:
     """One summand g_i of a separable f(z) = sum_i g_i(z_i), together with
-    its exact mean E g_i(Z_i) under the i-th input law."""
-    g: object  # callable, input value -> float or vector in the target space
+    its exact mean E g_i(Z_i) under the i-th input law.
+
+    ``g`` is called on a column, the z_i of a block of trials (one trial in
+    ``doob_martingale``), and returns a scalar (the same value for every
+    row), a (rows,) array, or a (rows, d) array of vectors in the target
+    space. ``mean`` is a scalar or a (d,) vector."""
+    g: object
     mean: object
 
 
@@ -311,21 +310,25 @@ def doob_martingale(f_spec: SeparableFunction, realization) -> MartingalePath:
     centered revealed terms. ``realization`` holds one sampled value per
     coordinate.
     """
+    xi = _doob_increments(f_spec, np.asarray(realization)[None])
+    return build_martingale(DifferenceSequence(increments=xi[0], space=f_spec.space))
+
+
+def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
+    """The (rows, n, d) centered increments g_i(z_i) - E g_i(Z_i) of the
+    Doob paths of the realizations z[j]; g_i is called once, on z[:, i]."""
     if not isinstance(f_spec, SeparableFunction):
         raise UnsupportedFunctionError(
             "doob_martingale needs a SeparableFunction; conditional "
             "expectations of non-separable functions are not computable here")
     n = len(f_spec.terms)
-    if n == 0:
-        raise ValueError("separable function must have at least one term")
-    if len(realization) != n:
-        raise ValueError(f"realization has {len(realization)} values, "
-                         f"expected {n}")
-    d = f_spec.space.dimension
-    xi = np.empty((n, d))
-    for i, (term, z) in enumerate(zip(f_spec.terms, realization)):
-        xi[i] = np.asarray(term.g(z), dtype=float) - np.asarray(term.mean, dtype=float)
-    return build_martingale(DifferenceSequence(increments=xi, space=f_spec.space))
+    if z.shape[1] != n:
+        raise ValueError(f"realization has {z.shape[1]} values, expected {n}")
+    xi = np.empty((len(z), n, f_spec.space.dimension))
+    for i, term in enumerate(f_spec.terms):
+        g = np.asarray(term.g(z[:, i]), dtype=float)
+        xi[:, i] = (g[:, None] if g.ndim == 1 else g) - np.asarray(term.mean, dtype=float)
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +429,16 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if trunc_L is None:
-        if not has_bounded_support(dist):
-            raise PreconditionError(
-                f"{dist.kind} increments are unbounded; truncate first and pass "
-                "the truncation level")
         trunc_L = _norm_bound(dist)  # truncation at the support bound changes nothing
+        if trunc_L == math.inf:
+            raise PreconditionError(f"{dist.kind} increments are unbounded; truncate "
+                                    "first and pass the truncation level")
     ensemble = list(ensemble)
-    if not ensemble:
-        raise ValueError("empty ensemble")
-    n = len(ensemble[0])
-    if any(len(diffs) != n for diffs in ensemble):
-        raise ValueError("all sequences in the ensemble must share n")
-    space = ensemble[0].space
-    sums = np.stack([diffs.increments for diffs in ensemble])
-    np.cumsum(sums, axis=1, out=sums)
-    norms = space.norms(sums.reshape(-1, space.dimension)).reshape(len(ensemble), n)
-    mgf = truncated_norm_exp_moment(dist, t, trunc_L)
-    mean = truncated_norm_mean(dist, trunc_L)
-    return D * D * (mgf - 1.0 - t * mean), norms
+    if len({len(diffs) for diffs in ensemble}) != 1:
+        raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
+    norms = _paths(np.stack([diffs.increments for diffs in ensemble]), ensemble[0].space)[1]
+    return D * D * (truncated_norm_exp_moment(dist, t, trunc_L) - 1.0
+                    - t * truncated_norm_mean(dist, trunc_L)), norms
 
 
 def pinelis_supermartingale_profile(ensemble, t: float, D: float,
@@ -452,8 +447,7 @@ def pinelis_supermartingale_profile(ensemble, t: float, D: float,
     """Track E G_i over an iid truncated ensemble, step by step."""
     e_term, norms = _pinelis_terms(ensemble, t, D, dist, trunc_L)
     trials, n = norms.shape
-    denom = np.cumprod(np.full(n, 1.0 + e_term))
-    g = np.cosh(t * norms) / denom[None, :]
+    g = np.cosh(t * norms) / np.cumprod(np.full(n, 1.0 + e_term))
     g_means = np.concatenate(([1.0], g.mean(axis=0)))
     g_se = np.concatenate(([0.0], g.std(axis=0, ddof=1) / math.sqrt(trials)))
     passed = bool(np.all(g_means <= 1.0 + 3.0 * g_se))
@@ -477,9 +471,8 @@ def pinelis_check(ensemble, t: float, D: float,
     emp = float(cosh_vals.mean())
     se = float(cosh_vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     product = (1.0 + e_term) ** n
-    return PinelisReport(t=t, D=D, n=n, trials=trials,
-                         empirical_cosh=emp, standard_error=se,
-                         e_term=e_term, product_bound=product,
+    return PinelisReport(t=t, D=D, n=n, trials=trials, empirical_cosh=emp,
+                         standard_error=se, e_term=e_term, product_bound=product,
                          passed=bool(emp <= product + 3.0 * se))
 
 
@@ -494,9 +487,6 @@ class DiscreteNormLaw:
 
     def moment(self, k: float) -> float:
         return float(sum(p * v ** k for v, p in zip(self.values, self.probs)))
-
-    def max_value(self) -> float:
-        return max(self.values)
 
 
 @dataclass(frozen=True)
@@ -525,7 +515,7 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
     tol = 1e-12
     m2 = sum(law.moment(2.0) for law in laws)
     mq = sum(law.moment(q) for law in laws)
-    vmax = max(law.max_value() for law in laws)
+    vmax = max(max(law.values) for law in laws)
     if m2 > sigma * sigma * (1 + tol):
         raise PreconditionError(f"sum E||xi||^2 = {m2} exceeds sigma^2 = {sigma**2}")
     if mq > 1.0 + tol:
@@ -534,53 +524,60 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
         raise PreconditionError(f"norm value {vmax} exceeds truncation level {trunc_L}")
 
     lhs = sum(law.moment(k) for law in laws)
-    if k <= q:
-        rhs = sigma ** (2.0 * (q - k) / (q - 2.0))
-        branch = "interpolation"
-    else:
-        rhs = trunc_L ** (k - q)
-        branch = "truncation"
+    rhs = sigma ** (2.0 * (q - k) / (q - 2.0)) if k <= q else trunc_L ** (k - q)
     return RioMomentReport(k=float(k), lhs=float(lhs), rhs=float(rhs),
-                           branch=branch,
+                           branch="interpolation" if k <= q else "truncation",
                            passed=bool(lhs <= rhs * (1 + 1e-12)))
 
 
 # ---------------------------------------------------------------------------
-# ensembles
+# ensembles: block b holds trials [b B, (b+1) B), B = max(1, _BLOCK_VALUES //
+# (n d)), and draws all B from trial_seed(seed, b) even where it keeps fewer,
+# so trial j depends only on (seed, j, n, law), not on the trial count or
+# the order in which blocks run.
+
+def _blocks(trials: int, n: int, d: int, seed: int):
+    """Yield (trials kept, B, generator) for each block of trials."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    size = max(1, _BLOCK_VALUES // (n * d))
+    for b, start in enumerate(range(0, trials, size)):
+        rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
+        yield min(size, trials - start), size, rng
+
+
+def _increment_blocks(dist: IncrementDistribution, n, trials, seed, trunc_L=None):
+    for rows, size, rng in _blocks(trials, n, dist.space.dimension, seed):
+        xi = DifferenceSequence(_draw(dist, (size, n), rng)[:rows], dist.space)
+        yield (xi if trunc_L is None else truncate(xi, trunc_L)).increments
+
+
+def _maxima(blocks, space: SmoothSpace) -> np.ndarray:
+    """Running maxima of the trials of a sequence of (rows, n, d) blocks."""
+    return np.concatenate([np.empty(0)] + [_paths(xi, space)[2] for xi in blocks])
+
 
 def running_max_ensemble(dist: IncrementDistribution, n: int, trials: int,
                          seed: int, trunc_L=None) -> np.ndarray:
-    """Running maxima max_i ||M_i|| over independent trials.
-
-    Trial j uses the splittable seed (seed, j), so results do not depend on
-    the order in which trials are executed.
-    """
-    out = np.empty(trials)
-    for j in range(trials):
-        diffs = sample_increments(dist, n, trial_seed(seed, j))
-        if trunc_L is not None:
-            diffs = truncate(diffs, trunc_L)
-        out[j] = build_martingale(diffs).running_max
-    return out
+    """Running maxima max_i ||M_i|| over independent trials."""
+    return _maxima(_increment_blocks(dist, n, trials, seed, trunc_L), dist.space)
 
 
 def truncated_ensemble(dist: IncrementDistribution, n: int, trials: int,
                        seed: int, trunc_L) -> list:
-    """List of level-L truncated difference sequences, per-trial seeded."""
-    return [truncate(sample_increments(dist, n, trial_seed(seed, j)), trunc_L)
-            for j in range(trials)]
+    """The truncated trials of ``running_max_ensemble``, as block array views."""
+    return [DifferenceSequence(increments=x, space=dist.space)
+            for xi in _increment_blocks(dist, n, trials, seed, trunc_L) for x in xi]
 
 
 def doob_running_max_ensemble(f_spec: SeparableFunction, sample_inputs,
                               trials: int, seed: int) -> np.ndarray:
     """Running maxima of exact Doob paths over independent input draws.
 
-    ``sample_inputs(rng, n)`` must return one realization of the n inputs.
-    """
+    ``sample_inputs(rng, n)`` returns one realization of the n inputs; it is
+    called once per trial, in trial order, on the generator of the trial's
+    block. Each g_i is called once per block (see ``CoordinateTerm``)."""
     n = len(f_spec.terms)
-    out = np.empty(trials)
-    for j in range(trials):
-        rng = _generator(trial_seed(seed, j))
-        path = doob_martingale(f_spec, sample_inputs(rng, n))
-        out[j] = path.running_max
-    return out
+    inputs = (np.array([sample_inputs(rng, n) for _ in range(rows)])
+              for rows, _, rng in _blocks(trials, n, f_spec.space.dimension, seed))
+    return _maxima((_doob_increments(f_spec, z) for z in inputs), f_spec.space)

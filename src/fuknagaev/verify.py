@@ -159,12 +159,15 @@ def tightness(config: CampaignConfig, n_boot: int = 200) -> TightnessReport:
     boot_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(0xB007,)))
     idx = boot_rng.integers(0, len(rm), size=(n_boot, len(rm)))
+    boot_q = np.empty((len(config.u_grid), n_boot))  # row i: level i
+    for k, row in enumerate(idx):
+        resample = make_sample(rm[row])  # one sort serves every level
+        boot_q[:, k] = [quantile_q(resample, u) for u in config.u_grid]
     rows = []
-    for u in config.u_grid:
+    for u, level_q in zip(config.u_grid, boot_q):
         b = confidence_bound(profile, config.D, u).value
         emp = quantile_q(sample, u)
-        boot_q = np.array([quantile_q(make_sample(rm[row]), u) for row in idx])
-        se_q = float(boot_q.std(ddof=1))
+        se_q = float(level_q.std(ddof=1))
         applicable = emp > 0.0
         ratio = b / emp if applicable else None
         se = b * se_q / (emp * emp) if applicable else se_q
@@ -195,14 +198,10 @@ def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,
 
     ts = np.geomspace(t_lo, t_hi, grid_points)
     vals = np.array([g(t) for t in ts])
-    sign_change = None
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0:
-            sign_change = (ts[i], ts[i])
-        elif vals[i] * vals[i + 1] < 0:
-            sign_change = (ts[i], ts[i + 1])
-    if sign_change is None:
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    if not hits.size:
         return None
-    if sign_change[0] == sign_change[1]:
-        return float(sign_change[0])
-    return float(brentq(g, sign_change[0], sign_change[1], xtol=1e-12, rtol=1e-14))
+    i = hits[-1]
+    if vals[i] == 0.0:
+        return float(ts[i])
+    return float(brentq(g, ts[i], ts[i + 1], xtol=1e-12, rtol=1e-14))

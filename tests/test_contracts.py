@@ -3,6 +3,9 @@ every sampler, one Monte Carlo draw per moment profile, the Pinelis pair
 read from one set of partial sums, the truncated moments of the scalar norm
 law, and the input checks and exit codes of the command line."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -199,6 +202,19 @@ def test_campaign_rejects_D_below_smoothness_constant(capsys):
     assert "smoothness constant" in capsys.readouterr().err
 
 
+def test_verify_D_defaults_to_smoothness_constant(tmp_path, capsys):
+    base = ["verify", "--dist", "rademacher", "--alpha", "1", "--dim", "3", "--p", "4",
+            "--n", "5", "--trials", "100", "--q", "4", "--u", "0.1", "--seed", "2"]
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert cli.run(base + ["--out", str(default)]) == 0
+    assert cli.run(base + ["--out", str(explicit), "--D", repr(math.sqrt(3.0))]) == 0
+    assert json.loads(default.read_text())["config"]["D"] == math.sqrt(3.0)
+    assert default.read_bytes() == explicit.read_bytes()
+    capsys.readouterr()
+    assert cli.run(["verify", "--help"]) == 0
+    assert "by default the space's" in " ".join(capsys.readouterr().out.split())
+
+
 # ---------------------------------------------------------------- tail overflow
 
 def test_tail_bound_overflow_clamps_to_one(capsys):
@@ -208,6 +224,42 @@ def test_tail_bound_overflow_clamps_to_one(capsys):
     prof = MomentProfile(sigma_sq=1.0, cq_to_q=1.0, q=10.0)
     assert tail_bound(prof, 1.0, 1e-300).value == 1.0
     assert crossover_scan(prof, 1.0, (1e-300, 1e-290)) is None
+
+
+# ---------------------------------------------------------------- out-of-range inputs
+
+def _value(lo, hi, tiny=True):
+    odd = [math.nan, math.inf, -math.inf] + ([1e-320, 5e-324] if tiny else [])
+    return st.one_of(st.floats(min_value=lo, max_value=hi), st.sampled_from(odd))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_value(2.5, 10.0), D=_value(1.0, 3.0), sigma=_value(0.1, 5.0, tiny=False),
+       cq=_value(0.1, 5.0), level=_value(0.01, 0.9))
+def test_out_of_range_inputs_exit_2_or_print_finite(q, D, sigma, cq, level):
+    moments = [f"--q={q!r}", f"--D={D!r}", f"--sigma={sigma!r}"]
+    for argv in (["bound", *moments, f"--cq={cq!r}", f"--u={level!r}"],
+                 ["bound", *moments, f"--cq={cq!r}", f"--t={level!r}"],
+                 ["mcdiarmid", *moments, f"--cq={cq!r}", f"--u={level!r}"],
+                 ["proofcheck", *moments, f"--u={level!r}"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        printed = out.getvalue().lower()
+        assert code == 2 or ("nan" not in printed and "inf" not in printed), (argv, printed)
+
+
+def test_listed_out_of_range_inputs_exit_2(capsys):
+    base = ["--q", "4", "--D", "1", "--sigma", "1", "--cq", "1"]
+    for argv in (["bound", "--q", "4", "--D=nan", "--sigma", "1", "--cq", "1", "--u", "0.1"],
+                 ["bound", "--q", "4", "--D=inf", "--sigma", "1", "--cq", "1", "--u", "0.1"],
+                 ["bound", "--q=inf", "--D", "1", "--sigma", "1", "--cq", "1", "--u", "0.1"],
+                 ["bound", *base, "--t=nan"], ["bound", *base, "--u", "1e-320"],
+                 ["mcdiarmid", *base, "--u", "1e-320"]):
+        assert cli.run(argv) == 2, argv
+    assert "overflows" in capsys.readouterr().err
+    assert cli.run(["proofcheck", "--q", "4", "--D", "1", "--sigma=nan", "--u", "0.1"]) == 2
+    assert "need finite D >= 1 and sigma > 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- exit codes

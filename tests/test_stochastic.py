@@ -7,6 +7,7 @@ from scipy import integrate, stats
 
 from fuknagaev.errors import (InfiniteMomentError, PreconditionError,
                               UnsupportedFunctionError)
+from fuknagaev import stochastic
 from fuknagaev.spaces import make_euclidean, make_lp
 from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence,
                                   DiscreteNormLaw, SeparableFunction,
@@ -17,7 +18,7 @@ from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence,
                                   rio_moment_check, running_max_ensemble,
                                   sample_increments, student_t,
                                   symmetric_pareto, trial_seed, truncate,
-                                  truncated_norm_exp_moment,
+                                  truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean, uniform_cube)
 
 R1 = make_euclidean(1)
@@ -335,12 +336,76 @@ def test_rio_precondition_violations():
 
 # ---------------------------------------------------------------- ensembles
 
+def _block_rows(dist, n, trials, seed, trunc_L=None):
+    """The block contract, restated: block b holds trials [b B, (b+1) B) and
+    draws all B of them in one call of B n increments from seed (seed, b).
+    Blocks are recomputed here in reverse order."""
+    B = max(1, stochastic._BLOCK_VALUES // (n * dist.space.dimension))
+    rows = [None] * trials
+    for b in reversed(range(-(-trials // B))):
+        xi = sample_increments(dist, B * n, trial_seed(seed, b)).increments
+        for j in range(b * B, min((b + 1) * B, trials)):
+            diffs = DifferenceSequence(xi[(j - b * B) * n:(j - b * B + 1) * n], dist.space)
+            rows[j] = diffs if trunc_L is None else truncate(diffs, trunc_L)
+    return B, rows
+
+
 def test_ensemble_order_independent():
-    d = gaussian(R2, 1.0)
-    rm = running_max_ensemble(d, 10, trials=50, seed=77)
-    # recompute each trial out of order from its own seed
-    shuffled = np.empty(50)
-    for j in reversed(range(50)):
-        diffs = sample_increments(d, 10, trial_seed(77, j))
-        shuffled[j] = build_martingale(diffs).running_max
+    d, n = gaussian(R2, 1.0), 2000
+    rm = running_max_ensemble(d, n, trials=50, seed=77)
+    # recompute each block out of order from its own seed
+    B, rows = _block_rows(d, n, 50, 77)
+    assert B == 16
+    shuffled = np.array([build_martingale(diffs).running_max for diffs in rows])
     assert np.array_equal(rm, shuffled)
+
+
+_LAWS = [gaussian(R2, 1.0), uniform_cube(R2, 0.5), rademacher(R2, 1.0),
+         symmetric_pareto(R2, 4.5), student_t(R2, 5.0)]
+
+
+@pytest.mark.parametrize("trunc_L", [None, 1.5])
+@pytest.mark.parametrize("dist", _LAWS, ids=lambda d: d.kind)
+def test_block_stream_contract(dist, trunc_L):
+    n, trials, seed = 700, 100, 5
+    rm = running_max_ensemble(dist, n, trials, seed, trunc_L=trunc_L)
+    B, rows = _block_rows(dist, n, trials, seed, trunc_L)
+    assert B == 46 and trials % B != 0  # three blocks, the last one partial
+    # blocks recomputed out of order give build_martingale's maxima, bit for bit
+    assert np.array_equal(rm, [build_martingale(diffs).running_max for diffs in rows])
+    # a shorter run is a prefix, also when it ends inside a block
+    for k in (1, B + 3):
+        assert np.array_equal(running_max_ensemble(dist, n, k, seed, trunc_L=trunc_L),
+                              rm[:k])
+    if trunc_L is not None:
+        ens = truncated_ensemble(dist, n, trials, seed, trunc_L)
+        assert all(np.array_equal(a.increments, b.increments) for a, b in zip(ens, rows))
+        assert len(ens) == trials
+
+
+def _uniform_inputs(rng, n):
+    return rng.random(n)
+
+
+def test_doob_ensemble_matches_doob_martingale():
+    # constant, scalar and R^2-valued terms: each g is called once per block
+    # on a column, and doob_martingale is the one-row case
+    terms = (CoordinateTerm(g=lambda z: 2.5, mean=2.5),
+             CoordinateTerm(g=lambda z: z * z, mean=1.0 / 3.0),
+             CoordinateTerm(g=lambda z: np.stack([z, z * z], axis=-1),
+                            mean=np.array([0.5, 1.0 / 3.0])))
+    f = SeparableFunction(terms=terms * 1366, space=R2)
+    n, trials, seed = len(f.terms), 17, 3
+    B = stochastic._BLOCK_VALUES // (n * 2)
+    assert B == 7
+    expected = []
+    for b in range(-(-trials // B)):
+        rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
+        for _ in range(min(B, trials - b * B)):
+            expected.append(doob_martingale(f, _uniform_inputs(rng, n)).running_max)
+    maxima = stochastic.doob_running_max_ensemble(f, _uniform_inputs, trials, seed)
+    assert np.array_equal(maxima, expected)
+    constant = SeparableFunction(terms=terms[:1] * 4)
+    assert np.array_equal(
+        stochastic.doob_running_max_ensemble(constant, _uniform_inputs, 5, seed),
+        np.zeros(5))

@@ -6,10 +6,14 @@ from scipy.stats import binom
 
 from fuknagaev.errors import (InfiniteMomentError, InvalidCountError,
                               InvalidLevelError)
+from fuknagaev import verify
+from fuknagaev.bounds import confidence_bound
+from fuknagaev.quantile import make_sample, quantile_q
 from fuknagaev.spaces import make_euclidean
-from fuknagaev.stochastic import (MomentProfile, gaussian, rademacher,
+from fuknagaev.stochastic import (MomentProfile, gaussian, moment_profile,
+                                  rademacher, running_max_ensemble,
                                   symmetric_pareto)
-from fuknagaev.verify import (CampaignConfig, clopper_pearson_upper,
+from fuknagaev.verify import (CampaignConfig, TightnessRow, clopper_pearson_upper,
                               crossover_scan, tightness, verify_confidence)
 
 R1 = make_euclidean(1)
@@ -112,6 +116,40 @@ def test_tightness_degenerate_martingale_not_applicable():
     row = report.rows[0]
     assert not row.applicable and row.ratio is None
     assert report.passed  # vacuous but well-defined
+
+
+def _per_level_tightness_rows(config, n_boot):
+    """The tightness rows computed as before, one sort per resample and level."""
+    profile = moment_profile(config.dist, config.q, config.n)
+    rm = running_max_ensemble(config.dist, config.n, config.trials, config.seed)
+    boot_rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=config.seed, spawn_key=(0xB007,)))
+    idx = boot_rng.integers(0, len(rm), size=(n_boot, len(rm)))
+    rows = []
+    for u in config.u_grid:
+        b = confidence_bound(profile, config.D, u).value
+        emp = quantile_q(make_sample(rm), u)
+        boot_q = np.array([quantile_q(make_sample(rm[row]), u) for row in idx])
+        se_q = float(boot_q.std(ddof=1))
+        applicable = emp > 0.0
+        ratio = b / emp if applicable else None
+        se = b * se_q / (emp * emp) if applicable else se_q
+        rows.append(TightnessRow(level=float(u), bound=b, empirical_q=emp,
+                                 ratio=ratio, bootstrap_se=se, applicable=applicable,
+                                 passed=not applicable or bool(ratio >= 1.0 - 3.0 * se)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("dist", [rademacher(R1, 1.0), symmetric_pareto(make_euclidean(3), 4.5),
+                                  gaussian(R1, 0.0)], ids=lambda d: d.kind)
+def test_tightness_sorts_each_resample_once(dist, monkeypatch):
+    config = _small_campaign(dist=dist, trials=400, u_grid=(0.5, 0.2, 0.1, 0.05, 0.01))
+    expected = _per_level_tightness_rows(config, 150)
+    sorts = []
+    monkeypatch.setattr(verify, "make_sample",
+                        lambda values: sorts.append(1) or make_sample(values))
+    assert tightness(config, n_boot=150).rows == expected  # bit-identical floats
+    assert len(sorts) == 1 + 150
 
 
 def test_tightness_rows_serialize_to_csv(tmp_path):
