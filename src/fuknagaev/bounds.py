@@ -97,6 +97,8 @@ def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
     q = per_increment.q
     value = D * per_increment.sigma * math.sqrt(2.0 * math.log(2.0 / u) / n) \
         + constant_c(q, D) * per_increment.cq * (2.0 / (u * float(n) ** (q - 1.0))) ** (1.0 / q)
+    if not value < math.inf:
+        raise InvalidLevelError(f"the threshold overflows at u = {u}")
     return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD,
                        inputs={"q": q, "D": D, "sigma1_sq": per_increment.sigma_sq,
                                "cq1_to_q": per_increment.cq_to_q, "u": u, "n": n})

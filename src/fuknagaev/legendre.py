@@ -22,49 +22,41 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
-from .golden import golden_section_min
 from .errors import DomainError, InvalidQError
 
 _E = math.e
 
+_LOG_T_SCAN = np.linspace(-46.0, 46.0, 185)  # t from ~1e-20 to ~1e20
+_T_SCAN = np.exp(_LOG_T_SCAN)
+# a zoom shrinks the bracket 64-fold; 8 take it below 4e-15, past float resolution
+_ZOOM_STEPS = np.linspace(0.0, 1.0, 129)
+_MAX_ZOOMS = 8
 
-def psi_tail(q: float, t: float) -> float:
-    """Tail of the exponential series: sum of t^k / k! over integers k >= q.
 
-    For non-integer q the sum starts at ceil(q). Computed by the ascending
-    series when t < ceil(q) (no cancellation) and as exp(t) minus the head
-    partial sum otherwise (the tail then carries most of exp(t), so the
-    subtraction is benign). Relative accuracy ~1e-12 or better.
+def psi_tail(q: float, t):
+    """Tail of the exponential series: sum of t^k / k! over integers k >= q,
+    elementwise on a scalar or an array of t >= 0.
+
+    For non-integer q the sum starts at ceil(q). Computed in closed form as
+    exp(t) P(ceil(q), t), with P the regularized lower incomplete gamma
+    function, so there is no cancellation. Where exp(t) overflows
+    (t > ~709.78) the value is not finite.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"t must be >= 0, got {t.min()}")
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    m = math.ceil(q)
-    if t == 0.0:
-        return 0.0
-    if t < m:
-        term = t ** m / math.factorial(m)
-        total = term
-        k = m
-        while term > total * 1e-18 and k < m + 500:
-            k += 1
-            term *= t / k
-            total += term
-        return total
-    head = 0.0
-    term = 1.0
-    for k in range(m):
-        head += term
-        term *= t / (k + 1)
-    return math.exp(t) - head
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(t) * gammainc(math.ceil(q), t)
 
 
 @dataclass(frozen=True)
 class CgfPieces:
-    """Closures l0, l1, l2 for given (q, sigma, L); l1 is identically zero
-    when there is no integer strictly between 2 and q."""
+    """Closures l0, l1, l2 for given (q, sigma, L), on a scalar or an array
+    of t; l1 is zero when no integer lies strictly between 2 and q."""
     q: float
     sigma: float
     trunc_L: float
@@ -73,15 +65,15 @@ class CgfPieces:
     def ell1_orders(self) -> tuple:
         return tuple(k for k in range(3, math.ceil(self.q)) if k < self.q)
 
-    def ell0(self, t: float) -> float:
+    def ell0(self, t):
         return self.sigma ** 2 * t * t / 2.0
 
-    def ell1(self, t: float) -> float:
+    def ell1(self, t):
         q, s = self.q, self.sigma
-        return sum(s ** (2.0 * (q - k) / (q - 2.0)) * t ** k / math.factorial(k)
-                   for k in self.ell1_orders)
+        return sum((s ** (2.0 * (q - k) / (q - 2.0)) * t ** k / math.factorial(k)
+                    for k in self.ell1_orders), np.zeros_like(t, dtype=float))
 
-    def ell2(self, t: float) -> float:
+    def ell2(self, t):
         L = self.trunc_L
         return L ** (-self.q) * psi_tail(self.q, L * t)
 
@@ -96,44 +88,46 @@ def cgf_pieces(q: float, sigma: float, trunc_L: float) -> CgfPieces:
     return CgfPieces(q=float(q), sigma=float(sigma), trunc_L=float(trunc_L))
 
 
-def _inverse_legendre_full(psi, x: float, rel_tol: float = 1e-10):
-    """(value, argmin t) of inf_{t>0} (psi(t) + x) / t.
-
-    Non-finite psi evaluations are treated as +infinity; if psi is finite
-    nowhere on the scanned range a DomainError is raised. Boundary infima
-    (x = 0, or psi flat) are returned as the best boundary value.
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-
-    def objective(log_t):
-        t = math.exp(log_t)
+def _objective(psi, x: float, t: np.ndarray) -> np.ndarray:
+    """(psi(t) + x) / t; non-finite psi entries, and all entries of a call
+    that raises OverflowError or ValueError, read +inf."""
+    with np.errstate(all="ignore"):
         try:
             v = psi(t)
         except (OverflowError, ValueError):
-            return math.inf
-        if not math.isfinite(v):
-            return math.inf
-        return (v + x) / t
-
-    grid = np.linspace(-46.0, 46.0, 185)  # t from ~1e-20 to ~1e20
-    vals = [objective(g) for g in grid]
-    order = int(np.argmin(vals))
-    if not math.isfinite(vals[order]):
-        raise DomainError("objective not finite anywhere in the bracket")
-    lo = grid[max(order - 1, 0)]
-    hi = grid[min(order + 1, len(grid) - 1)]
-    log_t, val = golden_section_min(objective, lo, hi, rel_tol=rel_tol)
-    if vals[order] < val:  # never lose the scanned minimum
-        log_t, val = grid[order], vals[order]
-    return float(val), math.exp(log_t)
+            return np.full(t.shape, np.inf)
+        return np.where(np.isfinite(v), (v + x) / t, np.inf)
 
 
 def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
-    """inf over t > 0 of (psi(t) + x) / t, by bracketed golden-section.
+    """inf over t > 0 of (psi(t) + x) / t. Monotone in x and subadditive in psi.
 
-    Monotone in x and subadditive in psi."""
-    return _inverse_legendre_full(psi, x, rel_tol)[0]
+    psi receives a 1-D ndarray of t and returns an array of its shape or a
+    scalar. One call on the fixed log-t scan brackets the best scan point;
+    each zoom calls psi on 129 evenly spaced log t in the bracket and
+    narrows it to the neighbours of the best one, until its width is at
+    most rel_tol times the midpoint magnitude. The best value seen is
+    returned, so boundary infima (x = 0, or psi flat) come out as the best
+    boundary value. If psi is finite nowhere on the scan a DomainError is
+    raised.
+    """
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    vals = _objective(psi, x, _T_SCAN)
+    i = int(np.argmin(vals))
+    best = vals[i]
+    if not best < math.inf:
+        raise DomainError("objective not finite anywhere in the bracket")
+    a, b = _LOG_T_SCAN[max(i - 1, 0)], _LOG_T_SCAN[min(i + 1, _LOG_T_SCAN.size - 1)]
+    for _ in range(_MAX_ZOOMS):
+        if b - a <= rel_tol * (abs(a) + abs(b)) / 2 + 1e-300:
+            break
+        log_t = a + (b - a) * _ZOOM_STEPS
+        vals = _objective(psi, x, np.exp(log_t))
+        j = int(np.argmin(vals))
+        best = min(best, vals[j])
+        a, b = log_t[max(j - 1, 0)], log_t[min(j + 1, log_t.size - 1)]
+    return float(best)
 
 
 def quadratic_closed_form(sigma: float, D: float, x: float) -> float:
@@ -248,11 +242,13 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
         raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
     if not (1 <= D < math.inf and 0 < sigma < math.inf and 0.0 < u < 1.0):
         raise ValueError("need finite D >= 1 and sigma > 0, and u in (0, 1)")
+    DD = D * D
+    if not (DD < math.inf and sigma * sigma < math.inf):
+        raise ValueError(f"D^2 or sigma^2 overflows at D = {D}, sigma = {sigma}")
     x_hat = math.log(2.0 / u)
     L = (2.0 / u) ** (1.0 / q)
     alpha = D * D * min(1.0 / q, 0.2) + 1.0
     pieces = cgf_pieces(q, sigma, L)
-    DD = D * D
 
     steps = []
     t1 = inverse_legendre(lambda t: DD * pieces.ell2(t), x_hat)
@@ -271,17 +267,18 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
         steps.append(_step("combined", t_all, closed + alpha * L,
                            note="l1 = 0 branch"))
     else:
+        try:
+            s_geo = sigma ** (-2.0 / (q - 2.0))
+        except OverflowError:
+            raise ValueError(f"sigma^(-2/(q-2)) overflows at sigma = {sigma}") from None
         ell1_qe = pieces.ell1(q / _E)
         t12 = inverse_legendre(lambda t: DD * (pieces.ell1(t) + pieces.ell2(t)), x_hat)
         steps.append(_step("ell1+ell2", t12, alpha * L + DD * x_hat * (_E / 3.0) * ell1_qe))
 
-        c_geo = sigma ** (-2.0 / (q - 2.0)) / 3.0
         t01 = inverse_legendre(lambda t: DD * (pieces.ell0(t) + pieces.ell1(t)), x_hat)
-        steps.append(_step("ell0+ell1", t01, bercu_infimum(c_geo, DD * sigma * sigma, x_hat)))
+        steps.append(_step("ell0+ell1", t01, bercu_infimum(s_geo / 3.0, DD * sigma * sigma, x_hat)))
 
-        steps.append(_step("min-term",
-                           min(DD * _E * ell1_qe, sigma ** (-2.0 / (q - 2.0))),
-                           DD * _E))
+        steps.append(_step("min-term", min(DD * _E * ell1_qe, s_geo), DD * _E))
 
         steps.append(_step("combined", t_all,
                            closed + alpha * L + DD * _E * x_hat / 3.0))
@@ -294,6 +291,8 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     steps.append(_step("coefficient", final_coefficient,
                        1.0 / (2.0 * q) + alpha + (D * D * q / 3.0 if q > 3 else 0.0),
                        note="stated constant vs raw step assembly"))
+    if not all(math.isfinite(s.lhs) and math.isfinite(s.rhs) for s in steps):
+        raise ValueError(f"the proof chain overflows at q = {q}, D = {D}, sigma = {sigma}")
 
     return ProofChainReport(q=float(q), D=float(D), sigma=float(sigma), u=float(u),
                             x_hat=x_hat, trunc_L=L, alpha_qD=alpha,

@@ -179,10 +179,12 @@ def quantile_triple(sample: EmpiricalSample, u: float) -> QuantileTriple:
 
     The Chernoff value dominates the CVaR in exact arithmetic; the clamp
     only removes terminal rounding in the near-equality cases."""
-    q = quantile_q(sample, u)
+    return _ordered_triple(sample, u, q_infinity(sample, u).value)
+
+
+def _ordered_triple(sample: EmpiricalSample, u: float, qinf: float) -> QuantileTriple:
     q1 = cvar_q1(sample, u)
-    qinf = max(q_infinity(sample, u).value, q1)
-    return QuantileTriple(q=q, q1=q1, qinf=qinf)
+    return QuantileTriple(q=quantile_q(sample, u), q1=q1, qinf=max(qinf, q1))
 
 
 def q_not_subadditive_example() -> dict:
@@ -260,15 +262,13 @@ def quantile_lemma_suite(sample_pairs, u_grid) -> LemmaSuiteReport:
         ssum = make_sample(vx + vy)
         supper = make_sample(np.maximum(vx, vy))
         for u in u_grid:
-            for s in (sx, sy, ssum):
-                trip = quantile_triple(s, u)
-                ordering &= trip.q <= trip.q1 <= trip.qinf
+            qinf = [q_infinity(s, u).value for s in (sx, sy, ssum)]
+            trips = [_ordered_triple(s, u, v) for s, v in zip((sx, sy, ssum), qinf)]
+            ordering &= all(t.q <= t.q1 <= t.qinf for t in trips)
             monotone &= quantile_q(sx, u) <= quantile_q(supper, u)
-            sub_q1 &= cvar_q1(ssum, u) <= cvar_q1(sx, u) + cvar_q1(sy, u) + 1e-12
-            sub_qinf &= (q_infinity(ssum, u).value
-                         <= q_infinity(sx, u).value + q_infinity(sy, u).value + 1e-12)
-            for s, raw in ((sx, vx), (sy, vy)):
-                thresh = q_infinity(s, u).value
+            sub_q1 &= trips[2].q1 <= trips[0].q1 + trips[1].q1 + 1e-12
+            sub_qinf &= qinf[2] <= qinf[0] + qinf[1] + 1e-12
+            for raw, thresh in ((vx, qinf[0]), (vy, qinf[1])):
                 chernoff &= float((raw > thresh).mean()) <= u
 
     walk_max, walk_final = _enumerated_walk(10)

@@ -144,6 +144,11 @@ def test_independent_sum_n1_equals_confidence_bound():
         == confidence_bound(prof, 1.5, 0.2).value
 
 
+def test_independent_sum_rejects_overflowing_threshold():
+    with pytest.raises(InvalidLevelError, match="overflows"):
+        independent_sum_bound(MomentProfile(1, 1, 4), 1, 1.0, 1e-320)
+
+
 def test_independent_sum_decay_exponents():
     prof_gauss = MomentProfile(1.0, 0.0, 4.0)   # isolates the sqrt term
     prof_poly = MomentProfile(0.0, 1.0, 4.0)    # isolates the polynomial term

@@ -262,6 +262,19 @@ def test_listed_out_of_range_inputs_exit_2(capsys):
     assert "need finite D >= 1 and sigma > 0" in capsys.readouterr().err
 
 
+def test_proofcheck_rejects_overflowing_D_and_sigma(capsys):
+    for flags, message in (
+            (["--q", "4", "--D", "1", "--sigma", "1e-320"],
+             "sigma^(-2/(q-2)) overflows at sigma = 1e-320"),
+            (["--q", "4", "--D", "1e200", "--sigma", "1"],
+             "D^2 or sigma^2 overflows at D = 1e+200, sigma = 1.0"),
+            (["--q", "4", "--D", "1", "--sigma", "1e200"],
+             "D^2 or sigma^2 overflows at D = 1.0, sigma = 1e+200"),
+            (["--q", "10", "--D", "1e154", "--sigma", "1"], "the proof chain overflows")):
+        assert cli.run(["proofcheck", *flags, "--u", "0.1"]) == 2, flags
+        assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_internal_inconsistency_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc
 
@@ -35,6 +38,41 @@ def test_psi_noninteger_q_starts_at_ceiling():
     assert psi_tail(2.5, 0.7) == psi_tail(3, 0.7)
 
 
+def _psi_tail_series(q, t):
+    """sum_{k >= ceil(q)} t^k / k! summed term by term at 50 digits."""
+    m = math.ceil(q)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        term = t ** m / mpmath.factorial(m)
+        total = mpmath.mpf(0)
+        k = m
+        while k <= t or term > total * mpmath.mpf(10) ** -55:
+            total += term
+            k += 1
+            term *= t / k
+        return float(total)
+
+
+def test_psi_against_exact_series_scalar_and_array():
+    # below the smallest normal float fewer than 53 bits remain, so the
+    # relative tolerance gets that absolute floor
+    ts = np.concatenate([[0.0], np.geomspace(1e-20, 700.0, 60)])
+    for q in (2.5, 3.0, 5.7, 10.0, 20.0):
+        oracle = [_psi_tail_series(q, t) for t in ts]
+        values = psi_tail(q, ts)
+        assert values.shape == ts.shape
+        assert values == pytest.approx(oracle, rel=1e-12, abs=sys.float_info.min)
+        for t, v in zip(ts, values):
+            assert psi_tail(q, float(t)) == v
+
+
+def test_psi_rejects_negative_t():
+    with pytest.raises(ValueError):
+        psi_tail(4.0, -1.0)
+    with pytest.raises(ValueError):
+        psi_tail(4.0, np.array([1.0, -1e-300]))
+
+
 # ---------------------------------------------------------------- cgf pieces
 
 def test_cgf_orders():
@@ -51,6 +89,17 @@ def test_cgf_piece_values():
     assert p.ell2(0.5) == pytest.approx(2.0 ** -4 * psi_tail(4.0, 1.0), rel=1e-14)
     p3 = cgf_pieces(3.0, 2.0, 1.0)
     assert p3.ell1(10.0) == 0.0
+
+
+def test_cgf_pieces_on_arrays():
+    ts = np.geomspace(1e-3, 30.0, 17)
+    for q in (3.0, 5.5):
+        p = cgf_pieces(q, 0.7, 1.3)
+        for piece in (p.ell0, p.ell1, p.ell2):
+            values = piece(ts)
+            assert values.shape == ts.shape
+            assert values == pytest.approx([piece(float(t)) for t in ts], rel=1e-15)
+    assert np.array_equal(cgf_pieces(3.0, 0.7, 1.3).ell1(ts), np.zeros_like(ts))
 
 
 def test_cgf_pieces_nonnegative_nondecreasing():
@@ -92,6 +141,52 @@ def test_inverse_legendre_subadditive_in_psi():
 def test_inverse_legendre_domain_error():
     with pytest.raises(DomainError):
         inverse_legendre(lambda t: math.inf, 1.0)
+
+
+def test_inverse_legendre_calls_psi_on_arrays():
+    seen = []
+
+    def constant(t):
+        seen.append(t)
+        return 1.0
+
+    # inf_t (1 + x) / t sits at the far end of the scan, t = e^46
+    assert inverse_legendre(constant, 3.0) == pytest.approx(4.0 * math.exp(-46.0), rel=1e-15)
+    assert seen and all(isinstance(t, np.ndarray) and t.ndim == 1 for t in seen)
+
+
+def test_inverse_legendre_inf_entries_bound_the_search():
+    # (t^2/2 + 8)/t falls on (0, 2), so with psi = inf from t = 2 on the
+    # infimum is its limit 5 at t = 2
+    psi = lambda t: np.where(t < 2.0, t * t / 2, np.inf)
+    assert inverse_legendre(psi, 8.0) == pytest.approx(5.0, rel=1e-9)
+    nan_psi = lambda t: np.where(t < 2.0, t * t / 2, np.nan)
+    assert inverse_legendre(nan_psi, 8.0) == inverse_legendre(psi, 8.0)
+
+
+def test_inverse_legendre_psi_that_raises():
+    def overflowing(t):
+        raise OverflowError("too large")
+
+    with pytest.raises(DomainError):
+        inverse_legendre(overflowing, 1.0)
+    with pytest.raises(TypeError):  # a scalar-only psi is not masked
+        inverse_legendre(lambda t: math.exp(t), 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=st.floats(1e-3, 1e3), D=st.floats(1.0, 10.0), x=st.floats(1e-3, 1e3))
+def test_inverse_legendre_matches_quadratic_closed_form(sigma, D, x):
+    numeric = inverse_legendre(lambda t: D * D * sigma * sigma * t * t / 2, x)
+    assert numeric == pytest.approx(quadratic_closed_form(sigma, D, x), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(1e-3, 1e3), v=st.floats(1e-3, 1e3), x=st.floats(1e-3, 1e3))
+def test_inverse_legendre_matches_bercu_infimum(c, v, x):
+    # v t / (2 (1 - c t)) + x / t is (psi(t) + x) / t for this psi
+    psi = lambda t: np.where(c * t < 1.0, v * t * t / (2.0 * (1.0 - c * t)), np.inf)
+    assert inverse_legendre(psi, x) == pytest.approx(bercu_infimum(c, v, x), rel=1e-12)
 
 
 def test_quadratic_closed_form_matches_transform():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
+from fuknagaev import quantile
 from fuknagaev.errors import InvalidLevelError
 from fuknagaev.quantile import (cvar_q1, load_sample, make_sample, q_infinity,
                                 q_not_subadditive_example,
@@ -183,6 +184,24 @@ def test_lemma_suite_passes_on_coupled_pairs():
     assert report.chernoff_ok
     assert report.submartingale_ok
     assert report.counterexample_strict
+    assert report.all_ok
+
+
+def test_lemma_suite_computes_each_chernoff_quantile_once(monkeypatch):
+    calls = []
+    real = quantile.q_infinity
+
+    def counting(sample, u):
+        calls.append(u)
+        return real(sample, u)
+
+    monkeypatch.setattr(quantile, "q_infinity", counting)
+    rng = np.random.default_rng(3)
+    pairs = [(x, 0.5 * x + rng.standard_t(4.0, 50))
+             for x in rng.standard_t(4.0, (4, 50))]
+    report = quantile_lemma_suite(pairs, (0.5, 0.1, 0.01))
+    # one per sample (X, Y, X + Y), level and pair
+    assert len(calls) == 3 * 3 * len(pairs)
     assert report.all_ok
 
 
