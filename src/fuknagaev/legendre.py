@@ -30,6 +30,7 @@ _E = math.e
 
 _LOG_T_SCAN = np.linspace(-46.0, 46.0, 185)  # t from ~1e-20 to ~1e20
 _T_SCAN = np.exp(_LOG_T_SCAN)
+_LOG_T_LIMIT = 700.0  # how far an edge argmin extends the scan: e^700 ~ 1e304
 # a zoom shrinks the bracket 64-fold; 8 take it below 4e-15, past float resolution
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 129)
 _MAX_ZOOMS = 8
@@ -103,22 +104,33 @@ def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
     """inf over t > 0 of (psi(t) + x) / t. Monotone in x and subadditive in psi.
 
     psi receives a 1-D ndarray of t and returns an array of its shape or a
-    scalar. One call on the fixed log-t scan brackets the best scan point;
-    each zoom calls psi on 129 evenly spaced log t in the bracket and
-    narrows it to the neighbours of the best one, until its width is at
-    most rel_tol times the midpoint magnitude. The best value seen is
-    returned, so boundary infima (x = 0, or psi flat) come out as the best
-    boundary value. If psi is finite nowhere on the scan a DomainError is
-    raised.
+    scalar. One call on the fixed log-t scan brackets the best scan point.
+    While that point is the first or last one, the minimum may lie beyond
+    the scan, so one more call extends it outward by the scan's width, up
+    to |log t| = 700. Each zoom then calls psi on 129 evenly spaced log t
+    in the bracket and narrows it to the neighbours of the best one, until
+    its width is at most rel_tol times the midpoint magnitude. The best
+    value seen is returned, so boundary infima (x = 0, or psi flat) come
+    out as the best value at |log t| = 700. If psi is finite nowhere on
+    the scan a DomainError is raised.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    vals = _objective(psi, x, _T_SCAN)
+    log_t, vals = _LOG_T_SCAN, _objective(psi, x, _T_SCAN)
     i = int(np.argmin(vals))
-    best = vals[i]
-    if not best < math.inf:
+    if not vals[i] < math.inf:
         raise DomainError("objective not finite anywhere in the bracket")
-    a, b = _LOG_T_SCAN[max(i - 1, 0)], _LOG_T_SCAN[min(i + 1, _LOG_T_SCAN.size - 1)]
+    while i in (0, log_t.size - 1) and abs(log_t[i]) < _LOG_T_LIMIT:
+        edge = log_t[i]
+        end = math.copysign(min(abs(edge) + np.ptp(_LOG_T_SCAN), _LOG_T_LIMIT), edge)
+        more = np.linspace(edge, end, _LOG_T_SCAN.size)[1:]
+        log_t = np.concatenate([log_t, more])
+        vals = np.concatenate([vals, _objective(psi, x, np.exp(more))])
+        order = np.argsort(log_t)
+        log_t, vals = log_t[order], vals[order]
+        i = int(np.argmin(vals))
+    best = vals[i]
+    a, b = log_t[max(i - 1, 0)], log_t[min(i + 1, log_t.size - 1)]
     for _ in range(_MAX_ZOOMS):
         if b - a <= rel_tol * (abs(a) + abs(b)) / 2 + 1e-300:
             break

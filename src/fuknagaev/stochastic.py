@@ -249,13 +249,27 @@ def _closed_norm_moment(dist: IncrementDistribution, p: float):
     return None
 
 
+def _mc_norms(dist: IncrementDistribution) -> np.ndarray:
+    """Norms of the fixed-seed Monte Carlo draw of 1e6 increments, drawn
+    from one generator in consecutive chunks of about _BLOCK_VALUES floats.
+    The Gaussian and cube laws, the only ones without closed forms, fill
+    their arrays straight from the stream, so these equal the norms of the
+    one-shot ``sample_increments`` draw bit for bit."""
+    rng = np.random.Generator(np.random.Philox(_MC_MOMENT_SEED))
+    rows = max(1, _BLOCK_VALUES // dist.space.dimension)
+    norms = np.empty(_MC_MOMENT_DRAWS)
+    for start in range(0, _MC_MOMENT_DRAWS, rows):
+        chunk = norms[start:start + rows]
+        chunk[:] = dist.space.norms(_draw(dist, chunk.shape, rng))
+    return norms
+
+
 def _norm_moments(dist: IncrementDistribution, orders) -> list:
     """[(E ||xi||^p, standard error) for p in orders]; closed forms where
     available, else fixed-seed Monte Carlo estimates that all share one
-    draw of 1e6 increments."""
+    draw of 1e6 increments (``_mc_norms``)."""
     closed = [_closed_norm_moment(dist, p) for p in orders]
-    norms = sample_increments(dist, _MC_MOMENT_DRAWS, _MC_MOMENT_SEED).norms() \
-        if None in closed else None
+    norms = _mc_norms(dist) if None in closed else None
     return [(m, 0.0) if m is not None else _mean_and_se(norms ** p)
             for m, p in zip(closed, orders)]
 

@@ -1,12 +1,14 @@
 """Contracts of the shared implementations: the documented draw order of
-every sampler, one Monte Carlo draw per moment profile, the Pinelis pair
-read from one set of partial sums, the truncated moments of the scalar norm
-law, and the input checks and exit codes of the command line."""
+every sampler, one Monte Carlo draw per moment profile in bounded memory,
+the Pinelis pair read from one set of partial sums, the truncated moments
+of the scalar norm law, and the input checks and exit codes of the command
+line."""
 
 import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,19 +73,52 @@ def test_sampler_draw_order(space):
 
 def test_moment_profile_draws_once(monkeypatch):
     dist = gaussian(make_lp(3, 3.0), 1.0)
-    calls = []
-    real = stochastic.sample_increments
+    draws = []
+    real = stochastic._draw
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(dist, shape, rng):
+        draws.append((shape, rng))
+        return real(dist, shape, rng)
 
-    monkeypatch.setattr(stochastic, "sample_increments", counting)
+    monkeypatch.setattr(stochastic, "_draw", counting)
     prof = moment_profile(dist, q=4.0, n=5)
-    assert len(calls) == 1
+    rngs = {id(rng) for _, rng in draws}
+    assert len(rngs) == 1
+    assert draws[0][1].bit_generator.seed_seq.entropy == stochastic._MC_MOMENT_SEED
+    assert sum(math.prod(shape) for shape, _ in draws) == stochastic._MC_MOMENT_DRAWS
     assert prof.mc_errors is not None and min(prof.mc_errors) > 0
     assert prof.sigma_sq == 5 * norm_moment(dist, 2.0)
     assert prof.cq_to_q == 5 * norm_moment(dist, 4.0)
+
+
+@pytest.mark.parametrize("law", [gaussian, uniform_cube])
+@pytest.mark.parametrize("p", [3.0, 4.0, 2.5])
+@pytest.mark.parametrize("d", [1, 16])
+def test_blocked_moment_draw_equals_one_draw(law, p, d):
+    dist = law(make_lp(d, p), 1.0)
+    one_draw = sample_increments(dist, stochastic._MC_MOMENT_DRAWS,
+                                 stochastic._MC_MOMENT_SEED).norms()
+    assert np.array_equal(stochastic._mc_norms(dist), one_draw)
+
+
+@pytest.mark.parametrize("dist", [
+    symmetric_pareto(R3, 4.5), student_t(make_lp(4, 3.0), 5.0),
+    rademacher(make_lp(2, 4.0), 2.0), gaussian(R3, 2.0),
+    uniform_cube(make_lp(1, 3.0), 1.0), uniform_cube(R3, 1.0)])
+def test_closed_form_profiles_make_no_draw(monkeypatch, dist):
+    monkeypatch.setattr(stochastic, "_draw", None)
+    assert moment_profile(dist, q=4.0, n=2).mc_errors is None
+
+
+def test_moment_fallback_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        prof = moment_profile(gaussian(make_lp(16, 3.0)), 4.0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prof.mc_errors is not None
+    assert peak < 32 * 2 ** 20  # one draw of 1e6 x 16 values is 128 MB
 
 
 def test_closed_form_profile_draws_nothing(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc
 
+from fuknagaev import cli
 from fuknagaev.bounds import constant_c
 from fuknagaev.errors import DomainError, InvalidQError
 from fuknagaev.legendre import (bercu_infimum, cgf_pieces, inverse_legendre,
@@ -189,6 +190,19 @@ def test_inverse_legendre_matches_bercu_infimum(c, v, x):
     assert inverse_legendre(psi, x) == pytest.approx(bercu_infimum(c, v, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [1e-30, 1e-20, 1e25, 1e100])
+def test_inverse_legendre_finds_minimum_beyond_the_scan(sigma):
+    # the argmin t* = sqrt(2 x) / sigma lies above e^46 or below e^-46
+    numeric = inverse_legendre(lambda t: sigma * sigma * t * t / 2, 3.0)
+    assert numeric == pytest.approx(quadratic_closed_form(sigma, 1.0, 3.0), rel=1e-12, abs=0)
+
+
+def test_inverse_legendre_boundary_infimum_ends_at_the_limit():
+    # inf_t (1 + 3) / t = 0 is approached as t grows; the scan stops at e^700
+    assert inverse_legendre(lambda t: 1.0, 3.0) == pytest.approx(
+        4.0 * math.exp(-700.0), rel=1e-12, abs=0)
+
+
 def test_quadratic_closed_form_matches_transform():
     for sigma, D, x in [(0.5, 1.0, math.log(20.0)), (1.0, 2.0, 2.0), (3.0, 1.5, 0.7)]:
         closed = quadratic_closed_form(sigma, D, x)
@@ -270,6 +284,13 @@ def test_proof_chain_reference_point():
         math.sqrt(2 * math.log(20.0)) * 0.5, rel=1e-14)
     assert rep.all_passed
     assert rep.final_coefficient == constant_c(4.0, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-20, 1e-30])
+def test_proof_chain_passes_when_ell0_argmin_is_beyond_the_scan(sigma, capsys):
+    assert proof_chain(4.0, 1.0, sigma, 0.1).all_passed
+    argv = ["proofcheck", "--q", "4", "--D", "1", "--sigma", repr(sigma), "--u", "0.1"]
+    assert cli.run(argv) == 0
 
 
 def test_proof_chain_low_q_branch_skips_ell1():

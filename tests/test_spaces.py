@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fuknagaev.errors import InvalidDimensionError, UnsupportedExponentError
 from fuknagaev.spaces import (make_euclidean, make_lp, smoothness_certificate)
@@ -70,3 +71,35 @@ def test_norm_homogeneous_and_triangle(x, y, c):
         scale = sp.norm(x) + sp.norm(y) + 1.0
         assert sp.norm(c * x) == pytest.approx(abs(c) * sp.norm(x), rel=1e-12, abs=1e-12)
         assert sp.norm(x + y) <= sp.norm(x) + sp.norm(y) + 1e-12 * scale
+
+
+def _pow_norms(x, p):
+    """The l^p norm through pow, the reference for the multiplied-out kernel."""
+    return (np.abs(x) ** p).sum(-1) ** (1.0 / p)
+
+
+# any float but nan: zeros, negatives, subnormals, and values whose p-th power
+# overflows to inf
+rows = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+              elements=st.floats(allow_nan=False))
+
+
+@given(rows, st.sampled_from([3, 4, 5, 6]))
+@settings(max_examples=300)
+def test_integer_power_norms_within_4_ulp(x, p):
+    with np.errstate(all="ignore"):
+        got, ref = make_lp(x.shape[-1], p).norms(x), _pow_norms(x, float(p))
+        terms = np.abs(x) ** float(p)
+        # A term rounded to the subnormal grid may land one grid step
+        # (2^-1074) away from pow's. On a power sum that small, a step is
+        # many ulp of the norm, so those rows may move by one step per term.
+        subnormal = ((terms > 0) & (terms < np.finfo(float).tiny)).any(-1)
+        step = np.where(subnormal, ref * (x.shape[-1] * 2.0 ** -1074 / (p * terms.sum(-1))), 0.0)
+        assert np.all((got == ref) | (np.abs(got - ref) <= 4 * np.spacing(ref) + step))
+
+
+@given(rows, st.sampled_from([2.0, 2.5]))
+@settings(max_examples=200)
+def test_non_integer_and_square_norms_bit_identical(x, p):
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(make_lp(x.shape[-1], p).norms(x), _pow_norms(x, p))
