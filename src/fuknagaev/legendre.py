@@ -67,7 +67,7 @@ class CgfPieces:
         return tuple(k for k in range(3, math.ceil(self.q)) if k < self.q)
 
     def ell0(self, t):
-        return self.sigma ** 2 * t * t / 2.0
+        return (self.sigma * t) ** 2 / 2.0  # sigma^2 alone is subnormal below ~1e-154
 
     def ell1(self, t):
         q, s = self.q, self.sigma
@@ -303,6 +303,8 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     steps.append(_step("coefficient", final_coefficient,
                        1.0 / (2.0 * q) + alpha + (D * D * q / 3.0 if q > 3 else 0.0),
                        note="stated constant vs raw step assembly"))
+    if 0.5 * math.log(2.0 * x_hat) - math.log(D * sigma) > _LOG_T_LIMIT:
+        raise ValueError(f"the ell0 minimiser lies past t = e^700 at D = {D}, sigma = {sigma}")
     if not all(math.isfinite(s.lhs) and math.isfinite(s.rhs) for s in steps):
         raise ValueError(f"the proof chain overflows at q = {q}, D = {D}, sigma = {sigma}")
 

@@ -1,5 +1,5 @@
 """Contracts of the shared implementations: the documented draw order of
-every sampler, one Monte Carlo draw per moment profile in bounded memory,
+every sampler, moment profiles that never draw and fit in bounded memory,
 the Pinelis pair read from one set of partial sums, the truncated moments
 of the scalar norm law, and the input checks and exit codes of the command
 line."""
@@ -69,24 +69,22 @@ def test_sampler_draw_order(space):
                           rng.standard_normal((n, space.dimension)))
 
 
-# ---------------------------------------------------------------- (b) one draw
+# ---------------------------------------------------------------- (b) no draw
 
 def test_moment_profile_draws_once(monkeypatch):
+    # a profile makes no draw at all and is a pure function of the law
     dist = gaussian(make_lp(3, 3.0), 1.0)
     draws = []
     real = stochastic._draw
 
-    def counting(dist, shape, rng):
-        draws.append((shape, rng))
-        return real(dist, shape, rng)
+    def counting(*args):
+        draws.append(args)
+        return real(*args)
 
     monkeypatch.setattr(stochastic, "_draw", counting)
     prof = moment_profile(dist, q=4.0, n=5)
-    rngs = {id(rng) for _, rng in draws}
-    assert len(rngs) == 1
-    assert draws[0][1].bit_generator.seed_seq.entropy == stochastic._MC_MOMENT_SEED
-    assert sum(math.prod(shape) for shape, _ in draws) == stochastic._MC_MOMENT_DRAWS
-    assert prof.mc_errors is not None and min(prof.mc_errors) > 0
+    assert draws == []
+    assert prof == moment_profile(dist, q=4.0, n=5) and prof.mc_errors is None
     assert prof.sigma_sq == 5 * norm_moment(dist, 2.0)
     assert prof.cq_to_q == 5 * norm_moment(dist, 4.0)
 
@@ -95,36 +93,48 @@ def test_moment_profile_draws_once(monkeypatch):
 @pytest.mark.parametrize("p", [3.0, 4.0, 2.5])
 @pytest.mark.parametrize("d", [1, 16])
 def test_blocked_moment_draw_equals_one_draw(law, p, d):
-    dist = law(make_lp(d, p), 1.0)
-    one_draw = sample_increments(dist, stochastic._MC_MOMENT_DRAWS,
-                                 stochastic._MC_MOMENT_SEED).norms()
-    assert np.array_equal(stochastic._mc_norms(dist), one_draw)
+    # the Monte Carlo oracle of the exact moments: 1e6 increments drawn from
+    # one generator in blocks of 2^16 values (the first block is the start
+    # of one draw), whose mean norm powers lie within 3 SE of the exact ones
+    dist, seed, total = law(make_lp(d, p), 1.0), 0x5EED0, 1_000_000
+    rng = np.random.Generator(np.random.Philox(seed))
+    rows = 2 ** 16 // d
+    norms = np.concatenate([dist.space.norms(stochastic._draw(dist, (min(rows, total - s),), rng))
+                            for s in range(0, total, rows)])
+    assert np.array_equal(norms[:rows], sample_increments(dist, rows, seed).norms())
+    for order in (2.0, 4.5):
+        vals = norms ** order
+        se = vals.std(ddof=1) / math.sqrt(total)
+        assert abs(vals.mean() - norm_moment(dist, order)) <= 3 * se
 
 
-@pytest.mark.parametrize("dist", [
-    symmetric_pareto(R3, 4.5), student_t(make_lp(4, 3.0), 5.0),
-    rademacher(make_lp(2, 4.0), 2.0), gaussian(R3, 2.0),
-    uniform_cube(make_lp(1, 3.0), 1.0), uniform_cube(R3, 1.0)])
+_LAWS = ((symmetric_pareto, 4.5), (student_t, 5.0), (rademacher, 2.0), (gaussian, 1.5),
+         (uniform_cube, 0.5))
+_SPACES = (make_euclidean, lambda d: make_lp(d, 2.0), lambda d: make_lp(d, 2.5),
+           lambda d: make_lp(d, 3.0), lambda d: make_lp(d, 6.0))
+
+
+@pytest.mark.parametrize("dist", [law(space(d), param) for d in (1, 3, 16)
+                                  for space in _SPACES for law, param in _LAWS])
 def test_closed_form_profiles_make_no_draw(monkeypatch, dist):
+    # every law on every space: closed forms and the exact product-law path
     monkeypatch.setattr(stochastic, "_draw", None)
-    assert moment_profile(dist, q=4.0, n=2).mc_errors is None
+    prof = moment_profile(dist, q=4.0, n=2)
+    assert prof.mc_errors is None
+    assert prof.cq_to_q == 2 * norm_moment(dist, 4.0) and prof.cq_to_q > 0
+    if dist.kind == "symmetric_pareto":
+        assert prof.cq_to_q == 2 * 4.5 / 0.5
 
 
 def test_moment_fallback_memory_is_bounded():
     tracemalloc.start()
     try:
-        prof = moment_profile(gaussian(make_lp(16, 3.0)), 4.0, 10)
+        prof = moment_profile(gaussian(make_lp(16, 3.0)), 4.0, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prof.mc_errors is not None
-    assert peak < 32 * 2 ** 20  # one draw of 1e6 x 16 values is 128 MB
-
-
-def test_closed_form_profile_draws_nothing(monkeypatch):
-    monkeypatch.setattr(stochastic, "sample_increments", None)
-    prof = moment_profile(symmetric_pareto(R3, 4.5), q=4.0, n=2)
-    assert prof.mc_errors is None and prof.cq_to_q == 2 * 4.5 / 0.5
+    assert prof.mc_errors is None
+    assert peak < 4 * 2 ** 20  # one draw of 1e6 x 16 values was 128 MB
 
 
 # ---------------------------------------------------------------- (c) Pinelis pair

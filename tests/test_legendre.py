@@ -151,8 +151,8 @@ def test_inverse_legendre_calls_psi_on_arrays():
         seen.append(t)
         return 1.0
 
-    # inf_t (1 + x) / t sits at the far end of the scan, t = e^46
-    assert inverse_legendre(constant, 3.0) == pytest.approx(4.0 * math.exp(-46.0), rel=1e-15)
+    assert inverse_legendre(constant, 3.0) == pytest.approx(4.0 * math.exp(-700.0),
+                                                            rel=1e-15, abs=0)
     assert seen and all(isinstance(t, np.ndarray) and t.ndim == 1 for t in seen)
 
 
@@ -291,6 +291,27 @@ def test_proof_chain_passes_when_ell0_argmin_is_beyond_the_scan(sigma, capsys):
     assert proof_chain(4.0, 1.0, sigma, 0.1).all_passed
     argv = ["proofcheck", "--q", "4", "--D", "1", "--sigma", repr(sigma), "--u", "0.1"]
     assert cli.run(argv) == 0
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0, 10.0])
+def test_proof_chain_passes_where_sigma_squared_is_subnormal(q, capsys):
+    # sigma^2 is subnormal from about 1.5e-154 and zero below about 1e-162
+    for sigma in (1e-155, 1e-160, 1e-200, 1e-300):
+        assert proof_chain(q, 1.0, sigma, 0.1).all_passed, sigma
+    argv = ["proofcheck", "--q", repr(q), "--D", "1", "--sigma", "1e-160", "--u", "0.1"]
+    assert cli.run(argv) == 0
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 10.0])
+def test_proof_chain_rejects_an_ell0_argmin_past_the_scan_limit(q, capsys):
+    # sqrt(2 log 20) / sigma passes e^700 just below sigma = 2.5e-304
+    assert proof_chain(q, 1.0, 2.6e-304, 0.1).all_passed
+    for sigma in (2.4e-304, 1e-310, 5e-324):
+        with pytest.raises(ValueError, match="ell0 minimiser lies past t = e\\^700"):
+            proof_chain(q, 1.0, sigma, 0.1)
+    argv = ["proofcheck", "--q", repr(q), "--D", "1", "--sigma", "1e-305", "--u", "0.1"]
+    assert cli.run(argv) == 2
+    assert "ell0 minimiser" in capsys.readouterr().err
 
 
 def test_proof_chain_low_q_branch_skips_ell1():

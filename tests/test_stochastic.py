@@ -107,15 +107,14 @@ def test_uniform_cube_moments_against_quadrature():
 
 
 def test_monte_carlo_moment_fallback_reports_error():
-    # no closed form for odd norm powers of the cube in d > 1
+    # no closed form for odd norm powers of the cube in d > 1; the moment is
+    # exact all the same, with no Monte Carlo error to report
     d2 = uniform_cube(R2, 1.0)
     prof = moment_profile(d2, q=3.0, n=1)
-    assert prof.mc_errors is not None
-    se = prof.mc_errors[1]
-    assert se > 0
+    assert prof.mc_errors is None
     oracle, _ = integrate.dblquad(
-        lambda x, y: (x * x + y * y) ** 1.5 / 4.0, -1, 1, -1, 1)
-    assert abs(prof.cq_to_q - oracle) <= 6 * se
+        lambda x, y: (x * x + y * y) ** 1.5, 0, 1, 0, 1, epsabs=0, epsrel=1e-13)
+    assert prof.cq_to_q == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------- paths
