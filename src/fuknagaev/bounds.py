@@ -61,9 +61,9 @@ def _tail_terms(profile: MomentProfile, D: float, t: float) -> tuple:
     """The polynomial and Gaussian terms 2 (2 c C_q / t)^q and
     2 exp(-t^2 / (8 D^2 sigma^2)) of the tail bound at t. A zero moment
     drops its term; a polynomial term beyond the float range reads inf."""
-    c = constant_c(profile.q, D)
-    try:
-        poly = 2.0 * (2.0 * c * profile.cq / t) ** profile.q if profile.cq_to_q > 0 else 0.0
+    c, cq, t = constant_c(profile.q, D), float(profile.cq), float(t)
+    try:  # math.pow raises OverflowError where a numpy scalar power would only warn
+        poly = 2.0 * math.pow(2.0 * c * cq / t, profile.q) if profile.cq_to_q > 0 else 0.0
     except OverflowError:
         poly = math.inf
     gauss = 0.0 if profile.sigma_sq == 0.0 else \

@@ -9,6 +9,8 @@ the verification campaigns free of estimator noise.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ from scipy.special import gammainc, gammaln, hyp1f1, logsumexp
 
 from .errors import (InfiniteMomentError, InvalidQError, PreconditionError,
                      UnsupportedFunctionError)
-from .spaces import EUCLIDEAN, SmoothSpace, make_euclidean
+from .spaces import SmoothSpace, make_euclidean
 
 SYMMETRIC_PARETO = "symmetric_pareto"
 STUDENT_T = "student_t"
@@ -403,7 +405,7 @@ def _scalar_norm_law(dist: IncrementDistribution):
         return _folded_t(a)
     if kind == GAUSSIAN and d == 1:
         return stats.halfnorm(scale=a)
-    if kind == GAUSSIAN and dist.space.norm_kind == EUCLIDEAN:
+    if kind == GAUSSIAN and dist.space.p == 2:  # euclidean, or l^2
         return stats.chi(df=d, scale=a)
     if kind == UNIFORM_CUBE and d == 1:
         return stats.uniform(loc=0.0, scale=a)
@@ -578,40 +580,63 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
 # ensembles: block b holds trials [b B, (b+1) B), B = max(1, _BLOCK_VALUES //
 # (n d)), and draws all B from trial_seed(seed, b) even where it keeps fewer,
 # so trial j depends only on (seed, j, n, law), not on the trial count or
-# the order in which blocks run.
+# the order in which blocks run. The iid blocks therefore run on up to
+# (usable CPUs) threads, numpy's fills and ufuncs releasing the GIL, and are
+# joined in block order: results do not depend on the CPU count. The Doob
+# route calls sample_inputs and the g_i on the calling thread, in trial order.
 
-def _blocks(trials: int, n: int, d: int, seed: int):
-    """Yield (trials kept, B, generator) for each block of trials."""
+def _block_size(n: int, d: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    size = max(1, _BLOCK_VALUES // (n * d))
-    for b, start in enumerate(range(0, trials, size)):
-        rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
-        yield min(size, trials - start), size, rng
+    return max(1, _BLOCK_VALUES // (n * d))
 
 
-def _increment_blocks(dist: IncrementDistribution, n, trials, seed, trunc_L=None):
-    for rows, size, rng in _blocks(trials, n, dist.space.dimension, seed):
-        xi = DifferenceSequence(_draw(dist, (size, n), rng)[:rows], dist.space)
-        yield (xi if trunc_L is None else truncate(xi, trunc_L)).increments
+def _block_rng(seed: int, b: int):
+    return np.random.Generator(np.random.Philox(trial_seed(seed, b)))
 
 
-def _maxima(blocks, space: SmoothSpace) -> np.ndarray:
-    """Running maxima of the trials of a sequence of (rows, n, d) blocks."""
-    return np.concatenate([np.empty(0)] + [_paths(xi, space)[2] for xi in blocks])
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
+                trunc_L, increments: bool) -> list:
+    """Per block, in block order: the running maxima of its trials, or with
+    ``increments`` their (truncated) increments as one (rows, n, d) array."""
+    size = _block_size(n, dist.space.dimension)
+
+    def block(b):
+        xi = DifferenceSequence(_draw(dist, (size, n), _block_rng(seed, b))[:trials - b * size],
+                                dist.space)
+        if trunc_L is not None:
+            xi = truncate(xi, trunc_L)
+        return xi.increments if increments else _paths(xi.increments, dist.space)[2]
+
+    blocks = range(-(-trials // size))
+    workers = min(_usable_cpus(), len(blocks))
+    if workers <= 1:
+        return [block(b) for b in blocks]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(block, blocks))
+    finally:  # on an error or Ctrl-C, drop the queued blocks and join the threads
+        pool.shutdown(cancel_futures=True)
 
 
 def running_max_ensemble(dist: IncrementDistribution, n: int, trials: int,
                          seed: int, trunc_L=None) -> np.ndarray:
     """Running maxima max_i ||M_i|| over independent trials."""
-    return _maxima(_increment_blocks(dist, n, trials, seed, trunc_L), dist.space)
+    return np.concatenate([np.empty(0), *_iid_blocks(dist, n, trials, seed, trunc_L, False)])
 
 
 def truncated_ensemble(dist: IncrementDistribution, n: int, trials: int,
                        seed: int, trunc_L) -> list:
     """The truncated trials of ``running_max_ensemble``, as block array views."""
     return [DifferenceSequence(increments=x, space=dist.space)
-            for xi in _increment_blocks(dist, n, trials, seed, trunc_L) for x in xi]
+            for xi in _iid_blocks(dist, n, trials, seed, trunc_L, True) for x in xi]
 
 
 def doob_running_max_ensemble(f_spec: SeparableFunction, sample_inputs,
@@ -620,8 +645,13 @@ def doob_running_max_ensemble(f_spec: SeparableFunction, sample_inputs,
 
     ``sample_inputs(rng, n)`` returns one realization of the n inputs; it is
     called once per trial, in trial order, on the generator of the trial's
-    block. Each g_i is called once per block (see ``CoordinateTerm``)."""
+    block. Each g_i is called once per block (see ``CoordinateTerm``). All
+    calls are made on the calling thread."""
     n = len(f_spec.terms)
-    inputs = (np.array([sample_inputs(rng, n) for _ in range(rows)])
-              for rows, _, rng in _blocks(trials, n, f_spec.space.dimension, seed))
-    return _maxima((_doob_increments(f_spec, z) for z in inputs), f_spec.space)
+    size = _block_size(n, f_spec.space.dimension)
+    maxima = [np.empty(0)]
+    for b in range(-(-trials // size)):
+        rng = _block_rng(seed, b)
+        z = np.array([sample_inputs(rng, n) for _ in range(min(size, trials - b * size))])
+        maxima.append(_paths(_doob_increments(f_spec, z), f_spec.space)[2])
+    return np.concatenate(maxima)

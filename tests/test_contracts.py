@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ def test_zero_gaussian_truncated_moments():
     assert truncated_norm_mean(dist, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_gaussian_truncated_moments_on_l2_equal_euclidean(d):
+    # l^2 is the euclidean norm, so its norm law is chi(d) as well
+    for L in (0.5, 2.0, 6.0):
+        lp, euclid = gaussian(make_lp(d, 2.0), 1.5), gaussian(make_euclidean(d), 1.5)
+        assert truncated_norm_mean(lp, L) == truncated_norm_mean(euclid, L)
+        assert truncated_norm_exp_moment(lp, 0.7, L) == truncated_norm_exp_moment(euclid, 0.7, L)
+    assert truncated_norm_mean(gaussian(make_lp(3, 2.0)), 2.0) == pytest.approx(0.94788, abs=1e-5)
+
+
 def test_rademacher_truncated_moments_are_point_masses():
     dist = rademacher(R1, 2.0)
     assert truncated_norm_exp_moment(dist, 0.5, 2.0) == math.exp(1.0)
@@ -263,12 +274,14 @@ def test_verify_D_defaults_to_smoothness_constant(tmp_path, capsys):
 # ---------------------------------------------------------------- tail overflow
 
 def test_tail_bound_overflow_clamps_to_one(capsys):
-    assert cli.run(["bound", "--q", "10", "--D", "1", "--sigma", "1", "--cq", "1",
-                    "--t", "1e-300"]) == 0
-    assert "tail probability at t = 1e-300: 1\n" in capsys.readouterr().out
     prof = MomentProfile(sigma_sq=1.0, cq_to_q=1.0, q=10.0)
-    assert tail_bound(prof, 1.0, 1e-300).value == 1.0
-    assert crossover_scan(prof, 1.0, (1e-300, 1e-290)) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf is reached by OverflowError, not a numpy warning
+        assert cli.run(["bound", "--q", "10", "--D", "1", "--sigma", "1", "--cq", "1",
+                        "--t", "1e-300"]) == 0
+        assert "tail probability at t = 1e-300: 1\n" in capsys.readouterr().out
+        assert tail_bound(prof, 1.0, 1e-300).value == 1.0
+        assert crossover_scan(prof, 1.0, (1e-300, 1e-290)) is None
 
 
 # ---------------------------------------------------------------- out-of-range inputs

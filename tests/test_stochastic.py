@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -382,6 +383,64 @@ def test_block_stream_contract(dist, trunc_L):
         assert len(ens) == trials
 
 
+def _serial_blocks(dist, n, trials, seed, trunc_L):
+    """The engine's per-block work as a plain serial loop: (maxima, trials)."""
+    B = max(1, stochastic._BLOCK_VALUES // (n * dist.space.dimension))
+    maxima, rows = [], []
+    for b in range(-(-trials // B)):
+        rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
+        diffs = DifferenceSequence(stochastic._draw(dist, (B, n), rng)[:trials - b * B],
+                                   dist.space)
+        if trunc_L is not None:
+            diffs = truncate(diffs, trunc_L)
+        rows.extend(diffs.increments.copy())
+        maxima.extend(stochastic._paths(diffs.increments, dist.space)[2])
+    return np.array(maxima), rows
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])  # None: the host's usable CPUs
+@pytest.mark.parametrize("trials", [5, 46, 100])  # below B, B, not a multiple of B
+@pytest.mark.parametrize("trunc_L", [None, 1.5])
+@pytest.mark.parametrize("dist", _LAWS, ids=lambda d: d.kind)
+def test_threaded_blocks_equal_serial_loop(dist, trunc_L, trials, cpus, monkeypatch):
+    n, seed = 700, 5
+    if cpus is not None:
+        monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    maxima, rows = _serial_blocks(dist, n, trials, seed, trunc_L)
+    assert np.array_equal(running_max_ensemble(dist, n, trials, seed, trunc_L=trunc_L), maxima)
+    if trunc_L is not None:
+        ens = truncated_ensemble(dist, n, trials, seed, trunc_L)
+        assert len(ens) == trials
+        assert all(np.array_equal(a.increments, b) for a, b in zip(ens, rows))
+
+
+class _BlockFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_worker_exception_reaches_caller_and_leaves_no_thread(cpus, monkeypatch):
+    calls, real = [], stochastic._draw
+
+    def failing(dist, shape, rng):
+        calls.append(shape)
+        if len(calls) == 3:
+            raise _BlockFailed("block failed")
+        return real(dist, shape, rng)
+
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(stochastic, "_draw", failing)
+    before = threading.active_count()
+    for ensemble in (running_max_ensemble, truncated_ensemble):
+        calls.clear()
+        with pytest.raises(_BlockFailed):
+            ensemble(gaussian(R2, 1.0), 700, 46 * 400, 5, 1.5)
+        assert threading.active_count() == before
+        assert len(calls) < 400  # the queued blocks were cancelled
+    assert len(running_max_ensemble(gaussian(R2, 1.0), 700, 46 * 4, 5)) == 46 * 4
+    assert threading.active_count() == before
+
+
 def _uniform_inputs(rng, n):
     return rng.random(n)
 
@@ -408,3 +467,27 @@ def test_doob_ensemble_matches_doob_martingale():
     assert np.array_equal(
         stochastic.doob_running_max_ensemble(constant, _uniform_inputs, 5, seed),
         np.zeros(5))
+
+
+def test_doob_callbacks_run_on_calling_thread_in_trial_order(monkeypatch):
+    # call k of sample_inputs returns k in every input, and the path of a
+    # trial is a single step of size |z|, so trial j's maximum is the index of
+    # the call that made it
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 4)
+    threads, calls = set(), []
+
+    def inputs(rng, n):
+        threads.add(threading.get_ident())
+        calls.append(rng)
+        return np.full(n, float(len(calls) - 1))
+
+    def g(z):
+        threads.add(threading.get_ident())
+        return z
+
+    f = SeparableFunction(terms=(CoordinateTerm(g=g, mean=0.0),))
+    trials = 3 * stochastic._BLOCK_VALUES + 5  # four blocks of B = 2^16
+    maxima = stochastic.doob_running_max_ensemble(f, inputs, trials, 3)
+    assert np.array_equal(maxima, np.arange(trials))
+    assert threads == {threading.get_ident()}
+    assert len({id(rng) for rng in calls}) == 4
