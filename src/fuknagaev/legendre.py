@@ -19,7 +19,9 @@ comparing against the closed-form step bounds.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammainc
@@ -62,17 +64,23 @@ class CgfPieces:
     sigma: float
     trunc_L: float
 
-    @property
+    @cached_property
     def ell1_orders(self) -> tuple:
         return tuple(k for k in range(3, math.ceil(self.q)) if k < self.q)
+
+    @cached_property
+    def _ell1_terms(self) -> tuple:
+        """(k, sigma^(2(q-k)/(q-2)), k!) for each order k of l1."""
+        q, s = self.q, self.sigma
+        return tuple((k, s ** (2.0 * (q - k) / (q - 2.0)), math.factorial(k))
+                     for k in self.ell1_orders)
 
     def ell0(self, t):
         return (self.sigma * t) ** 2 / 2.0  # sigma^2 alone is subnormal below ~1e-154
 
     def ell1(self, t):
-        q, s = self.q, self.sigma
-        return sum((s ** (2.0 * (q - k) / (q - 2.0)) * t ** k / math.factorial(k)
-                    for k in self.ell1_orders), np.zeros_like(t, dtype=float))
+        return sum((c * t ** k / f for k, c, f in self._ell1_terms),
+                   np.zeros_like(t, dtype=float))
 
     def ell2(self, t):
         L = self.trunc_L
@@ -89,15 +97,70 @@ def cgf_pieces(q: float, sigma: float, trunc_L: float) -> CgfPieces:
     return CgfPieces(q=float(q), sigma=float(sigma), trunc_L=float(trunc_L))
 
 
-def _objective(psi, x: float, t: np.ndarray) -> np.ndarray:
-    """(psi(t) + x) / t; non-finite psi entries, and all entries of a call
-    that raises OverflowError or ValueError, read +inf."""
+def _objective(psi, x: float, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(psi(t, rows) + x) / t; non-finite psi entries, and all entries of a
+    call that raises OverflowError or ValueError, read +inf."""
     with np.errstate(all="ignore"):
         try:
-            v = psi(t)
+            v = psi(t, rows)
         except (OverflowError, ValueError):
             return np.full(t.shape, np.inf)
         return np.where(np.isfinite(v), (v + x) / t, np.inf)
+
+
+def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
+    """inf over t > 0 of (psi_i(t) + x) / t for each lane i, in lock-step.
+
+    psi(t, rows) receives a (len(rows), k) array whose row j holds values of
+    t for lane rows[j], and returns values of that shape (or broadcastable
+    to it). One call covers the fixed log-t scan for every lane. While a
+    lane's best point is the first or last one, the minimum may lie beyond
+    the scan, so one more call for that lane alone extends it outward by
+    the scan's width, up to |log t| = 700. Each zoom then calls psi once on
+    129 evenly spaced log t in the bracket of every lane still zooming, and
+    narrows each bracket to the neighbours of its best point. A lane stops
+    when its bracket's width is at most rel_tol times the midpoint
+    magnitude, so it ends with the bits a one-lane search gives. The best
+    value each lane saw is returned. If psi is finite nowhere on the scan
+    for some lane a DomainError is raised.
+    """
+    rows = np.arange(lanes)
+    scan = _objective(psi, x, rows, np.tile(_T_SCAN, (lanes, 1)))
+    best, a, b = [], [], []
+    for lane in rows:
+        log_t, vals = _LOG_T_SCAN, scan[lane]
+        i = int(np.argmin(vals))
+        if not vals[i] < math.inf:
+            raise DomainError("objective not finite anywhere in the bracket")
+        while i in (0, log_t.size - 1) and abs(log_t[i]) < _LOG_T_LIMIT:
+            edge = log_t[i]
+            end = math.copysign(min(abs(edge) + np.ptp(_LOG_T_SCAN), _LOG_T_LIMIT), edge)
+            more = np.linspace(edge, end, _LOG_T_SCAN.size)[1:]
+            log_t = np.concatenate([log_t, more])
+            vals = np.concatenate([vals, _objective(psi, x, rows[lane:lane + 1],
+                                                    np.exp(more)[None])[0]])
+            order = np.argsort(log_t)
+            log_t, vals = log_t[order], vals[order]
+            i = int(np.argmin(vals))
+        best.append(float(vals[i]))
+        a.append(float(log_t[max(i - 1, 0)]))
+        b.append(float(log_t[min(i + 1, log_t.size - 1)]))
+    last = _ZOOM_STEPS.size - 1
+    for _ in range(_MAX_ZOOMS):
+        live = [k for k in range(lanes)
+                if not b[k] - a[k] <= rel_tol * (abs(a[k]) + abs(b[k])) / 2 + 1e-300]
+        if not live:
+            break
+        lo = np.array([a[k] for k in live])[:, None]
+        log_t = lo + (np.array([b[k] for k in live])[:, None] - lo) * _ZOOM_STEPS
+        vals = _objective(psi, x, np.array(live), np.exp(log_t))
+        j = np.argmin(vals, axis=1)
+        at = np.arange(len(live))
+        for k, v, left, right in zip(live, vals[at, j].tolist(),
+                                     log_t[at, np.maximum(j - 1, 0)].tolist(),
+                                     log_t[at, np.minimum(j + 1, last)].tolist()):
+            best[k], a[k], b[k] = min(best[k], v), left, right
+    return best
 
 
 def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
@@ -116,30 +179,7 @@ def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    log_t, vals = _LOG_T_SCAN, _objective(psi, x, _T_SCAN)
-    i = int(np.argmin(vals))
-    if not vals[i] < math.inf:
-        raise DomainError("objective not finite anywhere in the bracket")
-    while i in (0, log_t.size - 1) and abs(log_t[i]) < _LOG_T_LIMIT:
-        edge = log_t[i]
-        end = math.copysign(min(abs(edge) + np.ptp(_LOG_T_SCAN), _LOG_T_LIMIT), edge)
-        more = np.linspace(edge, end, _LOG_T_SCAN.size)[1:]
-        log_t = np.concatenate([log_t, more])
-        vals = np.concatenate([vals, _objective(psi, x, np.exp(more))])
-        order = np.argsort(log_t)
-        log_t, vals = log_t[order], vals[order]
-        i = int(np.argmin(vals))
-    best = vals[i]
-    a, b = log_t[max(i - 1, 0)], log_t[min(i + 1, log_t.size - 1)]
-    for _ in range(_MAX_ZOOMS):
-        if b - a <= rel_tol * (abs(a) + abs(b)) / 2 + 1e-300:
-            break
-        log_t = a + (b - a) * _ZOOM_STEPS
-        vals = _objective(psi, x, np.exp(log_t))
-        j = int(np.argmin(vals))
-        best = min(best, vals[j])
-        a, b = log_t[max(j - 1, 0)], log_t[min(j + 1, log_t.size - 1)]
-    return float(best)
+    return _search(lambda t, rows: psi(t[0]), x, 1, rel_tol)[0]
 
 
 def quadratic_closed_form(sigma: float, D: float, x: float) -> float:
@@ -194,6 +234,12 @@ def truncation_error_bound(q: float, u: float) -> float:
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     return u ** (-1.0 / q) * 2.0 ** (1.0 / q - 1.0)
+
+
+# the transforms of proof_chain, one search lane each, in an order where
+# l_p is summed by lanes p to p + 2, so that in any sorted subset of lanes
+# the rows that use one piece are contiguous
+_TRANSFORMS = ("ell0", "ell0+ell1", "combined", "ell1+ell2", "ell2")
 
 
 @dataclass(frozen=True)
@@ -261,38 +307,43 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     L = (2.0 / u) ** (1.0 / q)
     alpha = D * D * min(1.0 / q, 0.2) + 1.0
     pieces = cgf_pieces(q, sigma, L)
-
-    steps = []
-    t1 = inverse_legendre(lambda t: DD * pieces.ell2(t), x_hat)
-    steps.append(_step("ell2", t1, alpha * L))
-
-    t0 = inverse_legendre(lambda t: DD * pieces.ell0(t), x_hat)
-    closed = quadratic_closed_form(sigma, D, x_hat)
-    steps.append(ProofStep(name="ell0", lhs=t0, rhs=closed,
-                           passed=bool(abs(t0 - closed) <= 1e-8 * closed),
-                           note="equality check"))
-
-    t_all = inverse_legendre(
-        lambda t: DD * (pieces.ell0(t) + pieces.ell1(t) + pieces.ell2(t)), x_hat)
-    if q <= 3:
-        # no integer order between 2 and q, so l1 vanishes
-        steps.append(_step("combined", t_all, closed + alpha * L,
-                           note="l1 = 0 branch"))
-    else:
+    if q > 3:
         try:
             s_geo = sigma ** (-2.0 / (q - 2.0))
         except OverflowError:
             raise ValueError(f"sigma^(-2/(q-2)) overflows at sigma = {sigma}") from None
+
+    lane_ids = np.arange(5) if q > 3 else np.array([0, 2, 4])  # l1 = 0 for q <= 3
+    terms = (pieces.ell0, pieces.ell1, pieces.ell2)
+
+    def psi(t, rows):
+        ids = lane_ids[rows].tolist()
+        total = np.zeros_like(t)
+        for p, piece in enumerate(terms):
+            lo, hi = bisect_left(ids, p), bisect_left(ids, p + 3)
+            if lo < hi:
+                total[lo:hi] += piece(t[lo:hi])
+        return DD * total
+
+    lhs = dict(zip((_TRANSFORMS[i] for i in lane_ids), _search(psi, x_hat, lane_ids.size)))
+
+    steps = [_step("ell2", lhs["ell2"], alpha * L)]
+    closed = quadratic_closed_form(sigma, D, x_hat)
+    steps.append(ProofStep(name="ell0", lhs=lhs["ell0"], rhs=closed,
+                           passed=bool(abs(lhs["ell0"] - closed) <= 1e-8 * closed),
+                           note="equality check"))
+    if q <= 3:
+        # no integer order between 2 and q, so l1 vanishes
+        steps.append(_step("combined", lhs["combined"], closed + alpha * L,
+                           note="l1 = 0 branch"))
+    else:
         ell1_qe = pieces.ell1(q / _E)
-        t12 = inverse_legendre(lambda t: DD * (pieces.ell1(t) + pieces.ell2(t)), x_hat)
-        steps.append(_step("ell1+ell2", t12, alpha * L + DD * x_hat * (_E / 3.0) * ell1_qe))
-
-        t01 = inverse_legendre(lambda t: DD * (pieces.ell0(t) + pieces.ell1(t)), x_hat)
-        steps.append(_step("ell0+ell1", t01, bercu_infimum(s_geo / 3.0, DD * sigma * sigma, x_hat)))
-
+        steps.append(_step("ell1+ell2", lhs["ell1+ell2"],
+                           alpha * L + DD * x_hat * (_E / 3.0) * ell1_qe))
+        steps.append(_step("ell0+ell1", lhs["ell0+ell1"],
+                           bercu_infimum(s_geo / 3.0, DD * sigma * sigma, x_hat)))
         steps.append(_step("min-term", min(DD * _E * ell1_qe, s_geo), DD * _E))
-
-        steps.append(_step("combined", t_all,
+        steps.append(_step("combined", lhs["combined"],
                            closed + alpha * L + DD * _E * x_hat / 3.0))
 
     final_coefficient = 1.0 / (2.0 * q) + min(1.0 / q, 0.2) + 1.0 \

@@ -14,12 +14,13 @@ one-dimensional convex minimization.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import InternalInconsistencyError, InvalidLevelError
-from .golden import golden_section_min
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
     Computed exactly as a weighted sum of the top order statistics, then
     cross-checked against the variational form inf_t { t + E(X-t)_+ / u };
     the two agree for every discrete law, so a disagreement beyond 1e-9
-    absolute raises InternalInconsistencyError.
+    times max(1, max|X|) raises InternalInconsistencyError.
     """
     _check_u(u)
     x = sample.values
@@ -106,10 +107,13 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
     # at t = j-th largest value: E(X - t)_+ = (sum of top j) - j * t
     phi = desc + (suffix[:-1] - j * desc) / (n * u)
     variational = float(phi.min())
-    if abs(value - variational) > 1e-9:
+    if abs(value - variational) > 1e-9 * max(1.0, -float(x[0]), float(x[-1])):
         raise InternalInconsistencyError(
             f"CVaR forms disagree: integral {value} vs variational {variational}")
     return value
+
+
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,11 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
 
     The infimum need not be attained: it is the mean as t -> 0+ when u = 1,
     and the sample maximum as t -> infinity when u <= P[X = max]. Those
-    limits are returned exactly with attained=False. Otherwise the interior
-    minimizer is located by golden-section search on log t, with the search
-    capped so t * max|X| <= 700.
+    limits are returned exactly with attained=False. Otherwise, with K the
+    cgf of X, the minimiser is the root of g(t) = t K'(t) - K(t) - log(1/u),
+    which is increasing in t. brentq finds it on log t in the scale-free
+    bracket t max|X| in [1e-8, 700]; where g keeps one sign on the bracket,
+    the objective at the end nearer the minimiser is returned.
     """
     _check_u(u)
     x = sample.values
@@ -144,27 +150,45 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
         # objective decreases to xmax as t -> infinity
         return QInfinityResult(value=xmax, attained=False, t_star=None)
 
+    # in units of s = max|X|, so t s is the search variable and nothing
+    # in the bracket depends on the scale of the sample
     log_inv_u = math.log(1.0 / u)
-    shifted = x - xmax
+    scale = max(-float(x[0]), xmax)
+    zmax = xmax / scale
+    z = x / scale
+    z -= zmax
+    lo, hi = math.log(1e-8), math.log(700.0)
+    if _stationarity(lo, z, log_inv_u) >= 0.0:
+        log_t = lo
+    elif _stationarity(hi, z, log_inv_u) <= 0.0:
+        log_t = hi
+    else:
+        # the data go in as arguments: brentq keeps its function in a
+        # reference cycle, which would hold a closure's array until gc runs
+        log_t = brentq(_stationarity, lo, hi, args=(z, log_inv_u))
+    t, m0, _ = _exp_moments(z, log_t)
+    value = scale * ((t * zmax + math.log(m0) + log_inv_u) / t)
+    return QInfinityResult(value=value, attained=True, t_star=t / scale)
 
-    def objective(log_t):
-        t = math.exp(log_t)
-        lse = t * xmax + math.log(np.exp(t * shifted).mean())
-        return (lse + log_inv_u) / t
 
-    cap = math.log(700.0 / max(float(np.abs(x).max()), 1e-300))
-    lo = math.log(1e-8)
-    if cap <= lo:
-        return QInfinityResult(value=float(objective(cap)), attained=True,
-                               t_star=math.exp(cap))
-    step = math.log(4.0)
-    hi = min(0.0, cap)
-    while hi < cap and objective(min(hi + step, cap)) < objective(hi):
-        hi = min(hi + step, cap)
-    # one step past the last descent so the bracket contains the turn
-    hi = min(hi + step, cap)
-    log_t, val = golden_section_min(objective, lo, hi, rel_tol=1e-10)
-    return QInfinityResult(value=float(val), attained=True, t_star=math.exp(log_t))
+def _exp_moments(z: np.ndarray, log_t: float) -> tuple:
+    """(t, E exp(t Z), E Z exp(t Z)) at t = exp(log_t), for an ascending
+    sample z <= 0 of Z that contains 0.
+
+    Terms below the smallest normal float are left out: beside the term
+    exp(0) = 1 they are lost to rounding, and exp is many times slower
+    where its result is subnormal."""
+    t = math.exp(log_t)
+    tail = z[np.searchsorted(z, _LOG_TINY / t):]
+    w = t * tail
+    np.exp(w, out=w)
+    return t, float(w.sum()) / z.size, float(w @ tail) / z.size
+
+
+def _stationarity(log_t: float, z: np.ndarray, log_inv_u: float) -> float:
+    """t K'(t) - K(t) - log(1/u) at t = exp(log_t), K the cgf of Z."""
+    t, m0, m1 = _exp_moments(z, log_t)
+    return t * m1 / m0 - math.log(m0) - log_inv_u
 
 
 @dataclass(frozen=True)

@@ -412,13 +412,20 @@ def _scalar_norm_law(dist: IncrementDistribution):
     return None
 
 
-def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L) -> float:
+def _truncation_level(trunc_L) -> float:
+    return trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
+
+
+def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L,
+                                log_h=None) -> float:
     """E h(||xi~||) for the level-L truncation, computed without sampling.
 
     The truncated mass sits at zero; the rest is a quadrature of h against
-    the law of ||xi|| over its support within [0, L].
+    the law of ||xi|| over its support within [0, L]. Given log_h, the
+    quadrature integrates exp(log_h(x) + log pdf(x)) instead, which stays
+    finite where h alone overflows far out in the tail.
     """
-    L = trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
+    L = _truncation_level(trunc_L)
     law = _scalar_norm_law(dist)
     if law is None:
         raise PreconditionError(
@@ -426,14 +433,22 @@ def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L) -> floa
     if isinstance(law, float):
         return h(law) if law <= L else h(0.0)
     lo, hi = law.support()  # lo >= 0 for every norm law
-    val = integrate.quad(lambda x: h(x) * law.pdf(x), lo, min(hi, L), limit=200)[0] \
-        if lo < L else 0.0
+    if log_h is None:
+        integrand = lambda x: h(x) * law.pdf(x)
+    else:
+        integrand = lambda x: math.exp(log_h(x) + law.logpdf(x))
+    val = integrate.quad(integrand, lo, min(hi, L), limit=200)[0] if lo < L else 0.0
     return val + h(0.0) * law.sf(L)
 
 
 def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
-    """E exp(t ||xi~||) for the level-L truncation."""
-    return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L)
+    """E exp(t ||xi~||) for the level-L truncation. Without truncation
+    (L = inf) it is infinite for t > 0 when ||xi|| has a polynomial tail."""
+    if (t > 0 and dist.kind in (SYMMETRIC_PARETO, STUDENT_T)
+            and _truncation_level(trunc_L) == math.inf):
+        return math.inf
+    return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L,
+                                       log_h=lambda x: t * x)
 
 
 def truncated_norm_mean(dist: IncrementDistribution, trunc_L) -> float:

@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 
 from fuknagaev.cli import run
 
@@ -65,6 +66,15 @@ def test_quantile_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "3.5" in out  # CVaR of the top half
+
+
+def test_quantile_of_large_magnitude_data(tmp_path, capsys):
+    # the CVaR cross-check tolerance follows the scale of the data
+    values = np.random.default_rng(1).standard_normal(205) * 1e9
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{v:.17g}\n" for v in values), encoding="utf-8")
+    assert run(["quantile", str(path), "--u", "0.1"]) == 0
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_mcdiarmid_subcommand(capsys):

@@ -11,6 +11,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +196,30 @@ def test_gaussian_truncated_moments_on_l2_equal_euclidean(d):
         assert truncated_norm_mean(lp, L) == truncated_norm_mean(euclid, L)
         assert truncated_norm_exp_moment(lp, 0.7, L) == truncated_norm_exp_moment(euclid, 0.7, L)
     assert truncated_norm_mean(gaussian(make_lp(3, 2.0)), 2.0) == pytest.approx(0.94788, abs=1e-5)
+
+
+def _chi_mgf(d, scale, t):
+    """E exp(t scale R) for R ~ chi(d), by 30-digit quadrature."""
+    with mpmath.workdps(30):
+        norm = 2 ** (1 - d / 2) / mpmath.gamma(d / 2)
+        f = lambda r: norm * r ** (d - 1) * mpmath.exp(t * scale * r - r * r / 2)
+        return float(mpmath.quad(f, [0, 1, 10, mpmath.inf]))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("t", [0.7, 3.0, 30.0])
+def test_untruncated_gaussian_exp_moment_is_finite(d, t):
+    # exp(t x) alone overflows far out in the tail, where the density is zero
+    dist = gaussian(make_euclidean(d), 0.5)
+    assert truncated_norm_exp_moment(dist, t, math.inf) == pytest.approx(
+        _chi_mgf(d, 0.5, t), rel=1e-9)
+
+
+@pytest.mark.parametrize("dist", [symmetric_pareto(R3, 4.5), student_t(R1, 5.0),
+                                  student_t(R3, 3.0), symmetric_pareto(R1, 2.5)])
+def test_untruncated_polynomial_tail_exp_moment_is_infinite(dist):
+    assert truncated_norm_exp_moment(dist, 0.7, math.inf) == math.inf
+    assert truncated_norm_exp_moment(dist, 0.0, math.inf) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_rademacher_truncated_moments_are_point_masses():

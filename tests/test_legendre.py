@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -312,6 +313,43 @@ def test_proof_chain_rejects_an_ell0_argmin_past_the_scan_limit(q, capsys):
     argv = ["proofcheck", "--q", repr(q), "--D", "1", "--sigma", "1e-305", "--u", "0.1"]
     assert cli.run(argv) == 2
     assert "ell0 minimiser" in capsys.readouterr().err
+
+
+def _one_lane_transforms(q, D, sigma, u):
+    """Each transform of proof_chain as its own inverse_legendre call."""
+    DD, x_hat = D * D, math.log(2.0 / u)
+    p = cgf_pieces(q, sigma, (2.0 / u) ** (1.0 / q))
+    psis = {"ell2": lambda t: DD * p.ell2(t),
+            "ell0": lambda t: DD * p.ell0(t),
+            "combined": lambda t: DD * (p.ell0(t) + p.ell1(t) + p.ell2(t))}
+    if q > 3:
+        psis["ell1+ell2"] = lambda t: DD * (p.ell1(t) + p.ell2(t))
+        psis["ell0+ell1"] = lambda t: DD * (p.ell0(t) + p.ell1(t))
+    return {name: inverse_legendre(psi, x_hat) for name, psi in psis.items()}
+
+
+def _assert_chain_equals_one_lane_searches(q, D, sigma, u):
+    lhs = {s.name: s.lhs for s in proof_chain(q, D, sigma, u).steps}
+    one_lane = _one_lane_transforms(q, D, sigma, u)
+    assert one_lane.keys() <= lhs.keys()
+    for name, value in one_lane.items():
+        assert lhs[name] == value, (name, q, D, sigma, u)
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 3.5, 4.0, 7.5, 20.0])
+def test_lock_step_chain_equals_one_lane_searches(q):
+    # sigma = 1e-160 puts the ell0 argmin above the scan, 1e30 below it
+    for D, sigma, u in itertools.product((1.0, 2.0), (1e-160, 1e-3, 0.7, 1e30),
+                                         (0.5, 1e-3, 1e-9)):
+        _assert_chain_equals_one_lane_searches(q, D, sigma, u)
+
+
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0, 0.1), (8.0, math.sqrt(2.0), 1.0, 0.5),
+                                   (10.0, 1.0, 5.0, 0.01)])
+def test_lock_step_lanes_stop_on_their_own_rule(point):
+    # here a lane zoomed on after its own bracket is narrow enough, until
+    # every lane's is, ends with a different lhs
+    _assert_chain_equals_one_lane_searches(*point)
 
 
 def test_proof_chain_low_q_branch_skips_ell1():

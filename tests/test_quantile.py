@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from fuknagaev import quantile
-from fuknagaev.errors import InvalidLevelError
-from fuknagaev.quantile import (cvar_q1, load_sample, make_sample, q_infinity,
+from fuknagaev.errors import InternalInconsistencyError, InvalidLevelError
+from fuknagaev.quantile import (EmpiricalSample, cvar_q1, load_sample,
+                                make_sample, q_infinity,
                                 q_not_subadditive_example,
                                 quantile_lemma_suite, quantile_q,
                                 quantile_triple)
@@ -41,6 +43,32 @@ def dense_grid_qinf(values, u, points=20_001):
         lse = t * m + math.log(np.exp(t * (x - m)).mean())
         best = min(best, (lse + math.log(1.0 / u)) / t)
     return best
+
+
+def mpmath_qinf(values, u):
+    """Chernoff quantile at 30 digits: the objective (K(t) + log(1/u)) / t
+    at its stationary point, the root of t K'(t) - K(t) - log(1/u)."""
+    with mpmath.workdps(30):
+        xs = [mpmath.mpf(float(v)) for v in values]
+        n, log_inv_u = len(xs), mpmath.log(1 / mpmath.mpf(u))
+
+        def cgf(t):
+            return mpmath.log(mpmath.fsum(mpmath.exp(t * v) for v in xs) / n)
+
+        def stationarity(t):
+            w = [mpmath.exp(t * v) for v in xs]
+            return t * mpmath.fdot(w, xs) / mpmath.fsum(w) - cgf(t) - log_inv_u
+
+        # bisection on log t; the root is the minimiser, since the
+        # stationarity function is increasing
+        scale = max(abs(v) for v in xs)
+        lo, hi = mpmath.log(mpmath.mpf("1e-6") / scale), mpmath.log(700 / scale)
+        assert stationarity(mpmath.exp(lo)) < 0 < stationarity(mpmath.exp(hi))
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if stationarity(mpmath.exp(mid)) < 0 else (lo, mid)
+        t = mpmath.exp(lo)
+        return float((cgf(t) + log_inv_u) / t)
 
 
 # ---------------------------------------------------------------- Q
@@ -99,6 +127,19 @@ def test_cvar_dominates_quantile(values, u):
     assert cvar_q1(s, u) >= quantile_q(s, u) - 1e-12
 
 
+def test_cvar_cross_check_scales_with_the_data():
+    # the two CVaR forms of values near 1e9 agree to rounding, about 1e-16
+    # of the scale, which is more than 1e-9 absolute
+    x = np.random.default_rng(1).standard_normal(205) * 1e9
+    s = make_sample(x)
+    assert cvar_q1(s, 0.1) == pytest.approx(riemann_cvar(x, 0.1), rel=1e-6)
+    # top values out of order make the integral form wrong by their gap
+    wrong = s.values.copy()
+    wrong[-2:] = wrong[-2:][::-1]
+    with pytest.raises(InternalInconsistencyError, match="CVaR forms disagree"):
+        cvar_q1(EmpiricalSample(values=wrong), 0.004)
+
+
 # ---------------------------------------------------------------- Qinf
 
 def test_qinf_degenerate_sample():
@@ -125,6 +166,27 @@ def test_qinf_non_attained_at_max():
     # u below the mass at the maximum: infimum is the maximum, as t -> inf
     res = q_infinity(make_sample([1.0, 2.0, 3.0, 4.0]), 0.2)
     assert res.value == 4.0 and not res.attained
+
+
+def test_qinf_matches_mpmath_minimisation():
+    rng = np.random.default_rng(21)
+    samples = (rng.standard_normal(60),
+               3.0 + 0.5 * rng.standard_t(3.0, 40),
+               np.round(rng.exponential(2.0, 50), 1),  # ties
+               -5.0 - rng.random(30))
+    for values in samples:
+        for u in (0.9, 0.5, 0.1, 0.05):
+            got = q_infinity(make_sample(values), u)
+            assert got.attained
+            assert got.value == pytest.approx(mpmath_qinf(values, u), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-12, 1e9, 1e12, 1e300])
+def test_qinf_is_scale_equivariant(c):
+    x = np.random.default_rng(4).standard_normal(200)
+    for u in (0.5, 0.1, 0.01):
+        base = q_infinity(make_sample(x), u).value
+        assert q_infinity(make_sample(c * x), u).value == pytest.approx(c * base, rel=1e-12, abs=0)
 
 
 @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=20),
