@@ -39,10 +39,12 @@ class SmoothSpace:
     def norms(self, rows) -> np.ndarray:
         """Norms along the last axis of an (..., dimension) array. For p in
         _MUL_POWERS, |x|^p is a product of p factors |x| (the same bits as
-        pow at p = 2, a few ulp off above); other p call pow in place."""
+        pow at p = 2, a few ulp off above); other p call pow in place. The
+        sums call np.add.reduce, the ufunc behind ndarray.sum, so the bits are
+        the same without the method's Python wrapper."""
         rows = np.asarray(rows, dtype=float)
         if self.norm_kind == EUCLIDEAN:
-            return np.sqrt((rows * rows).sum(axis=-1))
+            return np.sqrt(np.add.reduce(rows * rows, axis=-1))
         a = np.abs(rows)
         if self.p in _MUL_POWERS:
             power = a * a
@@ -51,7 +53,7 @@ class SmoothSpace:
         else:
             power = np.power(a, self.p, out=a)
         del a  # no more temporaries of rows' size than with pow
-        return power.sum(axis=-1) ** (1.0 / self.p)
+        return np.add.reduce(power, axis=-1) ** (1.0 / self.p)
 
 
 def make_euclidean(d: int) -> SmoothSpace:

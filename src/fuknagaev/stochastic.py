@@ -8,12 +8,16 @@ makes every summed conditional moment an exact analytic number and keeps
 the verification campaigns free of estimator noise.
 """
 
+import functools
+import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISpawnableSeedSequence
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaln, hyp1f1, logsumexp
 
@@ -151,9 +155,116 @@ class TruncationLevel:
             raise ValueError(f"truncation level must be positive, got {self.trunc_L}")
 
 
-def trial_seed(seed: int, trial: int) -> np.random.SeedSequence:
-    """Splittable seed of one trial or one block of trials, order-independent."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
+# hashmix(v) = xorshift((v ^ h) * h') mod 2^32, where the hash constant h
+# steps to h' = h * MULT_A from INIT_A while entropy is mixed in, and by
+# MULT_B from INIT_B while words are generated; mix(x, y) =
+# xorshift(MIX_MULT_L x - MIX_MULT_R y) mod 2^32.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_UINT32, _UINT64 = np.dtype(np.uint32), np.dtype(np.uint64)
+
+
+def _uint32_words(n) -> list:
+    """Little-endian 32-bit words of a nonnegative integer ([0] for 0),
+    with SeedSequence's exception types for other inputs."""
+    n = operator.index(n)  # TypeError for a float, a string or np.bool_
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=256)
+def _hash_steps(h: int, mult: int, count: int) -> tuple:
+    """The (h, h') pairs of ``count`` hash steps from h."""
+    steps = []
+    for _ in range(count):
+        steps.append((h, h * mult & _MASK32))
+        h = steps[-1][1]
+    return tuple(steps)
+
+
+def _hashmix(value: int, step: tuple) -> int:
+    h, h_next = step
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, h: int, words) -> int:
+    """Mix the entropy words past the first four into every pool word, in
+    place; returns the hash constant after them."""
+    for w in words:
+        steps = _hash_steps(h, _MULT_A, _POOL_SIZE)
+        for i, step in enumerate(steps):
+            pool[i] = _mix(pool[i], _hashmix(w, step))
+        h = steps[-1][1]
+    return h
+
+
+@functools.lru_cache(maxsize=256)
+def _seed_pool(seed: int) -> tuple:
+    """The pool and hash constant of SeedSequence(entropy=seed, spawn_key=k)
+    after the seed's words, which precede k's and do not depend on it."""
+    words = _uint32_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))  # padded because a spawn key follows
+    steps = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+    pool = [_hashmix(w, step) for w, step in zip(words[:_POOL_SIZE], steps)]
+    pairs = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
+    for (src, dst), step in zip(pairs, steps[_POOL_SIZE:]):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], step))
+    h = _mix_in(pool, steps[-1][1], words[_POOL_SIZE:])
+    return tuple(pool), h
+
+
+class TrialSeedSequence(ISpawnableSeedSequence):
+    """numpy's SeedSequence(entropy=seed, spawn_key=(trial,)) in a lighter
+    object: the same pool, so the same generate_state words and the same
+    children. The seed's part of the pool is cached; each object mixes in
+    only the trial's words."""
+    _spawner = None  # the SeedSequence that spawn() delegates to, built on first use
+
+    def __init__(self, seed: int, trial: int):
+        pool, h = _seed_pool(operator.index(seed))
+        self._pool = list(pool)
+        _mix_in(self._pool, h, _uint32_words(trial))
+        self.entropy, self.spawn_key = seed, (trial,)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        wide = dtype == _UINT64
+        if not wide and dtype != _UINT32:
+            raise ValueError("only support uint32 or uint64")
+        steps = _hash_steps(_INIT_B, _MULT_B, 2 * n_words if wide else n_words)
+        words = [_hashmix(p, step) for p, step in zip(itertools.cycle(self._pool), steps)]
+        if wide:  # little-endian word pairs, as numpy joins them
+            words = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+        return np.array(words, dtype=dtype)
+
+    def spawn(self, n_children: int) -> list:
+        """numpy's children, counted across calls as numpy counts them."""
+        if self._spawner is None:
+            self._spawner = np.random.SeedSequence(entropy=self.entropy,
+                                                   spawn_key=self.spawn_key)
+        return self._spawner.spawn(n_children)
+
+
+def trial_seed(seed: int, trial: int) -> TrialSeedSequence:
+    """Splittable seed of one trial or one block of trials, order-independent.
+    Its words equal those of numpy's SeedSequence(entropy=seed,
+    spawn_key=(trial,)), so every stream is the same; it costs a fraction of
+    that object. Seed and trial are nonnegative integers of any size."""
+    return TrialSeedSequence(seed, trial)
 
 
 def _draw(dist: IncrementDistribution, shape: tuple, rng) -> np.ndarray:
@@ -442,13 +553,17 @@ def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L,
 
 
 def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
-    """E exp(t ||xi~||) for the level-L truncation. Without truncation
-    (L = inf) it is infinite for t > 0 when ||xi|| has a polynomial tail."""
+    """E exp(t ||xi~||) for the level-L truncation; inf where it overflows.
+    Without truncation (L = inf) it is infinite for t > 0 when ||xi|| has a
+    polynomial tail."""
     if (t > 0 and dist.kind in (SYMMETRIC_PARETO, STUDENT_T)
             and _truncation_level(trunc_L) == math.inf):
         return math.inf
-    return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L,
-                                       log_h=lambda x: t * x)
+    try:
+        return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L,
+                                           log_h=lambda x: t * x)
+    except OverflowError:  # the point mass or the quadrature's integrand
+        return math.inf
 
 
 def truncated_norm_mean(dist: IncrementDistribution, trunc_L) -> float:
@@ -495,9 +610,11 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
             raise PreconditionError(f"{dist.kind} increments are unbounded; truncate "
                                     "first and pass the truncation level")
     ensemble = list(ensemble)
-    if len({len(diffs) for diffs in ensemble}) != 1:
+    increments = [diffs.increments for diffs in ensemble]
+    if len({len(xi) for xi in increments}) != 1:
         raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
-    norms = _paths(np.stack([diffs.increments for diffs in ensemble]), ensemble[0].space)[1]
+    # one copy into a new (trials, n, d) array, which _paths overwrites
+    norms = _paths(np.array(increments), ensemble[0].space)[1]
     return D * D * (truncated_norm_exp_moment(dist, t, trunc_L) - 1.0
                     - t * truncated_norm_mean(dist, trunc_L)), norms
 

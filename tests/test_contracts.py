@@ -1,5 +1,6 @@
 """Contracts of the shared implementations: the documented draw order of
-every sampler, moment profiles that never draw and fit in bounded memory,
+every sampler, per-trial seeds with numpy's SeedSequence words, moment
+profiles that never draw and fit in bounded memory,
 the Pinelis pair read from one set of partial sums, the truncated moments
 of the scalar norm law, and the input checks and exit codes of the command
 line."""
@@ -8,13 +9,17 @@ import contextlib
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from fuknagaev import cli, quantile, stochastic
 from fuknagaev.bounds import tail_bound
@@ -64,11 +69,104 @@ def test_sampler_draw_order(space):
     for dist, expected in rebuilt.items():
         got = sample_increments(dist, n, seed).increments
         assert np.array_equal(got, expected), dist.kind
-    # a per-trial SeedSequence feeds the same construction
+    # a per-trial seed sequence feeds the same construction
     ss = trial_seed(seed, 3)
     rng = np.random.Generator(np.random.Philox(trial_seed(seed, 3)))
     assert np.array_equal(sample_increments(gaussian(space, 1.0), n, ss).increments,
                           rng.standard_normal((n, space.dimension)))
+
+
+# ---------------------------------------------------------------- per-trial seeds
+
+_EDGES = (0, 2**32 - 1, 2**32, 2**64)
+
+
+def _seed_sequence(seed, trial):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**130 - 1)),
+       trial=st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**70 - 1)),
+       n_words=st.integers(1, 8), dtype=st.sampled_from([np.uint32, np.uint64]))
+def test_trial_seed_words_equal_seed_sequence(seed, trial, n_words, dtype):
+    got = trial_seed(seed, trial).generate_state(n_words, dtype)
+    want = _seed_sequence(seed, trial).generate_state(n_words, dtype)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_trial_seed_words_at_word_edges():
+    for seed in _EDGES + (2**130 - 1,):
+        for trial in _EDGES + (2**70 - 1,):
+            for dtype in (np.uint32, np.uint64):
+                got = trial_seed(seed, trial).generate_state(8, dtype)
+                assert np.array_equal(got, _seed_sequence(seed, trial).generate_state(8, dtype))
+
+
+@pytest.mark.parametrize("seed, trial, error", [
+    (-1, 0, ValueError), (0, -1, ValueError), (-2**70, 3, ValueError),
+    (1.0, 0, TypeError), (0, 2.0, TypeError), (np.float64(3), 0, TypeError),
+    (0, np.float32(1), TypeError)])
+def test_trial_seed_rejects_what_seed_sequence_rejects(seed, trial, error):
+    with pytest.raises(error):
+        _seed_sequence(seed, trial)
+    with pytest.raises(error):
+        trial_seed(seed, trial)
+
+
+def test_trial_seed_accepts_numpy_integers():
+    got = trial_seed(np.int64(7), np.int64(3)).generate_state(4)
+    assert np.array_equal(got, _seed_sequence(np.int64(7), np.int64(3)).generate_state(4))
+    assert np.array_equal(got, trial_seed(7, 3).generate_state(4))
+    with pytest.raises(ValueError):
+        trial_seed(np.int64(-7), 3)
+    with pytest.raises(ValueError, match="only support"):
+        trial_seed(7, 3).generate_state(2, np.int64)
+
+
+def test_trial_seed_spawns_seed_sequence_children():
+    ours, theirs = trial_seed(5, 9), _seed_sequence(5, 9)
+    for k in (2, 3):  # the second call continues the children's count
+        for a, b in zip(ours.spawn(k), theirs.spawn(k), strict=True):
+            assert a.spawn_key == b.spawn_key
+            assert np.array_equal(a.generate_state(4), b.generate_state(4))
+    rng = np.random.Generator(np.random.Philox(trial_seed(5, 9)))
+    ref = np.random.Generator(np.random.Philox(_seed_sequence(5, 9)))
+    for a, b in zip(rng.spawn(2), ref.spawn(2), strict=True):
+        assert np.array_equal(a.random(3), b.random(3))
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_per_trial_ensemble_equals_seed_sequence_ensemble(n):
+    # criterion 6's construction, at a tenth of its trials
+    dist, seed = rademacher(R1, 1.0), 20240506 + n
+    ours = [sample_increments(dist, n, trial_seed(seed, j)).increments for j in range(2000)]
+    theirs = [sample_increments(dist, n, _seed_sequence(seed, j)).increments
+              for j in range(2000)]
+    assert np.array_equal(ours, theirs)
+
+
+def test_block_rngs_built_on_four_threads_at_once():
+    seeds = (3, 2**40 + 1)
+    stochastic._seed_pool.cache_clear()  # the seeds' pools are built concurrently too
+    start = threading.Barrier(4, timeout=60)
+
+    def draws(worker):
+        start.wait()
+        return [(seed, b, stochastic._block_rng(seed, b).random(8))
+                for b in range(worker, 64, 4) for seed in seeds]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [row for rows in pool.map(draws, range(4), timeout=60) for row in rows]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 128
+    for seed, b, got in results:
+        ref = np.random.Generator(np.random.Philox(_seed_sequence(seed, b)))
+        assert np.array_equal(got, ref.random(8))
 
 
 # ---------------------------------------------------------------- (b) no draw
@@ -227,6 +325,27 @@ def test_rademacher_truncated_moments_are_point_masses():
     assert truncated_norm_exp_moment(dist, 0.5, 2.0) == math.exp(1.0)
     assert truncated_norm_exp_moment(dist, 0.5, 1.9) == 1.0
     assert truncated_norm_mean(dist, 3.0) == 2.0
+
+
+def test_overflowing_exp_moment_is_infinite():
+    # the quadrature's integrand overflows near x = t, the point mass at exp(1000)
+    assert truncated_norm_exp_moment(gaussian(R1, 1.0), 40.0, math.inf) == math.inf
+    assert truncated_norm_exp_moment(rademacher(R1, 1000.0), 1.0, math.inf) == math.inf
+    # E exp(t |Z|) = 2 exp(t^2 / 2) Phi(t) is still finite at t = 37
+    assert truncated_norm_exp_moment(gaussian(R1, 1.0), 37.0, math.inf) == pytest.approx(
+        2.0 * math.exp(37.0 ** 2 / 2.0) * stats.norm.cdf(37.0), rel=1e-9)
+
+
+def test_pinelis_pair_with_infinite_product_bound():
+    dist, t = gaussian(R1, 1.0), 40.0
+    ens = [sample_increments(dist, 2, trial_seed(4, j)) for j in range(200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pinelis_check(ens, t=t, D=1.0, dist=dist, trunc_L=math.inf)
+        state = pinelis_supermartingale_profile(ens, t=t, D=1.0, dist=dist, trunc_L=math.inf)
+    assert rep.e_term == math.inf and rep.product_bound == math.inf and rep.passed
+    assert math.isfinite(rep.empirical_cosh)
+    assert np.all(state.e_terms == math.inf) and state.passed
 
 
 # ---------------------------------------------------------------- invalid moments
