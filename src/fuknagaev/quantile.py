@@ -133,6 +133,10 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
     which is increasing in t. brentq finds it on log t in the scale-free
     bracket t max|X| in [1e-8, 700]; where g keeps one sign on the bracket,
     the objective at the end nearer the minimiser is returned.
+
+    The error is absolute, about 1e-16 max|X|, not relative: the value is
+    formed as (t max + log E exp(t (X - max)) + log(1/u)) / t, whose terms
+    cancel where Qinf is near zero against max|X|.
     """
     _check_u(u)
     x = sample.values

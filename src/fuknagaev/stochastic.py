@@ -9,7 +9,6 @@ the verification campaigns free of estimator noise.
 """
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.special import gammainc, gammaln, hyp1f1, logsumexp
 
 from .errors import (InfiniteMomentError, InvalidQError, PreconditionError,
@@ -159,21 +158,28 @@ class TruncationLevel:
 # hashmix(v) = xorshift((v ^ h) * h') mod 2^32, where the hash constant h
 # steps to h' = h * MULT_A from INIT_A while entropy is mixed in, and by
 # MULT_B from INIT_B while words are generated; mix(x, y) =
-# xorshift(MIX_MULT_L x - MIX_MULT_R y) mod 2^32.
+# xorshift(MIX_MULT_L x - MIX_MULT_R y) mod 2^32. The helpers take Python
+# ints or uint32 arrays, whose arithmetic wraps mod 2^32 as the hash does.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _UINT32, _UINT64 = np.dtype(np.uint32), np.dtype(np.uint64)
+_TABLE_WORDS = 4096  # 32-bit words per seed table (16 KB)
 
 
-def _uint32_words(n) -> list:
-    """Little-endian 32-bit words of a nonnegative integer ([0] for 0),
-    with SeedSequence's exception types for other inputs."""
+def _entropy_int(n) -> int:
+    """n as a Python int, with SeedSequence's exception types for anything
+    but a nonnegative integer."""
     n = operator.index(n)  # TypeError for a float, a string or np.bool_
     if n < 0:
         raise ValueError(f"expected non-negative integer, got {n}")
+    return n
+
+
+def _uint32_words(n: int) -> list:
+    """Little-endian 32-bit words of a nonnegative integer ([0] for 0)."""
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -190,13 +196,13 @@ def _hash_steps(h: int, mult: int, count: int) -> tuple:
     return tuple(steps)
 
 
-def _hashmix(value: int, step: tuple) -> int:
+def _hashmix(value, step):
     h, h_next = step
     value = (value ^ h) * h_next & _MASK32
     return value ^ value >> 16
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ r >> 16
 
@@ -227,29 +233,57 @@ def _seed_pool(seed: int) -> tuple:
     return tuple(pool), h
 
 
+def _table_trials(count: int) -> int:
+    """K, the trials of one seed table for requests of ``count`` 32-bit
+    words: the largest power of two with K count <= _TABLE_WORDS, at least 1."""
+    return 1 << max(0, (_TABLE_WORDS // max(count, 1)).bit_length() - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_table(seed: int, n_words: int, dtype: np.dtype, chunk: int) -> np.ndarray:
+    """generate_state(n_words, dtype) of the seed's trials chunk K to
+    chunk K + K - 1, as the rows of a read-only (K, n_words) array.
+
+    The K trials differ only in their lowest word, so the chunk mixes one
+    uint32 array of low words into the seed's pool, then its shared high
+    words, as 1-element arrays (a Python int above 2^32 cannot meet a uint32
+    array), and hashes every word of every row in one pass."""
+    count = n_words * dtype.itemsize // 4
+    size = _table_trials(count)
+    low, *high = _uint32_words(chunk * size)
+    pool, h = _seed_pool(seed)
+    pool = [np.full(1, p, dtype=_UINT32) for p in pool]
+    _mix_in(pool, h, [np.arange(low, low + size, dtype=_UINT32),
+                      *(np.full(1, w, dtype=_UINT32) for w in high)])
+    steps = np.array(_hash_steps(_INIT_B, _MULT_B, count), dtype=_UINT32).reshape(count, 2)
+    table = _hashmix(np.stack(pool, axis=1)[:, np.arange(count) % _POOL_SIZE], steps.T)
+    if dtype == _UINT64:  # little-endian word pairs, as numpy joins them
+        table = table.astype("<u4", order="C").view("<u8").astype(_UINT64)
+    table.flags.writeable = False
+    return table
+
+
 class TrialSeedSequence(ISpawnableSeedSequence):
     """numpy's SeedSequence(entropy=seed, spawn_key=(trial,)) in a lighter
-    object: the same pool, so the same generate_state words and the same
-    children. The seed's part of the pool is cached; each object mixes in
-    only the trial's words."""
+    object: the same generate_state words and the same children. Its words
+    are one row of a seed table, which holds those of K consecutive trials
+    and is built once for all of them."""
     _spawner = None  # the SeedSequence that spawn() delegates to, built on first use
 
     def __init__(self, seed: int, trial: int):
-        pool, h = _seed_pool(operator.index(seed))
-        self._pool = list(pool)
-        _mix_in(self._pool, h, _uint32_words(trial))
-        self.entropy, self.spawn_key = seed, (trial,)
+        self.entropy, self.spawn_key = _entropy_int(seed), (_entropy_int(trial),)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         dtype = np.dtype(dtype)
-        wide = dtype == _UINT64
-        if not wide and dtype != _UINT32:
+        if dtype != _UINT32 and dtype != _UINT64:
             raise ValueError("only support uint32 or uint64")
-        steps = _hash_steps(_INIT_B, _MULT_B, 2 * n_words if wide else n_words)
-        words = [_hashmix(p, step) for p, step in zip(itertools.cycle(self._pool), steps)]
-        if wide:  # little-endian word pairs, as numpy joins them
-            words = [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
-        return np.array(words, dtype=dtype)
+        n_words = operator.index(n_words)
+        if n_words < 0:
+            raise ValueError(f"n_words must be nonnegative, got {n_words}")
+        size, trial = _table_trials(n_words * dtype.itemsize // 4), self.spawn_key[0]
+        # a table of one trial is never shared, so it is not cached
+        table = _seed_table if size > 1 else _seed_table.__wrapped__
+        return table(self.entropy, n_words, dtype, trial // size)[trial % size].copy()
 
     def spawn(self, n_children: int) -> list:
         """numpy's children, counted across calls as numpy counts them."""
@@ -263,7 +297,13 @@ def trial_seed(seed: int, trial: int) -> TrialSeedSequence:
     """Splittable seed of one trial or one block of trials, order-independent.
     Its words equal those of numpy's SeedSequence(entropy=seed,
     spawn_key=(trial,)), so every stream is the same; it costs a fraction of
-    that object. Seed and trial are nonnegative integers of any size."""
+    that object. Seed and trial are nonnegative integers of any size.
+
+    The words of the K = 2^k consecutive trials from a multiple of K (K
+    requests of n_words fit in 4096 32-bit words: K = 1024 for Philox's two
+    64-bit words) are hashed together into one read-only table, cached with
+    at most 7 others (16 KB each); each object copies its row. A request
+    of more than 4096 words is a table of one trial, built per call."""
     return TrialSeedSequence(seed, trial)
 
 
@@ -500,6 +540,9 @@ class _FoldedT(stats.rv_continuous):
     def _sf(self, x, df):
         return 2.0 * stats.t.sf(x, df)
 
+    def _isf(self, q, df):
+        return stats.t.isf(q / 2.0, df)
+
 
 _folded_t = _FoldedT(a=0.0, name="folded_t")
 
@@ -527,14 +570,30 @@ def _truncation_level(trunc_L) -> float:
     return trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
 
 
+def _log_peak(log_f, lo: float, hi: float, law) -> float:
+    """The maximum of log_f over [lo, hi]: the larger of its finite end
+    values and a bounded Brent search in between. An infinite hi is cut at
+    the law's 1e-16 upper quantile. That is past the mode of every density
+    here, so it misses no peak where log_f is the log density plus a
+    nonincreasing term; for t > 0 it is reached only on the Gaussian laws,
+    where a peak beyond it lowers m by less than the float range unless
+    the moment overflows anyway."""
+    top = hi if hi < math.inf else law.isf(1e-16)
+    inner = optimize.minimize_scalar(lambda s: -log_f(lo + s * (top - lo)), bounds=(0.0, 1.0),
+                                     method="bounded")
+    return max(-inner.fun, log_f(lo), log_f(hi) if hi < math.inf else -math.inf)
+
+
 def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L,
                                 log_h=None) -> float:
     """E h(||xi~||) for the level-L truncation, computed without sampling.
 
     The truncated mass sits at zero; the rest is a quadrature of h against
     the law of ||xi|| over its support within [0, L]. Given log_h, the
-    quadrature integrates exp(log_h(x) + log pdf(x)) instead, which stays
-    finite where h alone overflows far out in the tail.
+    quadrature integrates exp(log_h(x) + log pdf(x) - m) instead, m the
+    maximum of that exponent over the interval, to full relative accuracy
+    (no absolute tolerance), and m is added back in log space: the result
+    overflows (OverflowError) only where the expectation itself does.
     """
     L = _truncation_level(trunc_L)
     law = _scalar_norm_law(dist)
@@ -544,12 +603,17 @@ def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L,
     if isinstance(law, float):
         return h(law) if law <= L else h(0.0)
     lo, hi = law.support()  # lo >= 0 for every norm law
+    hi = min(hi, L)
     if log_h is None:
-        integrand = lambda x: h(x) * law.pdf(x)
-    else:
-        integrand = lambda x: math.exp(log_h(x) + law.logpdf(x))
-    val = integrate.quad(integrand, lo, min(hi, L), limit=200)[0] if lo < L else 0.0
-    return val + h(0.0) * law.sf(L)
+        val = integrate.quad(lambda x: h(x) * law.pdf(x), lo, hi, limit=200)[0] if lo < L else 0.0
+        return val + h(0.0) * law.sf(L)
+    log_val = -math.inf
+    if lo < L:
+        log_f = lambda x: log_h(x) + law.logpdf(x)
+        m = _log_peak(log_f, lo, hi, law)
+        val = integrate.quad(lambda x: math.exp(log_f(x) - m), lo, hi, limit=200, epsabs=0.0)[0]
+        log_val = m + math.log(val) if val > 0 else -math.inf
+    return math.exp(np.logaddexp(log_val, log_h(0.0) + law.logsf(L)))
 
 
 def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
@@ -562,7 +626,7 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
     try:
         return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L,
                                            log_h=lambda x: t * x)
-    except OverflowError:  # the point mass or the quadrature's integrand
+    except OverflowError:  # the point mass, or the moment itself
         return math.inf
 
 

@@ -146,9 +146,67 @@ def test_per_trial_ensemble_equals_seed_sequence_ensemble(n):
     assert np.array_equal(ours, theirs)
 
 
+@pytest.mark.parametrize("n_words", [1, 2, 4, 4096, 4097, 10000])
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_trial_seed_words_across_table_edges(n_words, dtype):
+    # K trials share a table; from 4096 32-bit words on, a table holds one trial
+    count = n_words * np.dtype(dtype).itemsize // 4
+    K = stochastic._table_trials(count)
+    assert K == {4: 1024, 1: 4096, 2: 2048, 8: 512}.get(count, 1)
+    for seed in (0, 2**64 + 3):
+        for trial in (K - 1, K, K + 1, 2**32 - 1, 2**32 + 1):
+            got = trial_seed(seed, trial).generate_state(n_words, dtype)
+            want = _seed_sequence(seed, trial).generate_state(n_words, dtype)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_words", [2, 64])
+def test_trial_seed_words_do_not_depend_on_visit_order(n_words):
+    # 3 tables of 1024 trials, or 41 of 32 trials: more than the cache keeps
+    trials = list(range(3 * 1024 + 5 if n_words == 2 else 41 * 32))
+
+    def words(order):
+        stochastic._seed_table.cache_clear()
+        got = {j: trial_seed(11, j).generate_state(n_words, np.uint64) for j in order}
+        return np.array([got[j] for j in trials])
+
+    ref = words(trials)
+    assert np.array_equal(ref, [_seed_sequence(11, j).generate_state(n_words, np.uint64)
+                                for j in trials])
+    assert np.array_equal(words(trials[::-1]), ref)
+    assert np.array_equal(words(np.random.default_rng(0).permutation(trials).tolist()), ref)
+
+
+@pytest.mark.parametrize("n_words", [2, 4097])
+def test_seed_table_is_read_only(n_words):
+    want = _seed_sequence(5, 3).generate_state(n_words, np.uint64)
+    got = trial_seed(5, 3).generate_state(n_words, np.uint64)
+    got[:] = 0  # a returned array is the caller's own
+    assert np.array_equal(trial_seed(5, 3).generate_state(n_words, np.uint64), want)
+    table = stochastic._seed_table(5, n_words, np.dtype(np.uint64), 0)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+
+
+def test_seed_tables_memory_is_bounded():
+    # 1e5 trials in 120 tables of 16 KB; all of them kept would reach 2 MB
+    stochastic._seed_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for seed in range(40):
+            for j in range(2500):
+                trial_seed(seed, j).generate_state(2, np.uint64)  # Philox's request
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_block_rngs_built_on_four_threads_at_once():
     seeds = (3, 2**40 + 1)
-    stochastic._seed_pool.cache_clear()  # the seeds' pools are built concurrently too
+    stochastic._seed_pool.cache_clear()  # the seeds' pools and tables are built concurrently too
+    stochastic._seed_table.cache_clear()
     start = threading.Barrier(4, timeout=60)
 
     def draws(worker):
@@ -334,6 +392,38 @@ def test_overflowing_exp_moment_is_infinite():
     # E exp(t |Z|) = 2 exp(t^2 / 2) Phi(t) is still finite at t = 37
     assert truncated_norm_exp_moment(gaussian(R1, 1.0), 37.0, math.inf) == pytest.approx(
         2.0 * math.exp(37.0 ** 2 / 2.0) * stats.norm.cdf(37.0), rel=1e-9)
+
+
+def _exp_moment_mpmath(lo, pdf, sf, t, L):
+    """E exp(t X) 1{X <= L} + P[X > L] for X with density pdf from lo, by
+    30-digit quadrature on intervals that shrink towards L, where the
+    integrand peaks."""
+    with mpmath.workdps(30):
+        L = mpmath.mpf(L)
+        points = [lo] + [L - (L - lo) / mpmath.mpf(2) ** k for k in range(1, 30)] + [L]
+        return float(mpmath.quad(lambda x: pdf(x) * mpmath.exp(t * x), points) + sf(L))
+
+
+_SQRT_2_PI = mpmath.sqrt(2 / mpmath.pi)
+_NORMAL_TAIL = lambda L: mpmath.erfc(L / mpmath.sqrt(2))
+
+
+@pytest.mark.parametrize("dist, lo, pdf, sf, t, L", [
+    (gaussian(R1, 1.0), 0, lambda x: _SQRT_2_PI * mpmath.exp(-x * x / 2), _NORMAL_TAIL,
+     1000.0, 0.715),
+    (gaussian(R3, 1.0), 0, lambda x: _SQRT_2_PI * x * x * mpmath.exp(-x * x / 2),
+     lambda L: _NORMAL_TAIL(L) + _SQRT_2_PI * L * mpmath.exp(-L * L / 2), 500.0, 1.43),
+    (symmetric_pareto(R1, 4.5), 1, lambda x: 4.5 * x ** -5.5, lambda L: L ** -4.5,
+     10.0, 73.3)])
+def test_exp_moment_near_the_float_range_is_finite(dist, lo, pdf, sf, t, L):
+    # exp(t x + log pdf(x)) overflows on [lo, L], the moment itself does not
+    want = _exp_moment_mpmath(lo, pdf, sf, t, L)
+    assert 1e305 < want < 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncated_norm_exp_moment(dist, t, L) == pytest.approx(want, rel=1e-9)
+    # a little further out the moment overflows
+    assert truncated_norm_exp_moment(dist, t, L * 1.01) == math.inf
 
 
 def test_pinelis_pair_with_infinite_product_bound():

@@ -181,6 +181,18 @@ def test_qinf_matches_mpmath_minimisation():
             assert got.value == pytest.approx(mpmath_qinf(values, u), rel=1e-12, abs=0)
 
 
+def test_qinf_error_is_absolute_near_zero():
+    # normal samples shifted so that Qinf at u = 0.9 is zero to rounding:
+    # the error stays a few ulps of max|x|, while relative to Qinf it is large
+    for seed in range(5):
+        z = np.random.default_rng(seed).standard_normal(30)
+        x = z - mpmath_qinf(z, 0.9)
+        want = mpmath_qinf(x, 0.9)
+        assert abs(want) < 1e-15
+        got = q_infinity(make_sample(x), 0.9).value
+        assert abs(got - want) <= 1e-15 * np.abs(x).max()
+
+
 @pytest.mark.parametrize("c", [1e-300, 1e-12, 1e9, 1e12, 1e300])
 def test_qinf_is_scale_equivariant(c):
     x = np.random.default_rng(4).standard_normal(200)
