@@ -13,23 +13,44 @@ Q1(u) is a weighted average of the top order statistics, and Qinf is a
 one-dimensional convex minimization.
 """
 
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InternalInconsistencyError, InvalidLevelError
 
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted (ascending) finite sample with uniform weights 1/N."""
+    """Sorted (ascending) finite sample with uniform weights 1/N.
+
+    What cvar_q1 and q_infinity compute that does not depend on the level
+    is computed on first use and kept, read-only, for as long as the sample
+    lives: two float arrays of the sample's size and a small table."""
     values: np.ndarray
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def _cvar_terms(self) -> tuple:
+        """(desc, excess): the values in descending order, and at t = desc[j]
+        the sum of (X - t)_+ over the sample, (sum of top j) - j * t."""
+        desc = self.values[::-1]
+        suffix = np.concatenate(([0.0], np.cumsum(desc)))  # sums of top-j values
+        excess = suffix[:-1] - np.arange(len(desc), dtype=float) * desc
+        desc.flags.writeable = False
+        excess.flags.writeable = False
+        return desc, excess
+
+    @cached_property
+    def _chernoff(self) -> "_ChernoffTable":
+        return _ChernoffTable(self.values)
 
 
 def make_sample(values) -> EmpiricalSample:
@@ -42,19 +63,38 @@ def make_sample(values) -> EmpiricalSample:
     return EmpiricalSample(values=arr)
 
 
+_FIRST = operator.itemgetter(0)  # of str.partition's (head, sep, tail)
+
+
 def load_sample(path) -> EmpiricalSample:
-    """Read a newline-delimited numeric file; '#' starts a comment."""
-    vals = []
+    """Read a newline-delimited numeric file; '#' starts a comment.
+
+    A line holds what float() accepts, once the comment and surrounding
+    whitespace are removed; empty lines are skipped. The file is parsed
+    line by line as it is read, by C-level iterators into one array."""
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                vals.append(float(text))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-    return make_sample(vals)
+        # line.partition("#")[0].strip(), kept when nonempty, then float()
+        texts = filter(None, map(str.strip, map(
+            _FIRST, map(str.partition, handle, itertools.repeat("#")))))
+        try:
+            values = np.fromiter(map(float, texts), dtype=float)
+        except ValueError:
+            handle.seek(0)
+            _raise_bad_line(handle, path)
+            raise
+    return make_sample(values)
+
+
+def _raise_bad_line(handle, path):
+    """Raise a ValueError that names the first line float() rejects."""
+    for lineno, line in enumerate(handle, start=1):
+        text = line.partition("#")[0].strip()
+        if not text:
+            continue
+        try:
+            float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
 
 
 def _check_u(u: float):
@@ -101,11 +141,8 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
         value = max(float(integral / u), float(x[n - m]))
 
     # variational cross-check, candidates are the data points
-    desc = x[::-1]
-    suffix = np.concatenate(([0.0], np.cumsum(desc)))  # sums of top-j values
-    j = np.arange(n, dtype=float)
-    # at t = j-th largest value: E(X - t)_+ = (sum of top j) - j * t
-    phi = desc + (suffix[:-1] - j * desc) / (n * u)
+    desc, excess = sample._cvar_terms
+    phi = desc + excess / (n * u)
     variational = float(phi.min())
     if abs(value - variational) > 1e-9 * max(1.0, -float(x[0]), float(x[-1])):
         raise InternalInconsistencyError(
@@ -114,6 +151,9 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
 
 
 _LOG_TINY = math.log(sys.float_info.min)
+# q_infinity's bracket t max|X| in [1e-8, 700], cut at 13 points of log t
+_LOG_T_GRID = tuple(np.linspace(math.log(1e-8), math.log(700.0), 13).tolist())
+_MAX_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -129,10 +169,23 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
     The infimum need not be attained: it is the mean as t -> 0+ when u = 1,
     and the sample maximum as t -> infinity when u <= P[X = max]. Those
     limits are returned exactly with attained=False. Otherwise, with K the
-    cgf of X, the minimiser is the root of g(t) = t K'(t) - K(t) - log(1/u),
-    which is increasing in t. brentq finds it on log t in the scale-free
-    bracket t max|X| in [1e-8, 700]; where g keeps one sign on the bracket,
-    the objective at the end nearer the minimiser is returned.
+    cgf of X, the minimiser is the root of h(t) - log(1/u), where
+    h(t) = t K'(t) - K(t) is increasing in t, with dh/dlog t = t^2 K''(t).
+    The search runs on log t in the scale-free bracket t max|X| in
+    [1e-8, 700]; where h - log(1/u) keeps one sign on it, the objective at
+    the end nearer the minimiser is returned.
+
+    h is tabulated lazily on 13 fixed points of log t across the bracket,
+    and the table is kept with the sample and shared by every level.
+    Bisecting it brackets the root between neighbouring points; Newton
+    steps on log t follow, with a bisection step wherever a Newton step
+    would leave the bracket. The search stops when a step is below
+    1e-10 max(1, |log t|). The objective is stationary at the root, so its
+    error is second order in the root's, and the last evaluation gives
+    the value. Each evaluation takes E Z^k exp(tZ), k = 0, 1, 2, from
+    numpy reductions that do not call BLAS, so a result depends only on
+    the sample and u: not on the CPU or BLAS thread count, nor on the
+    levels computed before it.
 
     The error is absolute, about 1e-16 max|X|, not relative: the value is
     formed as (t max + log E exp(t (X - max)) + log(1/u)) / t, whose terms
@@ -140,7 +193,6 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
     """
     _check_u(u)
     x = sample.values
-    n = len(x)
     xmax = float(x[-1])
     if x[0] == xmax:
         # degenerate law: objective is xmax + log(1/u)/t
@@ -149,50 +201,115 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
     if u == 1.0:
         # objective decreases to the mean as t -> 0+
         return QInfinityResult(value=float(x.mean()), attained=False, t_star=None)
-    p_max = float((x == xmax).sum()) / n
-    if u <= p_max:
+    table = sample._chernoff
+    if u <= table.p_max:
         # objective decreases to xmax as t -> infinity
         return QInfinityResult(value=xmax, attained=False, t_star=None)
 
-    # in units of s = max|X|, so t s is the search variable and nothing
-    # in the bracket depends on the scale of the sample
     log_inv_u = math.log(1.0 / u)
-    scale = max(-float(x[0]), xmax)
-    zmax = xmax / scale
-    z = x / scale
-    z -= zmax
-    lo, hi = math.log(1e-8), math.log(700.0)
-    if _stationarity(lo, z, log_inv_u) >= 0.0:
-        log_t = lo
-    elif _stationarity(hi, z, log_inv_u) <= 0.0:
-        log_t = hi
-    else:
-        # the data go in as arguments: brentq keeps its function in a
-        # reference cycle, which would hold a closure's array until gc runs
-        log_t = brentq(_stationarity, lo, hi, args=(z, log_inv_u))
-    t, m0, _ = _exp_moments(z, log_t)
-    value = scale * ((t * zmax + math.log(m0) + log_inv_u) / t)
-    return QInfinityResult(value=value, attained=True, t_star=t / scale)
+    point = table.root(log_inv_u)
+    t = point.t
+    value = table.scale * ((t * table.zmax + point.log_m0 + log_inv_u) / t)
+    return QInfinityResult(value=value, attained=True, t_star=t / table.scale)
+
+
+@dataclass(frozen=True)
+class _CgfPoint:
+    """h = t K'(t) - K(t) and dh = dh/dlog t = t^2 K''(t) at t = exp(log_t),
+    with log_m0 = log E exp(tZ) = K(t)."""
+    log_t: float
+    t: float
+    h: float
+    dh: float
+    log_m0: float
+
+
+class _ChernoffTable:
+    """The level-independent part of q_infinity for one non-degenerate
+    ascending sample x.
+
+    Values are in units of s = max|x|, so t s is the search variable and
+    nothing in the bracket depends on the scale of the sample:
+    z = x / s - max(x) / s is an ascending array <= 0 that contains 0.
+    Rows of h on _LOG_T_GRID are evaluated on first use and kept; a row is
+    a function of the sample and its grid index alone."""
+
+    def __init__(self, x: np.ndarray):
+        xmax = float(x[-1])
+        self.scale = max(-float(x[0]), xmax)
+        self.zmax = xmax / self.scale
+        z = x / self.scale
+        z -= self.zmax
+        z.flags.writeable = False
+        self.z = z
+        self.p_max = float(np.count_nonzero(x == xmax)) / x.size
+        self._rows = {}
+
+    def point(self, log_t: float) -> _CgfPoint:
+        t, m0, m1, m2 = _exp_moments(self.z, log_t)
+        mean, log_m0 = m1 / m0, math.log(m0)
+        return _CgfPoint(log_t=log_t, t=t, h=t * mean - log_m0,
+                         dh=t * t * (m2 / m0 - mean * mean), log_m0=log_m0)
+
+    def row(self, i: int) -> _CgfPoint:
+        if i not in self._rows:
+            self._rows[i] = self.point(_LOG_T_GRID[i])
+        return self._rows[i]
+
+    def root(self, level: float) -> _CgfPoint:
+        """The point where h crosses level, or the bracket end nearer it."""
+        lo, hi = 0, len(_LOG_T_GRID) - 1
+        a, b = self.row(lo), self.row(hi)
+        if a.h >= level:
+            return a
+        if b.h <= level:
+            return b
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            p = self.row(mid)
+            if p.h < level:
+                lo, a = mid, p
+            else:
+                hi, b = mid, p
+        # h(a) < level <= h(b); Newton from the end nearer the root
+        p = a if level - a.h < b.h - level else b
+        left, right = a.log_t, b.log_t
+        for _ in range(_MAX_NEWTON_STEPS):  # each step narrows (left, right)
+            f = p.h - level
+            if f == 0.0:
+                break
+            if f < 0.0:
+                left = p.log_t
+            else:
+                right = p.log_t
+            step = -f / p.dh if p.dh > 0.0 else math.inf
+            nxt = p.log_t + step
+            if not left < nxt < right:
+                nxt = 0.5 * (left + right)
+            if abs(nxt - p.log_t) <= 1e-10 * max(1.0, abs(p.log_t)):
+                break
+            p = self.point(nxt)
+        return p
 
 
 def _exp_moments(z: np.ndarray, log_t: float) -> tuple:
-    """(t, E exp(t Z), E Z exp(t Z)) at t = exp(log_t), for an ascending
-    sample z <= 0 of Z that contains 0.
+    """(t, E exp(t Z), E Z exp(t Z), E Z^2 exp(t Z)) at t = exp(log_t), for
+    an ascending sample z <= 0 of Z that contains 0.
 
     Terms below the smallest normal float are left out: beside the term
     exp(0) = 1 they are lost to rounding, and exp is many times slower
-    where its result is subnormal."""
+    where its result is subnormal. The sums are numpy's own reductions,
+    never BLAS, whose threaded dot products round differently with the
+    thread count."""
     t = math.exp(log_t)
     tail = z[np.searchsorted(z, _LOG_TINY / t):]
     w = t * tail
     np.exp(w, out=w)
-    return t, float(w.sum()) / z.size, float(w @ tail) / z.size
-
-
-def _stationarity(log_t: float, z: np.ndarray, log_inv_u: float) -> float:
-    """t K'(t) - K(t) - log(1/u) at t = exp(log_t), K the cgf of Z."""
-    t, m0, m1 = _exp_moments(z, log_t)
-    return t * m1 / m0 - math.log(m0) - log_inv_u
+    m0 = float(np.add.reduce(w))
+    m1 = float(np.einsum("i,i->", w, tail))
+    w *= tail
+    m2 = float(np.einsum("i,i->", w, tail))
+    return t, m0 / z.size, m1 / z.size, m2 / z.size
 
 
 @dataclass(frozen=True)

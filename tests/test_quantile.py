@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -201,6 +205,97 @@ def test_qinf_is_scale_equivariant(c):
         assert q_infinity(make_sample(c * x), u).value == pytest.approx(c * base, rel=1e-12, abs=0)
 
 
+NINE_LEVELS = [k / 10 for k in range(1, 10)]
+
+
+def test_qinf_does_not_depend_on_level_order():
+    x = np.random.default_rng(11).standard_t(3.0, 2000)
+    levels = NINE_LEVELS + [0.999, 0.001]
+
+    def run(order, fresh=False):
+        shared = make_sample(x)
+        return {u: q_infinity(make_sample(x) if fresh else shared, u) for u in order}
+
+    want = run(levels, fresh=True)
+    order = list(levels)
+    np.random.default_rng(5).shuffle(order)
+    for got in (run(sorted(levels)), run(sorted(levels, reverse=True)), run(order)):
+        for u in levels:
+            assert (got[u].value, got[u].t_star) == (want[u].value, want[u].t_star), u
+
+
+def test_qinf_levels_share_one_table(monkeypatch):
+    calls = []
+    real = quantile._exp_moments
+
+    def counting(z, log_t):
+        calls.append(log_t)
+        return real(z, log_t)
+
+    monkeypatch.setattr(quantile, "_exp_moments", counting)
+    s = make_sample(np.random.default_rng(7).standard_t(3.0, 20_000))
+    for u in NINE_LEVELS:
+        assert q_infinity(s, u).attained
+    # a brentq search per level took 187 evaluations
+    assert len(calls) <= 80
+
+
+def test_cached_sample_state_is_read_only():
+    s = make_sample(np.random.default_rng(2).standard_normal(100))
+    cvar_q1(s, 0.3)
+    q_infinity(s, 0.3)
+    for arr in (*s._cvar_terms, s._chernoff.z):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def reference_cvar(values, u):
+    """cvar_q1's integral form and its variational cross-check, both
+    computed afresh from the sorted values."""
+    x = np.sort(np.asarray(values, dtype=float))
+    n = len(x)
+    m = min(max(math.ceil(n * u), 1), n)
+    if u == 1.0:
+        value = max(float(x.mean()), float(x[0]))
+    else:
+        top_full = x[n - m + 1:] if m > 1 else x[:0]
+        integral = top_full.sum() / n + (u - (m - 1) / n) * x[n - m]
+        value = max(float(integral / u), float(x[n - m]))
+    desc = x[::-1]
+    suffix = np.concatenate(([0.0], np.cumsum(desc)))
+    j = np.arange(n, dtype=float)
+    variational = float((desc + (suffix[:-1] - j * desc) / (n * u)).min())
+    return value, variational
+
+
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+       st.lists(st.floats(0.001, 1.0), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_cvar_equals_the_inline_formula_bit_for_bit(values, levels):
+    s = make_sample(values)
+    for u in levels:
+        value, variational = reference_cvar(values, u)
+        assert cvar_q1(s, u) == value
+        desc, excess = s._cvar_terms
+        assert float((desc + excess / (len(s) * u)).min()) == variational
+
+
+def test_qinf_does_not_depend_on_the_blas_thread_count():
+    code = ("import numpy as np; from fuknagaev.quantile import make_sample, q_infinity; "
+            "s = make_sample(np.random.default_rng(3).standard_normal(200_000)); "
+            "print([q_infinity(s, u).value.hex() for u in (0.1, 0.3, 0.5, 0.9)])")
+    src = str(Path(quantile.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @given(st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=20),
        st.floats(0.05, 1.0))
 @settings(max_examples=200, deadline=None)
@@ -308,4 +403,17 @@ def test_load_sample_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0\nnot-a-number\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        load_sample(path)
+
+
+def test_load_sample_accepts_what_float_accepts(tmp_path):
+    path = tmp_path / "sample.txt"
+    path.write_bytes("1_000\r\n\u0661\u0662 # arabic-indic 12\r\n\r\n\t-2.5e-3 \r\n".encode())
+    assert load_sample(path).values.tolist() == [-2.5e-3, 12.0, 1000.0]
+
+
+def test_load_sample_names_the_bad_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# two numbers on one line\n1.0\n\n1 2\n3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad.txt:4: not a number: '1 2'"):
         load_sample(path)
