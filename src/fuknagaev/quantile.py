@@ -69,9 +69,10 @@ _FIRST = operator.itemgetter(0)  # of str.partition's (head, sep, tail)
 def load_sample(path) -> EmpiricalSample:
     """Read a newline-delimited numeric file; '#' starts a comment.
 
-    A line holds what float() accepts, once the comment and surrounding
-    whitespace are removed; empty lines are skipped. The file is parsed
-    line by line as it is read, by C-level iterators into one array."""
+    A line holds what float() accepts and maps to a finite value, once the
+    comment and surrounding whitespace are removed; empty lines are
+    skipped. The file is parsed line by line as it is read, by C-level
+    iterators into one array; a bad line is named by path and number."""
     with open(path, encoding="utf-8") as handle:
         # line.partition("#")[0].strip(), kept when nonempty, then float()
         texts = filter(None, map(str.strip, map(
@@ -82,19 +83,25 @@ def load_sample(path) -> EmpiricalSample:
             handle.seek(0)
             _raise_bad_line(handle, path)
             raise
+        if not np.isfinite(values).all():
+            handle.seek(0)
+            _raise_bad_line(handle, path)
     return make_sample(values)
 
 
 def _raise_bad_line(handle, path):
-    """Raise a ValueError that names the first line float() rejects."""
+    """Raise a ValueError that names the first line float() rejects or
+    reads as nan or an infinity."""
     for lineno, line in enumerate(handle, start=1):
         text = line.partition("#")[0].strip()
         if not text:
             continue
         try:
-            float(text)
+            value = float(text)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
 
 
 def _check_u(u: float):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
-from scipy import integrate, optimize, stats
 from scipy.special import gammainc, gammaln, hyp1f1, logsumexp
 
 from .errors import (InfiniteMomentError, InvalidQError, PreconditionError,
@@ -188,7 +187,8 @@ def _uint32_words(n: int) -> list:
 
 @functools.lru_cache(maxsize=256)
 def _hash_steps(h: int, mult: int, count: int) -> tuple:
-    """The (h, h') pairs of ``count`` hash steps from h."""
+    """The (h, h') pairs of ``count`` hash steps from h, for the pool's
+    fixed counts (seed tables take their steps from one cumprod)."""
     steps = []
     for _ in range(count):
         steps.append((h, h * mult & _MASK32))
@@ -255,8 +255,11 @@ def _seed_table(seed: int, n_words: int, dtype: np.dtype, chunk: int) -> np.ndar
     pool = [np.full(1, p, dtype=_UINT32) for p in pool]
     _mix_in(pool, h, [np.arange(low, low + size, dtype=_UINT32),
                       *(np.full(1, w, dtype=_UINT32) for w in high)])
-    steps = np.array(_hash_steps(_INIT_B, _MULT_B, count), dtype=_UINT32).reshape(count, 2)
-    table = _hashmix(np.stack(pool, axis=1)[:, np.arange(count) % _POOL_SIZE], steps.T)
+    steps = np.full(count + 1, _MULT_B, dtype=_UINT32)
+    steps[0] = _INIT_B
+    np.cumprod(steps, out=steps)  # h_i = INIT_B * MULT_B^i mod 2^32, wrapping
+    table = _hashmix(np.stack(pool, axis=1)[:, np.arange(count) % _POOL_SIZE],
+                     (steps[:-1], steps[1:]))
     if dtype == _UINT64:  # little-endian word pairs, as numpy joins them
         table = table.astype("<u4", order="C").view("<u8").astype(_UINT64)
     table.flags.writeable = False
@@ -531,20 +534,23 @@ def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exponential-moment (Pinelis) check
 
-class _FoldedT(stats.rv_continuous):
-    """|T| for a Student-t variable T with ``df`` degrees of freedom."""
+@functools.cache
+def _folded_t():
+    """The law of |T| for a Student-t variable T, with a ``df`` shape;
+    built, and scipy.stats imported, on the first call."""
+    from scipy import stats
 
-    def _pdf(self, x, df):
-        return 2.0 * stats.t.pdf(x, df)
+    class _FoldedT(stats.rv_continuous):
+        def _pdf(self, x, df):
+            return 2.0 * stats.t.pdf(x, df)
 
-    def _sf(self, x, df):
-        return 2.0 * stats.t.sf(x, df)
+        def _sf(self, x, df):
+            return 2.0 * stats.t.sf(x, df)
 
-    def _isf(self, q, df):
-        return stats.t.isf(q / 2.0, df)
+        def _isf(self, q, df):
+            return stats.t.isf(q / 2.0, df)
 
-
-_folded_t = _FoldedT(a=0.0, name="folded_t")
+    return _FoldedT(a=0.0, name="folded_t")
 
 
 def _scalar_norm_law(dist: IncrementDistribution):
@@ -553,10 +559,12 @@ def _scalar_norm_law(dist: IncrementDistribution):
     kind, d, a = dist.kind, dist.space.dimension, dist.param
     if kind == RADEMACHER or (kind == GAUSSIAN and a == 0.0):
         return a
+    from scipy import stats
+
     if kind == SYMMETRIC_PARETO:
         return stats.pareto(b=a)
     if kind == STUDENT_T:
-        return _folded_t(a)
+        return _folded_t()(a)
     if kind == GAUSSIAN and d == 1:
         return stats.halfnorm(scale=a)
     if kind == GAUSSIAN and dist.space.p == 2:  # euclidean, or l^2
@@ -578,6 +586,8 @@ def _log_peak(log_f, lo: float, hi: float, law) -> float:
     nonincreasing term; for t > 0 it is reached only on the Gaussian laws,
     where a peak beyond it lowers m by less than the float range unless
     the moment overflows anyway."""
+    from scipy import optimize
+
     top = hi if hi < math.inf else law.isf(1e-16)
     inner = optimize.minimize_scalar(lambda s: -log_f(lo + s * (top - lo)), bounds=(0.0, 1.0),
                                      method="bounded")
@@ -602,6 +612,8 @@ def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L,
             f"no scalar norm law for {dist.kind} in dimension {dist.space.dimension}")
     if isinstance(law, float):
         return h(law) if law <= L else h(0.0)
+    from scipy import integrate
+
     lo, hi = law.support()  # lo >= 0 for every norm law
     hi = min(hi, L)
     if log_h is None:

@@ -11,8 +11,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
-from scipy.optimize import brentq
+from scipy.special import betaincinv
 
 from .bounds import _tail_terms, confidence_bound
 from .errors import InvalidCountError, InvalidLevelError, InvalidQError
@@ -22,14 +21,16 @@ from .stochastic import (IncrementDistribution, MomentProfile, moment_profile,
 
 
 def clopper_pearson_upper(k: int, trials: int, confidence: float) -> float:
-    """Exact one-sided upper confidence limit for a binomial proportion."""
+    """Exact one-sided upper confidence limit for a binomial proportion:
+    the confidence quantile of Beta(k + 1, trials - k), from Boost's
+    inverse regularised incomplete beta function (as scipy.stats.beta.ppf)."""
     if not 0 <= k <= trials:
         raise InvalidCountError(f"need 0 <= k <= trials, got k={k}, trials={trials}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if k == trials:
         return 1.0
-    return float(beta.ppf(confidence, k + 1, trials - k))
+    return float(betaincinv(k + 1, trials - k, confidence))
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,8 @@ def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,
     contains no sign change, which is a valid outcome: for small sigma the
     polynomial term dominates throughout.
     """
+    from scipy.optimize import brentq
+
     t_lo, t_hi = bracket
     if not 0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got {bracket}")

@@ -9,11 +9,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -201,6 +204,20 @@ def test_seed_tables_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_large_seed_requests_hold_no_memory():
+    # above 4096 words a request is a one-trial table, neither cached nor
+    # kept; its hash constants are not kept per count either
+    trial_seed(1, 0).generate_state(2, np.uint64)  # the seed's cached pool
+    tracemalloc.start()
+    try:
+        for n_words in (10000, 10001, 10002):
+            trial_seed(1, 0).generate_state(n_words, np.uint64)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 19
 
 
 def test_block_rngs_built_on_four_threads_at_once():
@@ -579,3 +596,60 @@ def test_internal_inconsistency_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(quantile, "cvar_q1", broken)
     assert cli.run(["quantile", str(path), "--u", "0.5"]) == 3
     assert "internal error: CVaR forms disagree" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- import cost
+
+_LAZY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+
+# Run in a fresh interpreter: other test modules import scipy.stats themselves.
+_IMPORT_PROBE = """
+import sys
+sample_file, out_dir, lazy = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
+from fuknagaev import cli
+from fuknagaev.spaces import make_euclidean
+from fuknagaev.stochastic import (MomentProfile, pinelis_check, rademacher, student_t,
+                                  truncated_ensemble)
+from fuknagaev.verify import CampaignConfig, crossover_scan, tightness
+
+runs = (["verify", "--dist", "pareto", "--alpha", "4.5", "--dim", "5", "--n", "50",
+         "--trials", "300", "--q", "4", "--D", "1", "--u", "0.5,0.1", "--seed", "5",
+         "--out", out_dir + "/pareto.json"],
+        ["verify", "--dist", "gaussian", "--p", "3", "--dim", "16", "--n", "20",
+         "--trials", "300", "--q", "4", "--u", "0.5,0.1", "--seed", "5",
+         "--out", out_dir + "/gaussian.csv", "--format", "csv"],
+        ["proofcheck", "--q", "4", "--D", "1", "--sigma", "1", "--u", "0.1"],
+        ["bound", "--q", "4", "--D", "1", "--sigma", "1", "--cq", "1", "--u", "0.1"],
+        ["quantile", sample_file, "--u", "0.1,0.5", "--out", out_dir + "/quantile.json"])
+for argv in runs:
+    assert cli.run(argv) == 0, argv
+config = CampaignConfig(dist=rademacher(make_euclidean(1), 1.0), n=20, trials=300, q=4.0,
+                        D=1.0, u_grid=(0.5, 0.1), seed=3)
+assert tightness(config, n_boot=20).passed
+signs = truncated_ensemble(config.dist, 5, 500, seed=4, trunc_L=1.0)  # a point-mass norm
+assert pinelis_check(signs, t=0.5, D=1.0, dist=config.dist, trunc_L=1.0).passed
+loaded = [name for name in lazy if name in sys.modules]
+assert not loaded, f"loaded without a caller that needs them: {loaded}"
+
+# the calls that need them still work
+dist = student_t(make_euclidean(3), 5.0)
+ens = truncated_ensemble(dist, 5, 500, seed=21, trunc_L=2.0)
+assert pinelis_check(ens, t=0.5, D=1.0, dist=dist, trunc_L=2.0).passed
+t = crossover_scan(MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0), 1.0, (1.0, 1e4))
+assert t is not None and 1.0 <= t <= 1e4
+print("ok")
+"""
+
+
+def test_import_loads_no_scipy_stats_optimize_or_integrate(tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("\n".join(map(repr, np.random.default_rng(4).standard_t(3.0, 500).tolist())),
+                      encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(sample), str(tmp_path),
+                           ",".join(_LAZY_SCIPY)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "ok"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from fuknagaev import quantile
+from fuknagaev import cli, quantile
 from fuknagaev.errors import InternalInconsistencyError, InvalidLevelError
 from fuknagaev.quantile import (EmpiricalSample, cvar_q1, load_sample,
                                 make_sample, q_infinity,
@@ -417,3 +418,25 @@ def test_load_sample_names_the_bad_line(tmp_path):
     path.write_text("# two numbers on one line\n1.0\n\n1 2\n3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad.txt:4: not a number: '1 2'"):
         load_sample(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+def test_load_sample_names_a_non_finite_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1.0\n# comment\n2.5\n {text}  # not finite\n3\n", encoding="utf-8")
+    message = f"bad.txt:4: not a finite number: '{text}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_sample(path)
+    assert cli.run(["quantile", str(path), "--u", "0.1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_load_sample_reads_the_bits_float_reads(tmp_path):
+    rng = np.random.default_rng(8)
+    values = np.concatenate([rng.standard_t(3.0, 1000) * 10.0 ** rng.integers(-300, 300, 1000),
+                             [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0]])
+    texts = [repr(v) for v in values.tolist()] + ["0.1", "1e-5", "  -7.25e+2 ", "3."]
+    path = tmp_path / "sample.txt"
+    path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    want = np.sort(np.array([float(t) for t in texts]))
+    assert load_sample(path).values.tobytes() == want.tobytes()

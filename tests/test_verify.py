@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from fuknagaev.errors import (InfiniteMomentError, InvalidCountError,
                               InvalidLevelError)
@@ -28,6 +28,16 @@ def test_cp_zero_successes_closed_form():
 
 def test_cp_all_successes():
     assert clopper_pearson_upper(100, 100, 0.99) == 1.0
+
+
+@pytest.mark.parametrize("trials", [1, 2, 100, 10**4, 10**6])
+def test_cp_equals_the_beta_quantile_bit_for_bit(trials):
+    for k in sorted({0, 1, trials // 2, trials - 1} - {trials}):
+        for c in (0.5, 0.9, 0.99, 0.999):
+            assert clopper_pearson_upper(k, trials, c) == float(beta.ppf(c, k + 1, trials - k)), \
+                (k, trials, c)
+    for c in (0.5, 0.999):
+        assert clopper_pearson_upper(trials, trials, c) == 1.0
 
 
 def _cp_bisection(k, n, confidence):
