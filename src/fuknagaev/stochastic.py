@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
-from scipy.special import gammainc, gammaln, hyp1f1, logsumexp
+from scipy.special import (betainc, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, logsumexp,
+                           poch, stdtr, stdtrit)
 
 from .errors import (InfiniteMomentError, InvalidQError, PreconditionError,
                      UnsupportedFunctionError)
@@ -534,51 +535,114 @@ def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exponential-moment (Pinelis) check
 
-@functools.cache
-def _folded_t():
-    """The law of |T| for a Student-t variable T, with a ``df`` shape;
-    built, and scipy.stats imported, on the first call."""
-    from scipy import stats
+def _log(x: float) -> float:
+    """log x, and -inf at 0, where a survival function underflows."""
+    return math.log(x) if x > 0 else -math.inf
 
-    class _FoldedT(stats.rv_continuous):
-        def _pdf(self, x, df):
-            return 2.0 * stats.t.pdf(x, df)
 
-        def _sf(self, x, df):
-            return 2.0 * stats.t.sf(x, df)
+@dataclass(frozen=True)
+class _NormLaw:
+    """Continuous law of R = ||xi||, as plain scalar functions: the log
+    density on the support, the log survival function and the truncated
+    mean E[R; R <= L] at any level L > 0, and the inverse survival function."""
+    support: tuple
+    logpdf: object
+    logsf: object
+    isf: object
+    mean_below: object
 
-        def _isf(self, q, df):
-            return stats.t.isf(q / 2.0, df)
 
-    return _FoldedT(a=0.0, name="folded_t")
+def _pareto_law(alpha: float) -> _NormLaw:
+    """Pareto(alpha) on [1, inf): density alpha x^(-alpha-1)."""
+    log_alpha = math.log(alpha)
+    return _NormLaw(
+        support=(1.0, math.inf),
+        logpdf=lambda x: log_alpha - (alpha + 1.0) * math.log(x),
+        logsf=lambda x: -alpha * math.log(max(x, 1.0)),
+        isf=lambda q: q ** (-1.0 / alpha),
+        mean_below=lambda L: (alpha / (alpha - 1.0) * -math.expm1((1.0 - alpha) * math.log(L))
+                              if L >= 1.0 else 0.0))
+
+
+def _folded_t_law(nu: float) -> _NormLaw:
+    """|T| for T Student-t(nu): density 2c (1 + x^2/nu)^(-(nu+1)/2), with
+    c = Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2))."""
+    two_c = 2.0 * float(poch(nu / 2.0, 0.5)) / math.sqrt(nu * math.pi)
+    log_two_c = math.log(two_c)
+
+    def logsf(x):
+        # from 1/2 up, log sf is log1p(-cdf), which keeps its relative accuracy near 0
+        sf = 2.0 * float(stdtr(nu, -x))
+        if sf < 0.5:
+            return _log(sf)
+        return math.log1p(-float(betainc(0.5, nu / 2.0, x * x / (nu + x * x))))
+
+    return _NormLaw(
+        support=(0.0, math.inf),
+        logpdf=lambda x: log_two_c - (nu + 1.0) / 2.0 * math.log1p(x * x / nu),
+        logsf=logsf,
+        isf=lambda q: -float(stdtrit(nu, q / 2.0)),
+        mean_below=lambda L: (two_c * nu / (nu - 1.0)
+                              * -math.expm1(-(nu - 1.0) / 2.0 * math.log1p(L * L / nu))))
+
+
+def _chi_law(d: int, a: float) -> _NormLaw:
+    """a R for R ~ chi(d), the norm of an N(0, a^2 I) vector in R^d (the
+    half-normal law for d = 1): density proportional to x^(d-1) e^(-x^2/(2a^2))."""
+    s = d / 2.0
+    log_norm = (1.0 - s) * math.log(2.0) - float(gammaln(s)) - math.log(a)
+    mean = a * math.sqrt(2.0) * float(poch(s, 0.5))  # E R
+
+    def logpdf(x):
+        y = x / a
+        return log_norm + (d - 1) * _log(y) - 0.5 * y * y if d > 1 else log_norm - 0.5 * y * y
+
+    def logsf(x):
+        z = 0.5 * (x / a) * (x / a)
+        cdf = float(gammainc(s, z))  # as for the folded t law
+        return math.log1p(-cdf) if cdf < 0.5 else _log(float(gammaincc(s, z)))
+
+    return _NormLaw(
+        support=(0.0, math.inf),
+        logpdf=logpdf,
+        logsf=logsf,
+        isf=lambda q: a * math.sqrt(2.0 * gammainccinv(s, q)),
+        mean_below=lambda L: mean * float(gammainc(s + 0.5, 0.5 * (L / a) * (L / a))))
+
+
+def _uniform_law(a: float) -> _NormLaw:
+    """Uniform on [0, a]."""
+    log_a = math.log(a)
+    return _NormLaw(
+        support=(0.0, a),
+        logpdf=lambda x: -log_a,
+        logsf=lambda x: math.log1p(-x / a) if x < a else -math.inf,
+        isf=lambda q: a * (1.0 - q),
+        mean_below=lambda L: min(L, a) * min(L, a) / (2.0 * a))
 
 
 def _scalar_norm_law(dist: IncrementDistribution):
-    """Law of ||xi||: a float for a point mass, else a frozen scipy
-    distribution; None when the norm has no closed-form scalar law."""
+    """Law of ||xi||: a float for a point mass, else a _NormLaw. Raises
+    PreconditionError when the norm has no closed-form scalar law."""
     kind, d, a = dist.kind, dist.space.dimension, dist.param
     if kind == RADEMACHER or (kind == GAUSSIAN and a == 0.0):
         return a
-    from scipy import stats
-
     if kind == SYMMETRIC_PARETO:
-        return stats.pareto(b=a)
+        return _pareto_law(a)
     if kind == STUDENT_T:
-        return _folded_t()(a)
-    if kind == GAUSSIAN and d == 1:
-        return stats.halfnorm(scale=a)
-    if kind == GAUSSIAN and dist.space.p == 2:  # euclidean, or l^2
-        return stats.chi(df=d, scale=a)
+        return _folded_t_law(a)
+    if kind == GAUSSIAN and (d == 1 or dist.space.p == 2):  # R^1, euclidean or l^2
+        return _chi_law(d, a)
     if kind == UNIFORM_CUBE and d == 1:
-        return stats.uniform(loc=0.0, scale=a)
-    return None
+        return _uniform_law(a)
+    raise PreconditionError(f"no scalar norm law for {kind} in dimension {d}")
 
 
 def _truncation_level(trunc_L) -> float:
     return trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
 
 
-def _log_peak(log_f, lo: float, hi: float, law) -> float:
+def _log_peak(log_f, lo: float, hi: float, law: _NormLaw) -> float:
     """The maximum of log_f over [lo, hi]: the larger of its finite end
     values and a bounded Brent search in between. An infinite hi is cut at
     the law's 1e-16 upper quantile. That is past the mode of every density
@@ -594,31 +658,25 @@ def _log_peak(log_f, lo: float, hi: float, law) -> float:
     return max(-inner.fun, log_f(lo), log_f(hi) if hi < math.inf else -math.inf)
 
 
-def _truncated_norm_expectation(dist: IncrementDistribution, h, trunc_L,
-                                log_h=None) -> float:
-    """E h(||xi~||) for the level-L truncation, computed without sampling.
+def _truncated_norm_expectation(dist: IncrementDistribution, log_h, trunc_L) -> float:
+    """E h(||xi~||) for h = exp(log_h) and the level-L truncation, computed
+    without sampling.
 
-    The truncated mass sits at zero; the rest is a quadrature of h against
-    the law of ||xi|| over its support within [0, L]. Given log_h, the
-    quadrature integrates exp(log_h(x) + log pdf(x) - m) instead, m the
-    maximum of that exponent over the interval, to full relative accuracy
-    (no absolute tolerance), and m is added back in log space: the result
-    overflows (OverflowError) only where the expectation itself does.
+    The truncated mass sits at zero, with weight P[||xi|| > L]; the rest is
+    a quadrature of exp(log_h(x) + log pdf(x) - m) over the support of
+    ||xi|| within [0, L], m the maximum of that exponent over the interval,
+    to full relative accuracy (no absolute tolerance), and m is added back
+    in log space: the result overflows (OverflowError) only where the
+    expectation itself does.
     """
     L = _truncation_level(trunc_L)
     law = _scalar_norm_law(dist)
-    if law is None:
-        raise PreconditionError(
-            f"no scalar norm law for {dist.kind} in dimension {dist.space.dimension}")
     if isinstance(law, float):
-        return h(law) if law <= L else h(0.0)
+        return math.exp(log_h(law) if law <= L else log_h(0.0))
     from scipy import integrate
 
-    lo, hi = law.support()  # lo >= 0 for every norm law
+    lo, hi = law.support  # lo >= 0 for every norm law
     hi = min(hi, L)
-    if log_h is None:
-        val = integrate.quad(lambda x: h(x) * law.pdf(x), lo, hi, limit=200)[0] if lo < L else 0.0
-        return val + h(0.0) * law.sf(L)
     log_val = -math.inf
     if lo < L:
         log_f = lambda x: log_h(x) + law.logpdf(x)
@@ -636,15 +694,19 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
             and _truncation_level(trunc_L) == math.inf):
         return math.inf
     try:
-        return _truncated_norm_expectation(dist, lambda x: math.exp(t * x), trunc_L,
-                                           log_h=lambda x: t * x)
+        return _truncated_norm_expectation(dist, lambda x: t * x, trunc_L)
     except OverflowError:  # the point mass, or the moment itself
         return math.inf
 
 
 def truncated_norm_mean(dist: IncrementDistribution, trunc_L) -> float:
-    """E ||xi~|| for the level-L truncation."""
-    return _truncated_norm_expectation(dist, lambda x: x, trunc_L)
+    """E ||xi~|| = E[||xi||; ||xi|| <= L] for the level-L truncation (the
+    truncated mass sits at zero), in closed form."""
+    L = _truncation_level(trunc_L)
+    law = _scalar_norm_law(dist)
+    if isinstance(law, float):
+        return law if law <= L else 0.0
+    return law.mean_below(L)
 
 
 @dataclass(frozen=True)

@@ -159,10 +159,11 @@ def tightness(config: CampaignConfig, n_boot: int = 200) -> TightnessReport:
     sample = make_sample(rm)
     boot_rng = np.random.default_rng(np.random.SeedSequence(
         entropy=config.seed, spawn_key=(0xB007,)))
-    idx = boot_rng.integers(0, len(rm), size=(n_boot, len(rm)))
     boot_q = np.empty((len(config.u_grid), n_boot))  # row i: level i
-    for k, row in enumerate(idx):
-        resample = make_sample(rm[row])  # one sort serves every level
+    for k in range(n_boot):
+        # one index row per resample, drawn as the rows of one (n_boot, trials)
+        # call would be; one sort serves every level
+        resample = make_sample(rm[boot_rng.integers(0, len(rm), size=len(rm))])
         boot_q[:, k] = [quantile_q(resample, u) for u in config.u_grid]
     rows = []
     for u, level_q in zip(config.u_grid, boot_q):

@@ -17,12 +17,13 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from fuknagaev import cli, quantile, stochastic
 from fuknagaev.bounds import tail_bound
@@ -455,6 +456,90 @@ def test_pinelis_pair_with_infinite_product_bound():
     assert np.all(state.e_terms == math.inf) and state.passed
 
 
+
+def _folded_t_reference(nu):
+    """The law of |T|, T ~ Student-t(nu), from scipy.stats.t: density and
+    survival function doubled, upper quantiles at half the level."""
+    t = stats.t(nu)
+    return SimpleNamespace(logpdf=lambda x: math.log(2.0) + t.logpdf(x),
+                           logsf=lambda x: math.log(2.0) + t.logsf(x),
+                           isf=lambda q: t.isf(q / 2.0), pdf=lambda x: 2.0 * t.pdf(x))
+
+
+# Each row of the norm-law table, the scipy.stats law it stands for, and an x
+# grid over the support: both ends, the body and the far tail, up to where
+# the reference survival function underflows (its logsf is then -inf, as the
+# row's is) or, for the Pareto density, to 1e50 (scipy's logpdf takes the log
+# of the density and reads -inf from 1e55 on). No point sits just above 1
+# for the Pareto laws or at 1e-8 for t(3): there scipy's logsf is the log of
+# a survival function near 1 and is off by 3e-9 relative.
+_NORM_LAWS = [
+    (symmetric_pareto(R3, 4.5), stats.pareto(b=4.5), (1.0, 1.5, 3.0, 1e3, 1e50)),
+    (symmetric_pareto(R1, 2.5), stats.pareto(b=2.5), (1.0, 2.0, 73.3, 1e10, 1e50)),
+    (student_t(R1, 3.0), _folded_t_reference(3.0), (0.0, 0.5, 2.0, 10.0, 1e3, 1e60, 1e120)),
+    (student_t(R3, 5.0), _folded_t_reference(5.0), (0.0, 1.0, 7.0, 1e5, 1e50, 1e70)),
+    (student_t(R1, 30.0), _folded_t_reference(30.0), (0.0, 0.3, 3.0, 50.0, 1e9, 1e20)),
+    (gaussian(R1, 0.5), stats.halfnorm(scale=0.5), (0.0, 1e-9, 0.2, 1.0, 4.0, 15.0, 18.5)),
+    (gaussian(R3, 1.0), stats.chi(df=3), (0.0, 1e-9, 0.5, 1.6, 5.0, 20.0, 37.0, 40.0)),
+    (gaussian(make_lp(16, 2.0), 1.5), stats.chi(df=16, scale=1.5),
+     (0.0, 0.01, 3.0, 5.8, 12.0, 40.0, 60.0, 70.0)),
+    (uniform_cube(R1, 1.5), stats.uniform(loc=0.0, scale=1.5), (0.0, 0.3, 0.75, 1.2, 1.5)),
+]
+_NORM_LAW_IDS = ["pareto4.5", "pareto2.5", "t3", "t5", "t30", "halfnormal", "chi3", "chi16",
+                 "uniform"]
+
+
+def _close(got, want, rel):
+    return got == want or abs(got - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("dist, ref, xs", _NORM_LAWS, ids=_NORM_LAW_IDS)
+def test_norm_law_rows_match_scipy_stats(dist, ref, xs):
+    law = stochastic._scalar_norm_law(dist)
+    assert law.support[0] == xs[0]
+    with np.errstate(all="ignore"):  # scipy's log of an underflowed survival function
+        for x in xs:
+            for name in ("logpdf", "logsf"):
+                got, want = getattr(law, name)(x), float(getattr(ref, name)(x))
+                assert type(got) is float and _close(got, want, 1e-13), (name, x, got, want)
+        for q in (1e-200, 1e-16, 1e-3, 0.25, 0.5, 0.9, 1.0):
+            got, want = law.isf(q), float(ref.isf(q))
+            assert type(got) is float and _close(got, want, 1e-13), ("isf", q, got, want)
+    assert law.logsf(math.inf) == -math.inf
+
+
+@pytest.mark.parametrize("dist, ref, xs", _NORM_LAWS, ids=_NORM_LAW_IDS)
+def test_norm_law_truncated_means_match_quadrature(dist, ref, xs):
+    law = stochastic._scalar_norm_law(dist)
+    lo, hi = law.support
+    for L in (0.5, 1.0, 1.7, 4.0, 25.0, math.inf):
+        top = min(hi, L)
+        want = integrate.quad(lambda x: x * ref.pdf(x), lo, top, epsabs=0.0, epsrel=1e-13,
+                              limit=200)[0] if lo < top else 0.0
+        assert type(law.mean_below(L)) is float
+        assert law.mean_below(L) == pytest.approx(want, rel=1e-12, abs=0.0), L
+        assert truncated_norm_mean(dist, L) == law.mean_below(L)
+
+
+@pytest.mark.parametrize("dist, L", [(student_t(R1, 5.0), 1e70), (gaussian(R3, 1.0), 40.0),
+                                     (symmetric_pareto(R3, 4.5), 1e300)],
+                         ids=["t5", "gaussian", "pareto"])
+def test_far_tail_truncation_levels_give_finite_values_without_warnings(dist, L):
+    # the survival function underflows at L (not for the Pareto law, whose
+    # logsf is -4.5 log L); the truncated mean is the full one
+    law = stochastic._scalar_norm_law(dist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = law.logsf(L)
+        assert tail == -4.5 * math.log(L) if dist.kind == "symmetric_pareto" else tail == -math.inf
+        assert law.logsf(math.inf) == -math.inf
+        assert truncated_norm_mean(dist, L) == truncated_norm_mean(dist, math.inf)
+        assert 0.0 < truncated_norm_mean(dist, L) < math.inf
+        if dist.kind == "gaussian":
+            assert truncated_norm_exp_moment(dist, 0.7, L) == pytest.approx(_chi_mgf(3, 1.0, 0.7),
+                                                                            rel=1e-9)
+
+
 # ---------------------------------------------------------------- invalid moments
 
 _bad_values = st.one_of(st.floats(max_value=-5e-324), st.sampled_from([math.nan, math.inf]))
@@ -608,8 +693,9 @@ import sys
 sample_file, out_dir, lazy = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
 from fuknagaev import cli
 from fuknagaev.spaces import make_euclidean
-from fuknagaev.stochastic import (MomentProfile, pinelis_check, rademacher, student_t,
-                                  truncated_ensemble)
+from fuknagaev.stochastic import (MomentProfile, gaussian, pinelis_check, rademacher,
+                                  student_t, symmetric_pareto, truncated_ensemble,
+                                  uniform_cube)
 from fuknagaev.verify import CampaignConfig, crossover_scan, tightness
 
 runs = (["verify", "--dist", "pareto", "--alpha", "4.5", "--dim", "5", "--n", "50",
@@ -631,12 +717,14 @@ assert pinelis_check(signs, t=0.5, D=1.0, dist=config.dist, trunc_L=1.0).passed
 loaded = [name for name in lazy if name in sys.modules]
 assert not loaded, f"loaded without a caller that needs them: {loaded}"
 
-# the calls that need them still work
-dist = student_t(make_euclidean(3), 5.0)
-ens = truncated_ensemble(dist, 5, 500, seed=21, trunc_L=2.0)
-assert pinelis_check(ens, t=0.5, D=1.0, dist=dist, trunc_L=2.0).passed
+# the calls that need integrate or optimize still work, and none loads scipy.stats
+for dist in (symmetric_pareto(make_euclidean(3), 4.5), student_t(make_euclidean(3), 5.0),
+             gaussian(make_euclidean(3), 1.0), uniform_cube(make_euclidean(1), 1.0)):
+    ens = truncated_ensemble(dist, 5, 500, seed=21, trunc_L=2.0)
+    assert pinelis_check(ens, t=0.5, D=1.0, dist=dist, trunc_L=2.0).passed, dist
 t = crossover_scan(MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0), 1.0, (1.0, 1e4))
 assert t is not None and 1.0 <= t <= 1e4
+assert "scipy.stats" not in sys.modules, "a truncated moment or crossover_scan loaded scipy.stats"
 print("ok")
 """
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ def test_tightness_sorts_each_resample_once(dist, monkeypatch):
                         lambda values: sorts.append(1) or make_sample(values))
     assert tightness(config, n_boot=150).rows == expected  # bit-identical floats
     assert len(sorts) == 1 + 150
+
+
+def test_tightness_resamples_at_an_odd_trial_count():
+    # a row per integers() call draws what one (n_boot, trials) call did, odd lengths too
+    config = _small_campaign(dist=symmetric_pareto(make_euclidean(3), 4.5), trials=1001,
+                             u_grid=(0.5, 0.1, 0.01))
+    assert tightness(config, n_boot=40).rows == _per_level_tightness_rows(config, 40)
+
+
+def test_tightness_holds_one_resample_at_a_time():
+    # all (n_boot, trials) bootstrap indices at once were 8 * 200 * 2e4 = 32 MB
+    config = _small_campaign(n=5, trials=20_000)
+    running_max_ensemble(config.dist, config.n, config.trials, config.seed)  # warm caches
+    tracemalloc.start()
+    try:
+        tightness(config, n_boot=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_tightness_rows_serialize_to_csv(tmp_path):
