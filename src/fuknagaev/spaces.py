@@ -42,18 +42,34 @@ class SmoothSpace:
         pow at p = 2, a few ulp off above); other p call pow in place. The
         sums call np.add.reduce, the ufunc behind ndarray.sum, so the bits are
         the same without the method's Python wrapper."""
-        rows = np.asarray(rows, dtype=float)
+        return self._norms(np.asarray(rows, dtype=float))
+
+    @property
+    def _norm_temporaries(self) -> int:
+        """How many arrays of rows' size ``_norms`` fills: x^2 or |x|, and
+        |x|^p for p in _MUL_POWERS."""
+        return 2 if self.norm_kind == LP and self.p in _MUL_POWERS else 1
+
+    def _norms(self, rows: np.ndarray, scratch=()) -> np.ndarray:
+        """``norms`` of a float array, with its temporaries written into the
+        arrays of ``scratch`` (float arrays of rows' shape that the caller
+        owns, at most _norm_temporaries of them) and fresh arrays for the
+        rest. The same ufuncs in the same order either way."""
+        first, second = (*scratch, None, None)[:2]
         if self.norm_kind == EUCLIDEAN:
-            return np.sqrt(np.add.reduce(rows * rows, axis=-1))
-        a = np.abs(rows)
+            sums = np.add.reduce(np.multiply(rows, rows, out=first), axis=-1)
+            return np.sqrt(sums, out=sums if sums.ndim else None)  # a scalar for one row
+        a = np.abs(rows, out=first)
         if self.p in _MUL_POWERS:
-            power = a * a
+            power = np.multiply(a, a, out=second)
             for _ in range(int(self.p) - 2):
                 power *= a
         else:
             power = np.power(a, self.p, out=a)
         del a  # no more temporaries of rows' size than with pow
-        return np.add.reduce(power, axis=-1) ** (1.0 / self.p)
+        sums = np.add.reduce(power, axis=-1)
+        sums **= 1.0 / self.p  # as sums ** (1 / p), which takes sqrt at p = 2
+        return sums
 
 
 def make_euclidean(d: int) -> SmoothSpace:

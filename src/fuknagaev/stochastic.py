@@ -12,6 +12,8 @@ import functools
 import math
 import operator
 import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +33,7 @@ UNIFORM_CUBE = "uniform_cube"
 GAUSSIAN = "gaussian"
 
 _BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
+_LOG_MAX = math.log(sys.float_info.max)  # e^x overflows above it
 
 
 @dataclass(frozen=True)
@@ -311,17 +314,23 @@ def trial_seed(seed: int, trial: int) -> TrialSeedSequence:
     return TrialSeedSequence(seed, trial)
 
 
-def _draw(dist: IncrementDistribution, shape: tuple, rng) -> np.ndarray:
+def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) -> np.ndarray:
     """A shape + (d,) array of iid increments. The Gaussian and cube laws
     fill it directly; the radial laws draw all normal directions first,
-    then one radius per increment."""
+    then one radius per increment.
+
+    The ensemble engine passes float arrays of that shape: ``out`` to hold
+    the increments (None: a fresh array), and ``scratch`` for the norms of
+    the radial laws. The cube law draws into a fresh array, since numpy's
+    uniform takes no output array."""
     full = shape + (dist.space.dimension,)
-    if dist.kind == GAUSSIAN:
-        return dist.param * rng.standard_normal(full)
     if dist.kind == UNIFORM_CUBE:
         return rng.uniform(-dist.param, dist.param, size=full)
-    xi = rng.standard_normal(full)
-    xi /= dist.space.norms(xi)[..., None]  # uniform on the unit sphere
+    xi = rng.standard_normal(full, out=out)
+    if dist.kind == GAUSSIAN:
+        xi *= dist.param
+        return xi
+    xi /= dist.space._norms(xi, scratch)[..., None]  # uniform on the unit sphere
     if dist.kind == RADEMACHER:
         xi *= dist.param
     elif dist.kind == SYMMETRIC_PARETO:
@@ -342,11 +351,12 @@ def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSe
     return DifferenceSequence(increments=_draw(dist, (n,), rng), space=dist.space)
 
 
-def _paths(xi: np.ndarray, space: SmoothSpace) -> tuple:
+def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
     """Partial sums, norms and running maxima (0 if empty) of (trials, n, d)
-    paths. The partial sums overwrite xi, which callers own."""
+    paths. The partial sums overwrite xi, which callers own; ``scratch`` is
+    passed to the norms."""
     sums = np.cumsum(xi, axis=1, out=xi)
-    norms = space.norms(sums)
+    norms = space._norms(sums, scratch)
     return sums, norms, norms.max(axis=1, initial=0.0)
 
 
@@ -642,59 +652,70 @@ def _truncation_level(trunc_L) -> float:
     return trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
 
 
-def _log_peak(log_f, lo: float, hi: float, law: _NormLaw) -> float:
+def _log_peak(log_f, lo: float, hi: float, top: float) -> float:
     """The maximum of log_f over [lo, hi]: the larger of its finite end
-    values and a bounded Brent search in between. An infinite hi is cut at
-    the law's 1e-16 upper quantile. That is past the mode of every density
-    here, so it misses no peak where log_f is the log density plus a
-    nonincreasing term; for t > 0 it is reached only on the Gaussian laws,
-    where a peak beyond it lowers m by less than the float range unless
-    the moment overflows anyway."""
+    values and a bounded Brent search over [lo, top], where top is hi or,
+    for an infinite hi or one past ten times it, the law's 1e-16 upper
+    quantile. That is past the mode of every density here, so it misses no
+    peak where log_f is the log density plus a nonincreasing term. For
+    t > 0, past it, log_f = t x + log pdf is convex on the laws with
+    polynomial tails, whose maximum there is at an end; on the Gaussian
+    laws a peak beyond it lowers m by less than the float range unless the
+    moment overflows anyway."""
     from scipy import optimize
 
-    top = hi if hi < math.inf else law.isf(1e-16)
     inner = optimize.minimize_scalar(lambda s: -log_f(lo + s * (top - lo)), bounds=(0.0, 1.0),
                                      method="bounded")
     return max(-inner.fun, log_f(lo), log_f(hi) if hi < math.inf else -math.inf)
 
 
-def _truncated_norm_expectation(dist: IncrementDistribution, log_h, trunc_L) -> float:
-    """E h(||xi~||) for h = exp(log_h) and the level-L truncation, computed
-    without sampling.
+def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
+    """E exp(t ||xi~||) for the level-L truncation, computed without
+    sampling; inf where it overflows. Without truncation (L = inf) it is
+    infinite for t > 0 when ||xi|| has a polynomial tail.
 
     The truncated mass sits at zero, with weight P[||xi|| > L]; the rest is
-    a quadrature of exp(log_h(x) + log pdf(x) - m) over the support of
-    ||xi|| within [0, L], m the maximum of that exponent over the interval,
-    to full relative accuracy (no absolute tolerance), and m is added back
-    in log space: the result overflows (OverflowError) only where the
-    expectation itself does.
+    a quadrature of exp(t x + log pdf(x) - m) over the support of ||xi||
+    within [0, L], m the maximum of that exponent over the interval, to
+    full relative accuracy (no absolute tolerance), and m is added back in
+    log space. Past ten times the law's 1e-16 upper quantile q, one
+    interval would miss the body of the law; there, and at any finite L
+    where QUADPACK reports that one interval did not converge, the
+    quadrature breaks at the decades q 10^k, k >= -16, and for t > 0 at
+    L - 1/t, where the peak at L starts. Past 10 q a moment that overflows
+    for sure is not integrated: the density decreases past q, so the
+    integral over [q, L] is at least f(L) e^(tL) (1 - e^(-t(L - q))) / t.
     """
     L = _truncation_level(trunc_L)
-    law = _scalar_norm_law(dist)
-    if isinstance(law, float):
-        return math.exp(log_h(law) if law <= L else log_h(0.0))
-    from scipy import integrate
-
-    lo, hi = law.support  # lo >= 0 for every norm law
-    hi = min(hi, L)
-    log_val = -math.inf
-    if lo < L:
-        log_f = lambda x: log_h(x) + law.logpdf(x)
-        m = _log_peak(log_f, lo, hi, law)
-        val = integrate.quad(lambda x: math.exp(log_f(x) - m), lo, hi, limit=200, epsabs=0.0)[0]
-        log_val = m + math.log(val) if val > 0 else -math.inf
-    return math.exp(np.logaddexp(log_val, log_h(0.0) + law.logsf(L)))
-
-
-def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) -> float:
-    """E exp(t ||xi~||) for the level-L truncation; inf where it overflows.
-    Without truncation (L = inf) it is infinite for t > 0 when ||xi|| has a
-    polynomial tail."""
-    if (t > 0 and dist.kind in (SYMMETRIC_PARETO, STUDENT_T)
-            and _truncation_level(trunc_L) == math.inf):
+    if t > 0 and dist.kind in (SYMMETRIC_PARETO, STUDENT_T) and L == math.inf:
         return math.inf
+    law = _scalar_norm_law(dist)
     try:
-        return _truncated_norm_expectation(dist, lambda x: t * x, trunc_L)
+        if isinstance(law, float):
+            return math.exp(t * law if law <= L else 0.0)
+        from scipy import integrate
+
+        lo, hi = law.support  # lo >= 0 for every norm law
+        hi = min(hi, L)
+        log_val = -math.inf
+        if lo < L:
+            log_f = lambda x: t * x + law.logpdf(x)
+            q = law.isf(1e-16)
+            far = 10.0 * q < hi < math.inf
+            if far and t > 0 and log_f(hi) + math.log(-math.expm1(-t * (hi - q)) / t) > _LOG_MAX:
+                return math.inf
+            m = _log_peak(log_f, lo, hi, hi if hi <= 10.0 * q else q)
+            quad = functools.partial(integrate.quad, lambda x: math.exp(log_f(x) - m), lo, hi,
+                                     epsabs=0.0)
+            # with full_output, a fourth item is QUADPACK's message that it did not converge
+            val = None if far else quad(limit=200, full_output=hi < math.inf)
+            if val is None or len(val) == 4:  # break at the decades of q
+                points = q * 10.0 ** np.arange(-16.0, math.log10(hi / q))
+                if t > 0:
+                    points = np.append(points, hi - 1.0 / t)
+                val = quad(points=points, limit=200 + len(points))
+            log_val = m + math.log(val[0]) if val[0] > 0 else -math.inf
+        return math.exp(np.logaddexp(log_val, law.logsf(L)))
     except OverflowError:  # the point mass, or the moment itself
         return math.inf
 
@@ -852,8 +873,12 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
 # so trial j depends only on (seed, j, n, law), not on the trial count or
 # the order in which blocks run. The iid blocks therefore run on up to
 # (usable CPUs) threads, numpy's fills and ufuncs releasing the GIL, and are
-# joined in block order: results do not depend on the CPU count. The Doob
-# route calls sample_inputs and the g_i on the calling thread, in trial order.
+# joined in block order: results do not depend on the CPU count. Each worker
+# keeps block-sized buffers for one call, the drawn block and the norms'
+# temporaries, so a block allocates no such array but the cube law's draw
+# and the blocks truncated_ensemble returns; the ufuncs and their order are
+# those of the allocating path, so the bits are too. The Doob route calls
+# sample_inputs and the g_i on the calling thread, in trial order.
 
 def _block_size(n: int, d: int) -> int:
     if n < 1:
@@ -876,14 +901,24 @@ def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
                 trunc_L, increments: bool) -> list:
     """Per block, in block order: the running maxima of its trials, or with
     ``increments`` their (truncated) increments as one (rows, n, d) array."""
-    size = _block_size(n, dist.space.dimension)
+    space, size = dist.space, _block_size(n, dist.space.dimension)
+    if trunc_L is not None:
+        trunc_L = TruncationLevel(_truncation_level(trunc_L)).trunc_L  # validated
+    local = threading.local()  # per worker thread: its block buffers, for this call only
 
     def block(b):
-        xi = DifferenceSequence(_draw(dist, (size, n), _block_rng(seed, b))[:trials - b * size],
-                                dist.space)
-        if trunc_L is not None:
-            xi = truncate(xi, trunc_L)
-        return xi.increments if increments else _paths(xi.increments, dist.space)[2]
+        if not hasattr(local, "scratch"):  # the drawn block, and scratch for its norms
+            full = (size, n, space.dimension)
+            local.out = None if increments else np.empty(full)
+            local.scratch = [np.empty(full) for _ in range(space._norm_temporaries)]
+        rows = min(size, trials - b * size)
+        xi = _draw(dist, (size, n), _block_rng(seed, b), local.out, local.scratch)[:rows]
+        scratch = [buf[:rows] for buf in local.scratch]
+        if trunc_L is not None:  # as truncate, in place
+            xi *= (space._norms(xi, scratch) <= trunc_L)[..., None]
+        if increments:  # a fresh array, which the caller keeps: no more rows than it asked for
+            return xi.copy() if rows < size else xi
+        return _paths(xi, space, scratch)[2]
 
     blocks = range(-(-trials // size))
     workers = min(_usable_cpus(), len(blocks))

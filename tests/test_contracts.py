@@ -535,9 +535,39 @@ def test_far_tail_truncation_levels_give_finite_values_without_warnings(dist, L)
         assert law.logsf(math.inf) == -math.inf
         assert truncated_norm_mean(dist, L) == truncated_norm_mean(dist, math.inf)
         assert 0.0 < truncated_norm_mean(dist, L) < math.inf
+        # at t = 0 the moment is P[R <= L] + P[R > L] = 1; for t > 0 the
+        # polynomial tails overflow at L, the Gaussian one is its mgf
+        assert truncated_norm_exp_moment(dist, 0.0, L) == pytest.approx(1.0, rel=1e-13)
         if dist.kind == "gaussian":
             assert truncated_norm_exp_moment(dist, 0.7, L) == pytest.approx(_chi_mgf(3, 1.0, 0.7),
                                                                             rel=1e-9)
+        else:
+            assert truncated_norm_exp_moment(dist, 0.7, L) == math.inf
+
+
+_T5_PDF = lambda x: 2 * mpmath.gamma(3) / (mpmath.sqrt(5 * mpmath.pi) * mpmath.gamma(2.5)) \
+    * (1 + x * x / 5) ** -3
+_T5_SF = lambda L: mpmath.betainc(2.5, 0.5, 0, 5 / (5 + L * L), regularized=True)
+
+
+@pytest.mark.parametrize("dist, lo, pdf, sf, t, L", [
+    pytest.param(student_t(R1, 5.0), 0, _T5_PDF, _T5_SF, t, L, id=f"t5-{t:g}-{L:g}")
+    for t, L in ((0.0, 1e6), (1e-5, 1e6), (1e-4, 1e6), (0.0, 1e10), (3e-9, 1e10))] + [
+    pytest.param(symmetric_pareto(R3, 4.5), 1, lambda x: 4.5 * x ** -5.5, lambda L: L ** -4.5,
+                 t, L, id=f"pareto-{t:g}-{L:g}")
+    for t, L in ((0.0, 3e4), (1e-3, 3e4), (0.0, 1e20), (2e-18, 1e20))])
+def test_exp_moment_at_far_truncation_levels(dist, lo, pdf, sf, t, L):
+    # L from 8 to 1e6 times the 1e-16 upper quantile: one quadrature over
+    # [lo, L] misses the body of the law, and for t > 0 the peak at L
+    with mpmath.workdps(30):
+        L_ = mpmath.mpf(L)
+        points = [lo] + [10 ** k for k in range(21) if lo < 10 ** k < L] + [L_]
+        if t > 0:  # the peak at L, of width 1/t
+            points[-1:] = [L_ - 1 / mpmath.mpf(t), L_]
+        want = float(mpmath.quad(lambda x: pdf(x) * mpmath.exp(t * x), points) + sf(L_))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncated_norm_exp_moment(dist, t, L) == pytest.approx(want, rel=1e-9)
 
 
 # ---------------------------------------------------------------- invalid moments

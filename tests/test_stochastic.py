@@ -1,10 +1,19 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from fuknagaev.errors import (InfiniteMomentError, PreconditionError,
                               UnsupportedFunctionError)
@@ -398,11 +407,20 @@ def _serial_blocks(dist, n, trials, seed, trunc_L):
     return np.array(maxima), rows
 
 
+# d = 16, so B = 5 at n = 700: pow in place (l^2.5) and products of |x| (l^3, l^4)
+_LP_LAWS = [law(make_lp(16, p), param) for p in (3.0, 4.0, 2.5)
+            for law, param in ((gaussian, 1.0), (uniform_cube, 0.5), (rademacher, 1.0),
+                               (symmetric_pareto, 4.5), (student_t, 5.0))]
+
+
 @pytest.mark.parametrize("cpus", [None, 1, 3])  # None: the host's usable CPUs
-@pytest.mark.parametrize("trials", [5, 46, 100])  # below B, B, not a multiple of B
+@pytest.mark.parametrize("trials", [5, 46, 100])  # R^2: below B, B, not a multiple of B
 @pytest.mark.parametrize("trunc_L", [None, 1.5])
-@pytest.mark.parametrize("dist", _LAWS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("dist", _LAWS + _LP_LAWS,
+                         ids=lambda d: d.kind if d.space.dimension == 2
+                         else f"{d.kind}-l{d.space.p:g}")
 def test_threaded_blocks_equal_serial_loop(dist, trunc_L, trials, cpus, monkeypatch):
+    # the engine draws into per-worker buffers; the reference allocates every array
     n, seed = 700, 5
     if cpus is not None:
         monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
@@ -422,11 +440,11 @@ class _BlockFailed(Exception):
 def test_worker_exception_reaches_caller_and_leaves_no_thread(cpus, monkeypatch):
     calls, real = [], stochastic._draw
 
-    def failing(dist, shape, rng):
+    def failing(dist, shape, rng, out, scratch):
         calls.append(shape)
         if len(calls) == 3:
             raise _BlockFailed("block failed")
-        return real(dist, shape, rng)
+        return real(dist, shape, rng, out, scratch)
 
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(stochastic, "_draw", failing)
@@ -439,6 +457,64 @@ def test_worker_exception_reaches_caller_and_leaves_no_thread(cpus, monkeypatch)
         assert len(calls) < 400  # the queued blocks were cancelled
     assert len(running_max_ensemble(gaussian(R2, 1.0), 700, 46 * 4, 5)) == 46 * 4
     assert threading.active_count() == before
+
+
+_CHURN = """
+import resource, sys
+from fuknagaev import stochastic
+from fuknagaev.spaces import make_lp
+stochastic._usable_cpus = lambda: 1
+dist = stochastic.student_t(make_lp(16, 4.0), 5.0)
+stochastic.running_max_ensemble(dist, 1000, 200, 7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+stochastic.running_max_ensemble(dist, 1000, 200, 8)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module on this platform")
+def test_ensemble_blocks_reuse_their_buffers():
+    # 50 blocks of 4 trials, 512 KB of increments each: a worker that drew
+    # each block into fresh arrays would fault in their pages block after
+    # block. A fresh interpreter, because how malloc hands out blocks of
+    # this size depends on what the process freed before.
+    src = str(Path(stochastic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", _CHURN], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert int(out) < 2000
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_truncated_blocks_are_fresh_arrays(cpus, monkeypatch):
+    # the returned blocks share no memory with each other or with a later
+    # call's buffers, and the partial last block holds only its own rows
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+    dist, n, trials, L = student_t(make_lp(16, 4.0), 5.0), 1000, 10, 2.0  # B = 4
+    blocks = stochastic._iid_blocks(dist, n, trials, 3, L, True)
+    kept = [xi.copy() for xi in blocks]
+    ens = truncated_ensemble(dist, n, trials, 3, L)
+    running_max_ensemble(dist, n, trials, 4, L)
+    truncated_ensemble(dist, n, trials, 5, L)
+    assert all(np.array_equal(xi, ref) for xi, ref in zip(blocks, kept))
+    assert all(np.array_equal(a.increments, b) for a, b in zip(ens, itertools.chain(*kept)))
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
+    assert [len(xi) for xi in blocks] == [4, 4, 2] and blocks[-1].base is None
+
+
+def test_block_buffers_stay_per_worker_under_fast_thread_switching(monkeypatch):
+    # eight workers on 2^16-value blocks, switching threads every microsecond:
+    # a worker that wrote into another's buffers would change some maxima
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 8)
+    dist, n, trials = symmetric_pareto(make_lp(16, 2.5), 4.5), 200, 400  # B = 20
+    maxima = _serial_blocks(dist, n, trials, 11, 3.0)[0]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(running_max_ensemble(dist, n, trials, 11, 3.0), maxima)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _uniform_inputs(rng, n):
