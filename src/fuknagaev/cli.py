@@ -17,6 +17,7 @@ form they are computed for q <= 64, p <= 32 and dim <= 1e4, else exit 2.
 
 import argparse
 import configparser
+import json
 import math
 import os
 import sys
@@ -50,7 +51,7 @@ def _json_dump(obj, indent=0):
             return "{}"
         items = []
         for key in sorted(obj):
-            items.append(f'{pad}  "{key}": {_json_dump(obj[key], indent + 1)}')
+            items.append(f'{pad}  {_json_dump(str(key))}: {_json_dump(obj[key], indent + 1)}')
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -61,7 +62,7 @@ def _json_dump(obj, indent=0):
         return "null"
     if isinstance(obj, (bool, float, int)):
         return _row_cell(obj)
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)  # escapes control characters too
 
 
 def _row_cell(v):

@@ -30,7 +30,18 @@ class SmoothSpace:
     dimension: int
     norm_kind: str  # EUCLIDEAN or LP
     p: float
-    smoothness_D: float
+
+    def __post_init__(self):
+        if not self.dimension >= 1:
+            raise InvalidDimensionError(f"dimension must be >= 1, got {self.dimension}")
+        if not 2 <= self.p < math.inf or self.norm_kind == EUCLIDEAN and self.p != 2:
+            raise UnsupportedExponentError(f"smoothness constant requires finite p >= 2 "
+                                           f"(2 for the euclidean norm), got {self.p}")
+
+    @property
+    def smoothness_D(self) -> float:
+        """D = sqrt(p - 1), which is 1 for the euclidean norm."""
+        return math.sqrt(self.p - 1.0)
 
     def norm(self, v) -> float:
         """Norm of a single coordinate vector."""
@@ -74,19 +85,12 @@ class SmoothSpace:
 
 def make_euclidean(d: int) -> SmoothSpace:
     """Euclidean R^d, smooth with D = 1."""
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    return SmoothSpace(dimension=int(d), norm_kind=EUCLIDEAN, p=2.0, smoothness_D=1.0)
+    return SmoothSpace(dimension=int(d), norm_kind=EUCLIDEAN, p=2.0)
 
 
 def make_lp(d: int, p: float) -> SmoothSpace:
     """l^p on R^d for p >= 2, smooth with D = sqrt(p - 1)."""
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {d}")
-    if p < 2:
-        raise UnsupportedExponentError(f"smoothness constant requires p >= 2, got {p}")
-    return SmoothSpace(dimension=int(d), norm_kind=LP, p=float(p),
-                       smoothness_D=math.sqrt(p - 1.0))
+    return SmoothSpace(dimension=int(d), norm_kind=LP, p=float(p))
 
 
 @dataclass(frozen=True)

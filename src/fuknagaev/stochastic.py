@@ -31,6 +31,9 @@ STUDENT_T = "student_t"
 RADEMACHER = "rademacher_scale"
 UNIFORM_CUBE = "uniform_cube"
 GAUSSIAN = "gaussian"
+# kind: the name of its parameter and the bound it must exceed (a Gaussian scale may be 0)
+_PARAMS = {SYMMETRIC_PARETO: ("tail index", 2.0), STUDENT_T: ("degrees of freedom", 2.0),
+           RADEMACHER: ("scale", 0.0), UNIFORM_CUBE: ("half width", 0.0), GAUSSIAN: ("scale", 0.0)}
 
 _BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
 _LOG_MAX = math.log(sys.float_info.max)  # e^x overflows above it
@@ -48,6 +51,14 @@ class IncrementDistribution:
     space: SmoothSpace
     param: float
 
+    def __post_init__(self):
+        if self.kind not in _PARAMS:
+            raise ValueError(f"unknown increment kind {self.kind!r}")
+        name, bound = _PARAMS[self.kind]
+        rel = ">=" if self.kind == GAUSSIAN else ">"  # scale 0: the zero martingale
+        if not (bound < self.param < math.inf or rel == ">=" and self.param == bound):
+            raise ValueError(f"{name} must be finite and {rel} {bound:g}, got {self.param}")
+
 
 def symmetric_pareto(space: SmoothSpace, alpha: float) -> IncrementDistribution:
     """Radius U^(-1/alpha), U uniform(0,1), in a symmetric direction.
@@ -55,33 +66,22 @@ def symmetric_pareto(space: SmoothSpace, alpha: float) -> IncrementDistribution:
     E ||xi||^p = alpha / (alpha - p) for p < alpha. alpha > 2 keeps the
     variance finite.
     """
-    if alpha <= 2:
-        raise ValueError(f"tail index must exceed 2, got {alpha}")
     return IncrementDistribution(SYMMETRIC_PARETO, space, float(alpha))
 
 
 def student_t(space: SmoothSpace, dof: float) -> IncrementDistribution:
-    if dof <= 2:
-        raise ValueError(f"degrees of freedom must exceed 2, got {dof}")
     return IncrementDistribution(STUDENT_T, space, float(dof))
 
 
 def rademacher(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     return IncrementDistribution(RADEMACHER, space, float(scale))
 
 
 def uniform_cube(space: SmoothSpace, half_width: float) -> IncrementDistribution:
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
     return IncrementDistribution(UNIFORM_CUBE, space, float(half_width))
 
 
 def gaussian(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
-    # scale 0 is allowed: the degenerate zero martingale.
-    if scale < 0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
     return IncrementDistribution(GAUSSIAN, space, float(scale))
 
 
@@ -335,10 +335,8 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
         xi *= dist.param
     elif dist.kind == SYMMETRIC_PARETO:
         xi *= ((1.0 - rng.random(shape)) ** (-1.0 / dist.param))[..., None]
-    elif dist.kind == STUDENT_T:
+    else:  # STUDENT_T
         xi *= rng.standard_t(dist.param, size=shape)[..., None]
-    else:
-        raise ValueError(f"unknown increment kind {dist.kind!r}")
     return xi
 
 
@@ -374,9 +372,7 @@ def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
 
     Ties ||xi|| = L are kept, matching the indicator 1{||xi|| <= L}.
     """
-    if not isinstance(level, TruncationLevel):
-        level = TruncationLevel(float(level))
-    keep = diffs.norms() <= level.trunc_L
+    keep = diffs.norms() <= _truncation_level(level)
     return DifferenceSequence(increments=diffs.increments * keep[..., None],
                               space=diffs.space)
 
@@ -390,32 +386,20 @@ def _log_chi_moment(d: int, p: float) -> float:
 
 
 def _closed_norm_moment(dist: IncrementDistribution, p: float):
-    """E ||xi||^p in closed form, or None where there is none."""
-    if dist.kind in (SYMMETRIC_PARETO, STUDENT_T) and p >= dist.param:  # the tail index
-        raise InfiniteMomentError(
-            f"moment order {p} >= tail index {dist.param} of {dist.kind}")
-    kind, d, a, euclidean = dist.kind, dist.space.dimension, dist.param, dist.space.p == 2
-    if kind == RADEMACHER:
-        return a ** p
-    if kind == SYMMETRIC_PARETO:
-        return a / (a - p)
-    if kind == STUDENT_T:
-        logm = (0.5 * p * math.log(a) + gammaln((p + 1) / 2)
-                + gammaln((a - p) / 2) - 0.5 * math.log(math.pi) - gammaln(a / 2))
-        return math.exp(logm)
-    if kind == GAUSSIAN:
-        if a == 0.0:
-            return 0.0
-        if euclidean or d == 1:
-            return a ** p * math.exp(_log_chi_moment(d, p))
-    if kind == UNIFORM_CUBE:
-        if d == 1:
-            return a ** p / (p + 1.0)
-        if euclidean and p == 2:
-            return d * a * a / 3.0
-        if euclidean and p == 4:
-            return d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
-    return None
+    """E ||xi||^p in closed form, or None where there is none: the norm law's
+    moment, or the p = 2 and p = 4 forms of the cube on euclidean R^d, d > 1."""
+    try:
+        law = _scalar_norm_law(dist)
+    except PreconditionError:
+        d, a = dist.space.dimension, dist.param
+        if dist.kind == UNIFORM_CUBE and dist.space.p == 2 and p in (2, 4):
+            return d * a * a / 3.0 if p == 2 else d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
+        return None
+    if isinstance(law, float):
+        return law ** p
+    if p >= law.tail_index:
+        raise InfiniteMomentError(f"moment order {p} >= tail index {dist.param} of {dist.kind}")
+    return law.moment(p)
 
 
 def _product_norm_moment(dist: IncrementDistribution, order: float) -> float:
@@ -554,12 +538,15 @@ def _log(x: float) -> float:
 class _NormLaw:
     """Continuous law of R = ||xi||, as plain scalar functions: the log
     density on the support, the log survival function and the truncated
-    mean E[R; R <= L] at any level L > 0, and the inverse survival function."""
+    mean E[R; R <= L] at any level L > 0, the inverse survival function, and
+    the moment E R^p for p below the tail index (inf: every moment is finite)."""
     support: tuple
     logpdf: object
     logsf: object
     isf: object
     mean_below: object
+    moment: object
+    tail_index: float = math.inf
 
 
 def _pareto_law(alpha: float) -> _NormLaw:
@@ -571,7 +558,9 @@ def _pareto_law(alpha: float) -> _NormLaw:
         logsf=lambda x: -alpha * math.log(max(x, 1.0)),
         isf=lambda q: q ** (-1.0 / alpha),
         mean_below=lambda L: (alpha / (alpha - 1.0) * -math.expm1((1.0 - alpha) * math.log(L))
-                              if L >= 1.0 else 0.0))
+                              if L >= 1.0 else 0.0),
+        moment=lambda p: alpha / (alpha - p),
+        tail_index=alpha)
 
 
 def _folded_t_law(nu: float) -> _NormLaw:
@@ -593,7 +582,11 @@ def _folded_t_law(nu: float) -> _NormLaw:
         logsf=logsf,
         isf=lambda q: -float(stdtrit(nu, q / 2.0)),
         mean_below=lambda L: (two_c * nu / (nu - 1.0)
-                              * -math.expm1(-(nu - 1.0) / 2.0 * math.log1p(L * L / nu))))
+                              * -math.expm1(-(nu - 1.0) / 2.0 * math.log1p(L * L / nu))),
+        moment=lambda p: math.exp(0.5 * p * math.log(nu) + gammaln((p + 1) / 2)
+                                  + gammaln((nu - p) / 2) - 0.5 * math.log(math.pi)
+                                  - gammaln(nu / 2)),
+        tail_index=nu)
 
 
 def _chi_law(d: int, a: float) -> _NormLaw:
@@ -617,7 +610,8 @@ def _chi_law(d: int, a: float) -> _NormLaw:
         logpdf=logpdf,
         logsf=logsf,
         isf=lambda q: a * math.sqrt(2.0 * gammainccinv(s, q)),
-        mean_below=lambda L: mean * float(gammainc(s + 0.5, 0.5 * (L / a) * (L / a))))
+        mean_below=lambda L: mean * float(gammainc(s + 0.5, 0.5 * (L / a) * (L / a))),
+        moment=lambda p: a ** p * math.exp(_log_chi_moment(d, p)))
 
 
 def _uniform_law(a: float) -> _NormLaw:
@@ -628,7 +622,8 @@ def _uniform_law(a: float) -> _NormLaw:
         logpdf=lambda x: -log_a,
         logsf=lambda x: math.log1p(-x / a) if x < a else -math.inf,
         isf=lambda q: a * (1.0 - q),
-        mean_below=lambda L: min(L, a) * min(L, a) / (2.0 * a))
+        mean_below=lambda L: min(L, a) * min(L, a) / (2.0 * a),
+        moment=lambda p: a ** p / (p + 1.0))
 
 
 def _scalar_norm_law(dist: IncrementDistribution):
@@ -636,7 +631,7 @@ def _scalar_norm_law(dist: IncrementDistribution):
     PreconditionError when the norm has no closed-form scalar law."""
     kind, d, a = dist.kind, dist.space.dimension, dist.param
     if kind == RADEMACHER or (kind == GAUSSIAN and a == 0.0):
-        return a
+        return float(a)
     if kind == SYMMETRIC_PARETO:
         return _pareto_law(a)
     if kind == STUDENT_T:
@@ -649,7 +644,8 @@ def _scalar_norm_law(dist: IncrementDistribution):
 
 
 def _truncation_level(trunc_L) -> float:
-    return trunc_L.trunc_L if isinstance(trunc_L, TruncationLevel) else float(trunc_L)
+    level = trunc_L if isinstance(trunc_L, TruncationLevel) else TruncationLevel(float(trunc_L))
+    return level.trunc_L
 
 
 def _log_peak(log_f, lo: float, hi: float, top: float) -> float:
@@ -687,12 +683,12 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
     integral over [q, L] is at least f(L) e^(tL) (1 - e^(-t(L - q))) / t.
     """
     L = _truncation_level(trunc_L)
-    if t > 0 and dist.kind in (SYMMETRIC_PARETO, STUDENT_T) and L == math.inf:
-        return math.inf
     law = _scalar_norm_law(dist)
     try:
         if isinstance(law, float):
             return math.exp(t * law if law <= L else 0.0)
+        if t > 0 and L == math.inf and law.tail_index < math.inf:  # a polynomial tail
+            return math.inf
         from scipy import integrate
 
         lo, hi = law.support  # lo >= 0 for every norm law
@@ -761,8 +757,11 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     """Input checks shared by both Pinelis checks. Returns the step term
     e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
     ||M~_i|| of the partial sums."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not dist.space.smoothness_D <= D < math.inf:
+        raise ValueError(f"D must be finite and >= the smoothness constant "
+                         f"{dist.space.smoothness_D:.6g} of the space, got {D}")
     if trunc_L is None:
         trunc_L = _norm_bound(dist)  # truncation at the support bound changes nothing
         if trunc_L == math.inf:
@@ -903,7 +902,7 @@ def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
     ``increments`` their (truncated) increments as one (rows, n, d) array."""
     space, size = dist.space, _block_size(n, dist.space.dimension)
     if trunc_L is not None:
-        trunc_L = TruncationLevel(_truncation_level(trunc_L)).trunc_L  # validated
+        trunc_L = _truncation_level(trunc_L)
     local = threading.local()  # per worker thread: its block buffers, for this call only
 
     def block(b):

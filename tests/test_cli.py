@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+from fuknagaev import cli
 from fuknagaev.cli import run
 
 
@@ -140,3 +141,16 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
 def test_unreadable_config_exits_2(capsys):
     assert run(["bound", "--config", "/nonexistent/nope.ini", "--q", "4",
                 "--D", "1", "--sigma", "1", "--cq", "1", "--u", "0.1"]) == 2
+
+
+def test_json_reports_quote_any_string(tmp_path):
+    # a tab in the sample path, a non-ASCII letter kept as it is
+    path = tmp_path / "a\tbé.txt"
+    path.write_text("1\n2\n3\n", encoding="utf-8")
+    out = tmp_path / "q.json"
+    assert run(["quantile", str(path), "--u", "0.5", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert json.loads(text)["config"]["sample_file"] == str(path)
+    assert "\\t" in text and "é" in text
+    every = "".join(map(chr, range(32))) + '"\\ \x7f'
+    assert json.loads(cli._json_dump({every: [every]})) == {every: [every]}

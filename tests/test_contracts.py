@@ -28,8 +28,8 @@ from scipy import integrate, stats
 from fuknagaev import cli, quantile, stochastic
 from fuknagaev.bounds import tail_bound
 from fuknagaev.errors import InternalInconsistencyError, InvalidQError
-from fuknagaev.spaces import make_euclidean, make_lp
-from fuknagaev.stochastic import (MomentProfile, gaussian, moment_profile,
+from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp
+from fuknagaev.stochastic import (IncrementDistribution, MomentProfile, gaussian, moment_profile,
                                   norm_moment, pinelis_check,
                                   pinelis_supermartingale_profile, rademacher,
                                   sample_increments, student_t,
@@ -608,6 +608,86 @@ def test_bound_has_no_seed_flag():
                     "--u", "0.1", "--seed", "3"]) == 2
 
 
+# ---------------------------------------------------------------- law parameters
+
+_KINDS = {"symmetric_pareto": (symmetric_pareto, "tail index", 2.0),
+          "student_t": (student_t, "degrees of freedom", 2.0),
+          "rademacher_scale": (rademacher, "scale", 0.0),
+          "uniform_cube": (uniform_cube, "half width", 0.0),
+          "gaussian": (gaussian, "scale", 0.0)}
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_law_parameters_checked_however_the_law_is_built(kind):
+    make, name, bound = _KINDS[kind]
+    bad = [math.nan, math.inf, -math.inf, -1.0] + ([] if kind == "gaussian" else [bound])
+    for param in bad:
+        for build in (lambda: IncrementDistribution(kind, R3, param), lambda: make(R3, param)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and"):
+                build()
+    assert IncrementDistribution(kind, R3, bound + 0.5) == make(R3, bound + 0.5)
+    if kind == "gaussian":  # the zero martingale, its scale given as an int
+        zero = IncrementDistribution(kind, R3, 0)
+        assert norm_moment(zero, 2.5) == 0.0 and truncated_norm_mean(zero, 1.0) == 0.0
+
+
+def test_unknown_law_kind_rejected():
+    with pytest.raises(ValueError, match="unknown increment kind 'foo'"):
+        IncrementDistribution("foo", make_euclidean(2), 1.0)
+
+
+@pytest.mark.parametrize("dist,name", [("pareto", "tail index"), ("student_t", "degrees of freedom"),
+                                       ("rademacher", "scale"), ("gaussian", "scale"),
+                                       ("uniform_cube", "half width")])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+def test_verify_rejects_invalid_law_parameter(dist, name, alpha, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(["verify", "--dist", dist, f"--alpha={alpha}", "--n", "5",
+                        "--trials", "100", "--q", "4", "--u", "0.1"]) == 2
+    assert f"error: {name} must be finite and" in capsys.readouterr().err
+
+
+def test_verify_default_law_names_its_parameter(capsys):
+    assert cli.run(["verify", "--alpha", "nan", "--n", "5", "--trials", "100", "--q", "4",
+                    "--u", "0.1"]) == 2
+    assert "error: scale must be finite and > 0, got nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("dist", [gaussian(R3, 1.0), symmetric_pareto(R1, 4.5), student_t(R1, 5.0),
+                                  rademacher(R1, 1.0), uniform_cube(R1, 1.0)])
+def test_invalid_truncation_levels_rejected(dist, L):
+    with pytest.raises(ValueError, match="truncation level must be positive"):
+        truncated_norm_mean(dist, L)
+    with pytest.raises(ValueError, match="truncation level must be positive"):
+        truncated_norm_exp_moment(dist, 0.5, L)
+    ens = truncated_ensemble(dist, 3, 20, seed=1, trunc_L=2.0)
+    for check in (pinelis_check, pinelis_supermartingale_profile):
+        with pytest.raises(ValueError, match="truncation level must be positive"):
+            check(ens, t=0.5, D=1.0, dist=dist, trunc_L=L)
+
+
+@pytest.mark.parametrize("t, D", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                  (0.5, 0.5), (0.5, math.nan), (0.5, math.inf), (0.5, -1.0)])
+def test_pinelis_checks_reject_invalid_t_and_D(t, D):
+    dist = rademacher(R1, 1.0)
+    ens = truncated_ensemble(dist, 3, 200, seed=2, trunc_L=1.0)
+    for check in (pinelis_check, pinelis_supermartingale_profile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^t must be positive and finite|^D must be finite"):
+                check(ens, t=t, D=D, dist=dist)
+
+
+def test_pinelis_D_at_least_the_smoothness_constant():
+    dist = rademacher(make_lp(3, 4.0), 1.0)
+    ens = truncated_ensemble(dist, 3, 200, seed=2, trunc_L=1.0)
+    with pytest.raises(ValueError, match="smoothness constant 1.73205 of the space"):
+        pinelis_check(ens, t=0.5, D=1.0, dist=dist)
+    assert pinelis_check(ens, t=0.5, D=math.sqrt(3.0), dist=dist).passed
+
+
 # ---------------------------------------------------------------- smoothness constant
 
 def test_campaign_rejects_D_below_smoothness_constant(capsys):
@@ -618,6 +698,10 @@ def test_campaign_rejects_D_below_smoothness_constant(capsys):
     with pytest.raises(ValueError):
         CampaignConfig(D=math.nan, **base)
     CampaignConfig(D=math.sqrt(3.0), **base)
+    # a space built directly carries the same constant: it has no D of its own
+    direct = dict(base, dist=rademacher(SmoothSpace(3, "lp", 4.0), 1.0))
+    with pytest.raises(ValueError, match="smoothness constant"):
+        CampaignConfig(D=1.0, **direct)
     assert cli.run(["verify", "--dist", "rademacher", "--alpha", "1", "--dim", "3",
                     "--p", "4", "--n", "5", "--trials", "100", "--q", "4",
                     "--D", "1", "--u", "0.1"]) == 2

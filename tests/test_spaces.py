@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuknagaev.errors import InvalidDimensionError, UnsupportedExponentError
-from fuknagaev.spaces import (make_euclidean, make_lp, smoothness_certificate)
+from fuknagaev.spaces import (EUCLIDEAN, LP, SmoothSpace, make_euclidean, make_lp,
+                              smoothness_certificate)
 
 
 def test_euclidean_constructor():
@@ -23,10 +25,30 @@ def test_euclidean_rejects_zero_dimension():
 def test_lp_constructor():
     assert make_lp(3, 2).smoothness_D == 1.0
     assert make_lp(3, 4).smoothness_D == pytest.approx(math.sqrt(3), rel=1e-15)
-    with pytest.raises(UnsupportedExponentError):
-        make_lp(3, 1.5)
+    for p in (1.5, math.nan, math.inf):
+        with pytest.raises(UnsupportedExponentError):
+            make_lp(3, p)
     with pytest.raises(InvalidDimensionError):
         make_lp(0, 3)
+
+
+def test_smoothness_constant_is_derived_from_p():
+    # three fields; D is sqrt(p - 1), never stored beside p
+    assert [f.name for f in dataclasses.fields(SmoothSpace)] == ["dimension", "norm_kind", "p"]
+    assert SmoothSpace(3, LP, 4.0).smoothness_D == math.sqrt(3.0)
+    assert SmoothSpace(3, EUCLIDEAN, 2.0) == make_euclidean(3)
+    with pytest.raises(TypeError):
+        SmoothSpace(3, LP, 4.0, 1.0)
+    with pytest.raises(TypeError):
+        SmoothSpace(3, LP, 4.0, smoothness_D=1.0)
+    with pytest.raises(AttributeError):
+        make_lp(3, 4.0).smoothness_D = 1.0
+    with pytest.raises(InvalidDimensionError):
+        SmoothSpace(0, LP, 4.0)
+    for kind, p in ((LP, 1.5), (LP, math.nan), (LP, math.inf), (EUCLIDEAN, 4.0),
+                    (EUCLIDEAN, math.nan)):
+        with pytest.raises(UnsupportedExponentError):
+            SmoothSpace(3, kind, p)
 
 
 def test_lp_norm_value():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 try:
     import resource
@@ -114,6 +115,57 @@ def test_uniform_cube_moments_against_quadrature():
         lambda x, y, z: (x * x + y * y + z * z) ** 2 / 8.0,
         -1, 1, -1, 1, -1, 1)
     assert norm_moment(d3, 4.0) == pytest.approx(oracle, rel=1e-9)
+
+
+def _closed_form(kind, space, a, p):
+    """E ||xi||^p written out, each form in the order of its terms."""
+    d = space.dimension
+    if kind == "rademacher_scale":
+        return a ** p
+    if kind == "symmetric_pareto":
+        return a / (a - p)
+    if kind == "student_t":
+        return math.exp(0.5 * p * math.log(a) + gammaln((p + 1) / 2) + gammaln((a - p) / 2)
+                        - 0.5 * math.log(math.pi) - gammaln(a / 2))
+    if kind == "gaussian":
+        if a == 0.0:
+            return 0.0
+        return a ** p * math.exp(0.5 * p * math.log(2.0) + gammaln((d + p) / 2) - gammaln(d / 2))
+    if d == 1:  # the cube
+        return a ** p / (p + 1.0)
+    return d * a * a / 3.0 if p == 2 else d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
+
+
+_CLOSED_FORM_SPACES = (R1, make_euclidean(3), make_lp(1, 3.0), make_lp(16, 2.0))
+# radial laws and point masses on any space; the Gaussian law on R^d, l^2 and
+# in d = 1; the cube in d = 1
+_CLOSED_FORM_LAWS = (
+    [(law, a, space) for law, a in ((symmetric_pareto, 4.5), (symmetric_pareto, 7.0),
+                                    (student_t, 5.0), (student_t, 30.0), (rademacher, 2.0),
+                                    (gaussian, 0.0))
+     for space in _CLOSED_FORM_SPACES + (make_lp(3, 3.0), make_lp(16, 6.0))]
+    + [(gaussian, 1.5, space) for space in _CLOSED_FORM_SPACES]
+    + [(uniform_cube, 0.7, space) for space in (R1, make_lp(1, 3.0))])
+
+
+@pytest.mark.parametrize("law, a, space", _CLOSED_FORM_LAWS)
+def test_norm_moments_equal_their_closed_forms(law, a, space):
+    dist = law(space, a)
+    for p in (2.0, 2.2, 2.5, 3.0, 3.5, 4.0, 4.4, 6.0, 6.5, 12.0):
+        if p >= a and law in (symmetric_pareto, student_t):
+            with pytest.raises(InfiniteMomentError):
+                norm_moment(dist, p)
+        else:
+            assert norm_moment(dist, p) == _closed_form(dist.kind, space, a, p), p
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 2.5])
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_euclidean_cube_moments_equal_their_closed_forms(a, d):
+    dist = uniform_cube(make_euclidean(d), a)
+    for p in (2.0, 4.0):
+        assert norm_moment(dist, p) == _closed_form(dist.kind, dist.space, a, p)
+    assert stochastic._closed_norm_moment(dist, 3.0) is None
 
 
 def test_monte_carlo_moment_fallback_reports_error():
