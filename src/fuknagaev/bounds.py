@@ -12,7 +12,7 @@ sum E_{i-1} ||xi_i||^2 <= sigma^2 and sum E_{i-1} ||xi_i||^q <= C_q^q.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidLevelError, InvalidQError, InvalidThresholdError
+from .errors import InvalidLevelError, InvalidQError, InvalidThresholdError, checked_count
 from .stochastic import MomentProfile
 
 CONFIDENCE_THRESHOLD = "confidence_threshold"
@@ -92,8 +92,7 @@ def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
     """
     if not 0.0 < u < 1.0:
         raise InvalidLevelError(f"u must lie in (0, 1), got {u}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = checked_count(n, "n")
     q = per_increment.q
     value = D * per_increment.sigma * math.sqrt(2.0 * math.log(2.0 / u) / n) \
         + constant_c(q, D) * per_increment.cq * (2.0 / (u * float(n) ** (q - 1.0))) ** (1.0 / q)

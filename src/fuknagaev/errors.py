@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+count argument."""
+
+import operator
 
 
 class InvalidDimensionError(ValueError):
@@ -43,3 +46,16 @@ class DomainError(ValueError):
 
 class InvalidCountError(ValueError):
     """Success count outside [0, trials]."""
+
+
+def checked_count(value, name: str, error=ValueError) -> int:
+    """value as a Python int, if it is an integer >= 1 (a Python or numpy
+    integer: a float, even a whole one, is no count); else ``error``, naming
+    the parameter. Arithmetic on the int cannot wrap as a numpy integer's can."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    return count

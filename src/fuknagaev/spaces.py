@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, UnsupportedExponentError
+from .errors import InvalidDimensionError, UnsupportedExponentError, checked_count
 
 EUCLIDEAN = "euclidean"
 LP = "lp"
@@ -32,8 +32,8 @@ class SmoothSpace:
     p: float
 
     def __post_init__(self):
-        if not self.dimension >= 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension",
+                           checked_count(self.dimension, "dimension", InvalidDimensionError))
         if not 2 <= self.p < math.inf or self.norm_kind == EUCLIDEAN and self.p != 2:
             raise UnsupportedExponentError(f"smoothness constant requires finite p >= 2 "
                                            f"(2 for the euclidean norm), got {self.p}")
@@ -85,12 +85,12 @@ class SmoothSpace:
 
 def make_euclidean(d: int) -> SmoothSpace:
     """Euclidean R^d, smooth with D = 1."""
-    return SmoothSpace(dimension=int(d), norm_kind=EUCLIDEAN, p=2.0)
+    return SmoothSpace(dimension=d, norm_kind=EUCLIDEAN, p=2.0)
 
 
 def make_lp(d: int, p: float) -> SmoothSpace:
     """l^p on R^d for p >= 2, smooth with D = sqrt(p - 1)."""
-    return SmoothSpace(dimension=int(d), norm_kind=LP, p=float(p))
+    return SmoothSpace(dimension=d, norm_kind=LP, p=float(p))
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,7 @@ def smoothness_certificate(space: SmoothSpace, num_pairs: int, seed: int,
     the space's certified constant, which is how an undersized D is exposed
     as a positive violation. Passes iff max_violation <= 1e-9 * scale.
     """
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
+    num_pairs = checked_count(num_pairs, "num_pairs")
     D = space.smoothness_D if check_D is None else float(check_D)
     d = space.dimension
     rng = np.random.default_rng(seed)

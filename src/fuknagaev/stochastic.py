@@ -18,12 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence, ISpawnableSeedSequence
 from scipy.special import (betainc, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, logsumexp,
                            poch, stdtr, stdtrit)
 
 from .errors import (InfiniteMomentError, InvalidQError, PreconditionError,
-                     UnsupportedFunctionError)
+                     UnsupportedFunctionError, checked_count)
 from .spaces import SmoothSpace, make_euclidean
 
 SYMMETRIC_PARETO = "symmetric_pareto"
@@ -287,10 +287,15 @@ class TrialSeedSequence(ISpawnableSeedSequence):
         n_words = operator.index(n_words)
         if n_words < 0:
             raise ValueError(f"n_words must be nonnegative, got {n_words}")
+        return self._words(n_words, dtype).copy()
+
+    def _words(self, n_words: int, dtype: np.dtype) -> np.ndarray:
+        """generate_state's words for a valid request, as a read-only row
+        of a seed table."""
         size, trial = _table_trials(n_words * dtype.itemsize // 4), self.spawn_key[0]
         # a table of one trial is never shared, so it is not cached
         table = _seed_table if size > 1 else _seed_table.__wrapped__
-        return table(self.entropy, n_words, dtype, trial // size)[trial % size].copy()
+        return table(self.entropy, n_words, dtype, trial // size)[trial % size]
 
     def spawn(self, n_children: int) -> list:
         """numpy's children, counted across calls as numpy counts them."""
@@ -312,6 +317,31 @@ def trial_seed(seed: int, trial: int) -> TrialSeedSequence:
     at most 7 others (16 KB each); each object copies its row. A request
     of more than 4096 words is a table of one trial, built per call."""
     return TrialSeedSequence(seed, trial)
+
+
+_thread = threading.local()  # per thread: the generator that _philox_rng re-keys
+_PHILOX_ZEROS = (0, 0, 0, 0)
+
+
+def _philox_rng(seed) -> np.random.Generator:
+    """This thread's generator, set to the stream of a new
+    Generator(Philox(seed)). Philox is counter-based: its whole state is a
+    key and a counter, so the key that Philox(seed) derives, counter 0 and an
+    empty buffer give the stream a new one would, without building one.
+    Threads never share the generator; callers finish their draws before
+    they return and hand it to no one, as the next call re-keys it."""
+    if isinstance(seed, TrialSeedSequence):  # its table row, without a copy
+        key = seed._words(2, _UINT64)
+    else:  # as BitGenerator.__init__ takes a seed
+        key = (seed if isinstance(seed, ISeedSequence)
+               else np.random.SeedSequence(seed)).generate_state(2, _UINT64)
+    rng = getattr(_thread, "rng", None)
+    if rng is None:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": key},
+        "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) -> np.ndarray:
@@ -341,12 +371,10 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
 
 
 def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSequence:
-    """n iid mean-zero increments; identical (dist, n, seed) gives
-    bit-identical output."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(seed))  # Philox seeds via SeedSequence(seed)
-    return DifferenceSequence(increments=_draw(dist, (n,), rng), space=dist.space)
+    """n iid mean-zero increments, drawn as from Generator(Philox(seed));
+    identical (dist, n, seed) gives bit-identical output."""
+    n = checked_count(n, "n")
+    return DifferenceSequence(increments=_draw(dist, (n,), _philox_rng(seed)), space=dist.space)
 
 
 def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
@@ -458,6 +486,8 @@ def _series_power(b: np.ndarray, d: int) -> np.ndarray:
 
 def norm_moment(dist: IncrementDistribution, p: float) -> float:
     """E ||xi||^p: a closed form if there is one, else _product_norm_moment; inf on overflow."""
+    if not 0 <= p < math.inf:
+        raise ValueError(f"moment order p must be finite and >= 0, got {p}")
     try:
         closed = _closed_norm_moment(dist, p)
         return _product_norm_moment(dist, p) if closed is None else closed
@@ -469,8 +499,7 @@ def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfi
     """Profile (sigma^2, C_q^q, q) of the iid-sum martingale of length n."""
     if not 2 < q < math.inf:
         raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = checked_count(n, "n")
     return MomentProfile(sigma_sq=n * norm_moment(dist, 2.0),
                          cq_to_q=n * norm_moment(dist, q), q=float(q))
 
@@ -771,8 +800,11 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     increments = [diffs.increments for diffs in ensemble]
     if len({len(xi) for xi in increments}) != 1:
         raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
-    # one copy into a new (trials, n, d) array, which _paths overwrites
-    norms = _paths(np.array(increments), ensemble[0].space)[1]
+    # one copy into a new (trials, n, d) array, which _paths overwrites; it is
+    # freed before the moments below, which may import scipy.integrate
+    stack = np.concatenate(increments).reshape(len(increments), *increments[0].shape)
+    norms = _paths(stack, ensemble[0].space)[1]
+    del stack
     return D * D * (truncated_norm_exp_moment(dist, t, trunc_L) - 1.0
                     - t * truncated_norm_mean(dist, trunc_L)), norms
 
@@ -876,13 +908,17 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
 # keeps block-sized buffers for one call, the drawn block and the norms'
 # temporaries, so a block allocates no such array but the cube law's draw
 # and the blocks truncated_ensemble returns; the ufuncs and their order are
-# those of the allocating path, so the bits are too. The Doob route calls
-# sample_inputs and the g_i on the calling thread, in trial order.
+# those of the allocating path, so the bits are too. An iid block draws
+# through its thread's _philox_rng; a Doob block gets a new generator, since
+# sample_inputs receives it. The Doob route calls sample_inputs and the g_i
+# on the calling thread, in trial order.
 
-def _block_size(n: int, d: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return max(1, _BLOCK_VALUES // (n * d))
+def _blocks(n: int, trials: int, d: int) -> tuple:
+    """The block size B of an ensemble, and the number of trials it keeps
+    of each block, in block order."""
+    n, trials = checked_count(n, "n"), checked_count(trials, "trials")
+    size = max(1, _BLOCK_VALUES // (n * d))
+    return size, [min(size, trials - start) for start in range(0, trials, size)]
 
 
 def _block_rng(seed: int, b: int):
@@ -900,7 +936,8 @@ def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
                 trunc_L, increments: bool) -> list:
     """Per block, in block order: the running maxima of its trials, or with
     ``increments`` their (truncated) increments as one (rows, n, d) array."""
-    space, size = dist.space, _block_size(n, dist.space.dimension)
+    space = dist.space
+    size, kept = _blocks(n, trials, space.dimension)
     if trunc_L is not None:
         trunc_L = _truncation_level(trunc_L)
     local = threading.local()  # per worker thread: its block buffers, for this call only
@@ -910,8 +947,9 @@ def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
             full = (size, n, space.dimension)
             local.out = None if increments else np.empty(full)
             local.scratch = [np.empty(full) for _ in range(space._norm_temporaries)]
-        rows = min(size, trials - b * size)
-        xi = _draw(dist, (size, n), _block_rng(seed, b), local.out, local.scratch)[:rows]
+        rows = kept[b]
+        xi = _draw(dist, (size, n), _philox_rng(trial_seed(seed, b)), local.out,
+                   local.scratch)[:rows]
         scratch = [buf[:rows] for buf in local.scratch]
         if trunc_L is not None:  # as truncate, in place
             xi *= (space._norms(xi, scratch) <= trunc_L)[..., None]
@@ -919,7 +957,7 @@ def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
             return xi.copy() if rows < size else xi
         return _paths(xi, space, scratch)[2]
 
-    blocks = range(-(-trials // size))
+    blocks = range(len(kept))
     workers = min(_usable_cpus(), len(blocks))
     if workers <= 1:
         return [block(b) for b in blocks]
@@ -952,10 +990,9 @@ def doob_running_max_ensemble(f_spec: SeparableFunction, sample_inputs,
     block. Each g_i is called once per block (see ``CoordinateTerm``). All
     calls are made on the calling thread."""
     n = len(f_spec.terms)
-    size = _block_size(n, f_spec.space.dimension)
     maxima = [np.empty(0)]
-    for b in range(-(-trials // size)):
-        rng = _block_rng(seed, b)
-        z = np.array([sample_inputs(rng, n) for _ in range(min(size, trials - b * size))])
+    for b, rows in enumerate(_blocks(n, trials, f_spec.space.dimension)[1]):
+        rng = _block_rng(seed, b)  # a new generator: sample_inputs may keep it
+        z = np.array([sample_inputs(rng, n) for _ in range(rows)])
         maxima.append(_paths(_doob_increments(f_spec, z), f_spec.space)[2])
     return np.concatenate(maxima)

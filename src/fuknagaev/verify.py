@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .bounds import _tail_terms, confidence_bound
-from .errors import InvalidCountError, InvalidLevelError, InvalidQError
+from .errors import InvalidCountError, InvalidLevelError, InvalidQError, checked_count
 from .quantile import make_sample, quantile_q
 from .stochastic import (IncrementDistribution, MomentProfile, moment_profile,
                          running_max_ensemble)
@@ -45,10 +45,10 @@ class CampaignConfig:
     confidence: float = 0.99
 
     def __post_init__(self):
+        checked_count(self.trials, "trials")
         if self.trials < 100:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        checked_count(self.n, "n")
         if self.q <= 2:
             raise InvalidQError(f"q must exceed 2, got {self.q}")
         if not self.D >= self.dist.space.smoothness_D:

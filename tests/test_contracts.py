@@ -26,10 +26,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from fuknagaev import cli, quantile, stochastic
-from fuknagaev.bounds import tail_bound
-from fuknagaev.errors import InternalInconsistencyError, InvalidQError
-from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp
-from fuknagaev.stochastic import (IncrementDistribution, MomentProfile, gaussian, moment_profile,
+from fuknagaev.bounds import independent_sum_bound, tail_bound
+from fuknagaev.errors import InternalInconsistencyError, InvalidDimensionError, InvalidQError
+from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp, smoothness_certificate
+from fuknagaev.stochastic import (CoordinateTerm, IncrementDistribution, MomentProfile,
+                                  SeparableFunction, gaussian, moment_profile,
                                   norm_moment, pinelis_check,
                                   pinelis_supermartingale_profile, rademacher,
                                   sample_increments, student_t,
@@ -243,6 +244,105 @@ def test_block_rngs_built_on_four_threads_at_once():
     for seed, b, got in results:
         ref = np.random.Generator(np.random.Philox(_seed_sequence(seed, b)))
         assert np.array_equal(got, ref.random(8))
+
+
+# ---------------------------------------------------------------- one generator per thread
+
+_SAMPLED = (gaussian(R3, 1.5), uniform_cube(R3, 0.5), rademacher(R1, 1.0),
+            symmetric_pareto(make_lp(4, 3.0), 4.5), student_t(R3, 5.0))
+_TRIALS = (0, 1023, 1024, 2**32 + 5)
+
+
+def _fresh(dist, n, seed):
+    """The increments of a new Generator(Philox(seed))."""
+    return stochastic._draw(dist, (n,), np.random.Generator(np.random.Philox(seed)))
+
+
+def _seeds(seed):
+    """An int, a SeedSequence and the trial seeds of ``seed``, each with the
+    seed a new Philox takes for the same stream."""
+    cases = [(seed, seed), (np.random.SeedSequence(seed), np.random.SeedSequence(seed))]
+    return cases + [(trial_seed(seed, j), _seed_sequence(seed, j)) for j in _TRIALS]
+
+
+@pytest.mark.parametrize("dist", _SAMPLED, ids=lambda d: d.kind)
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_sample_increments_equal_a_new_philox_generator(dist, n):
+    for seed, ref in _seeds(2**40 + 9):
+        got = sample_increments(dist, n, seed).increments
+        assert got.tobytes() == _fresh(dist, n, ref).tobytes()
+
+
+def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch):
+    cases = [(dist, n, seed, _fresh(dist, n, ref)) for dist in _SAMPLED for n in (1, 7)
+             for seed, ref in _seeds(31)]
+    order = np.random.default_rng(4).permutation(len(cases) * 2) % len(cases)
+    for i in order:
+        dist, n, seed, want = cases[i]
+        assert sample_increments(dist, n, seed).increments.tobytes() == want.tobytes()
+
+    def later_calls_unchanged():
+        for dist, n, seed, want in cases[::5]:
+            assert sample_increments(dist, n, seed).increments.tobytes() == want.tobytes()
+
+    with pytest.raises(ValueError):  # a bad seed, before the generator is keyed
+        sample_increments(_SAMPLED[0], 5, -1)
+    later_calls_unchanged()
+
+    def norms_fail(self, rows, scratch=()):
+        raise RuntimeError("norms failed")
+
+    # a radial law fails after its normal draws, in the middle of a stream
+    with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="norms failed"):
+        patch.setattr(SmoothSpace, "_norms", norms_fail)
+        sample_increments(_SAMPLED[2], 20, trial_seed(31, 5))
+    later_calls_unchanged()
+
+
+def test_sample_increments_on_four_threads_at_once():
+    cases = [(dist, 5, trial_seed(77, j)) for dist in _SAMPLED for j in range(0, 2048, 2)]
+    want = [_fresh(dist, n, _seed_sequence(77, seed.spawn_key[0])).tobytes()
+            for dist, n, seed in cases]
+    start = threading.Barrier(4, timeout=60)
+
+    def draws(worker):
+        start.wait()
+        rng = stochastic._philox_rng(0)
+        got = [(i, sample_increments(*cases[i]).increments.tobytes())
+               for i in range(worker, len(cases), 4)]
+        return rng, got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(draws, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    got = dict(row for _, rows in results for row in rows)
+    assert sorted(got) == list(range(len(cases)))
+    assert all(got[i] == want[i] for i in got)
+    assert len({id(rng) for rng, _ in results}) == 4  # one generator per thread
+
+
+def test_doob_generator_kept_by_sample_inputs_is_its_own():
+    kept = []
+
+    def inputs(rng, n):
+        kept.append(rng)
+        return rng.random(n)
+
+    f = SeparableFunction(terms=(CoordinateTerm(g=lambda z: z, mean=0.5),) * 4)
+    stochastic.doob_running_max_ensemble(f, inputs, 3, seed=12)
+    rng = kept[0]
+    ref = np.random.Generator(np.random.Philox(_seed_sequence(12, 0)))
+    ref.random((3, 4))  # the three trials' inputs
+    for j, dist in enumerate(_SAMPLED):
+        want = _fresh(dist, 5, _seed_sequence(8, j)).tobytes()
+        assert sample_increments(dist, 5, trial_seed(8, j)).increments.tobytes() == want
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()  # its own stream goes on
+        assert sample_increments(dist, 5, trial_seed(8, j)).increments.tobytes() == want
+    assert rng is not stochastic._philox_rng(0)
 
 
 # ---------------------------------------------------------------- (b) no draw
@@ -666,6 +766,70 @@ def test_invalid_truncation_levels_rejected(dist, L):
     for check in (pinelis_check, pinelis_supermartingale_profile):
         with pytest.raises(ValueError, match="truncation level must be positive"):
             check(ens, t=0.5, D=1.0, dist=dist, trunc_L=L)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -4.0, -1e-300])
+@pytest.mark.parametrize("dist", [symmetric_pareto(R3, 4.5), student_t(R3, 5.0), rademacher(R1, 1.0),
+                                  gaussian(R3, 1.0), gaussian(R3, 0.0), uniform_cube(R3, 1.0),
+                                  gaussian(make_lp(3, 3.0), 1.0)])
+def test_norm_moment_rejects_invalid_orders(dist, p):
+    with pytest.raises(ValueError, match="^moment order p must be finite and >= 0, got "):
+        norm_moment(dist, p)
+
+
+def _count_calls(bad):
+    """name: (a call that takes the count ``bad``, the parameter, the error)."""
+    dist, f = gaussian(R3, 1.0), SeparableFunction(terms=(CoordinateTerm(g=lambda z: z, mean=0.5),) * 3)
+    config = dict(dist=dist, n=5, trials=100, q=4.0, D=1.0, u_grid=(0.1,), seed=1)
+    return {
+        "SmoothSpace": (lambda: SmoothSpace(bad, "lp", 3.0), "dimension", InvalidDimensionError),
+        "make_lp": (lambda: make_lp(bad, 3), "dimension", InvalidDimensionError),
+        "make_euclidean": (lambda: make_euclidean(bad), "dimension", InvalidDimensionError),
+        "sample_increments n": (lambda: sample_increments(dist, bad, 0), "n", ValueError),
+        "running_max_ensemble n": (lambda: stochastic.running_max_ensemble(dist, bad, 10, 1),
+                                   "n", ValueError),
+        "running_max_ensemble trials": (lambda: stochastic.running_max_ensemble(dist, 5, bad, 1),
+                                        "trials", ValueError),
+        "truncated_ensemble n": (lambda: truncated_ensemble(dist, bad, 10, 1, 2.0), "n", ValueError),
+        "truncated_ensemble trials": (lambda: truncated_ensemble(dist, 5, bad, 1, 2.0),
+                                      "trials", ValueError),
+        "doob_running_max_ensemble trials": (
+            lambda: stochastic.doob_running_max_ensemble(f, lambda rng, n: rng.random(n), bad, 1),
+            "trials", ValueError),
+        "CampaignConfig n": (lambda: CampaignConfig(**{**config, "n": bad}), "n", ValueError),
+        "CampaignConfig trials": (lambda: CampaignConfig(**{**config, "trials": bad}),
+                                  "trials", ValueError),
+        "independent_sum_bound n": (lambda: independent_sum_bound(MomentProfile(1.0, 1.0, 4.0),
+                                                                  bad, 1.0, 0.1), "n", ValueError),
+        "smoothness_certificate num_pairs": (lambda: smoothness_certificate(R3, bad, 1),
+                                             "num_pairs", ValueError)}
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), 0, -3, "3", None])
+@pytest.mark.parametrize("case", list(_count_calls(0)))
+def test_counts_are_integers_at_least_one(case, bad):
+    call, name, error = _count_calls(bad)[case]
+    with pytest.raises(error, match=f"^{name} must be an integer >= 1, got "):
+        call()
+
+
+def test_count_checks_take_numpy_integers_and_keep_their_other_rules():
+    # a numpy count becomes a Python int, whose arithmetic cannot wrap
+    space = make_lp(np.uint8(16), 3.0)
+    assert space == SmoothSpace(16, "lp", 3.0) and type(space.dimension) is int
+    dist = gaussian(space, 1.0)
+    assert sample_increments(dist, np.int32(4), 0).increments.shape == (4, 16)
+    maxima = stochastic.running_max_ensemble(dist, np.uint16(5000), np.uint8(7), 1)
+    assert np.array_equal(maxima, stochastic.running_max_ensemble(dist, 5000, 7, 1))
+    config = dict(dist=dist, n=5, trials=100, q=4.0, D=1.0, u_grid=(0.1,), seed=1)
+    for trials in (100.5, 1e5):
+        with pytest.raises(ValueError, match=f"^trials must be an integer >= 1, got {trials}"):
+            CampaignConfig(**{**config, "trials": trials})
+    with pytest.raises(ValueError, match="^trials must be >= 100, got 99"):
+        CampaignConfig(**{**config, "trials": 99})
+    empty = SeparableFunction(terms=())
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0"):
+        stochastic.doob_running_max_ensemble(empty, lambda rng, n: rng.random(n), 5, 1)
 
 
 @pytest.mark.parametrize("t, D", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
