@@ -12,7 +12,7 @@ sum E_{i-1} ||xi_i||^2 <= sigma^2 and sum E_{i-1} ||xi_i||^q <= C_q^q.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidLevelError, InvalidQError, InvalidThresholdError, checked_count
+from .errors import InvalidLevelError, InvalidThresholdError, checked_count, checked_q
 from .stochastic import MomentProfile
 
 CONFIDENCE_THRESHOLD = "confidence_threshold"
@@ -28,8 +28,7 @@ class BoundResult:
 
 def constant_c(q: float, D: float) -> float:
     """The bound constant c(q, D); e.g. c(3, 1) = 41/30."""
-    if not 2 < q < math.inf:
-        raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
+    checked_q(q)
     if not 1 <= D < math.inf:
         raise ValueError(f"D must be finite and >= 1, got {D}")
     return 1.0 / (2.0 * q) + min(1.0 / q, 0.2) + 1.0 \
@@ -117,17 +116,19 @@ class HolderSpec:
     coordinate_moments: tuple
 
     def __post_init__(self):
-        if self.holder_L < 0:
-            raise ValueError(f"holder_L must be >= 0, got {self.holder_L}")
+        if not 0 <= self.holder_L < math.inf:
+            raise ValueError(f"holder_L must be finite and >= 0, got {self.holder_L}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not all(0 <= m < math.inf for pair in self.coordinate_moments for m in pair):
+            raise ValueError(f"coordinate moments must be finite and >= 0, "
+                             f"got {self.coordinate_moments}")
 
 
 def holder_constants(spec: HolderSpec, q: float) -> tuple:
     """(sigma^2, C_q^q) certified by the Holder condition:
     sigma^2 = L^2 sum_i E d_i^(2 alpha), C_q^q = L^q sum_i E d_i^(q alpha)."""
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
+    checked_q(q)
     L = spec.holder_L
     m2 = sum(pair[0] for pair in spec.coordinate_moments)
     mq = sum(pair[1] for pair in spec.coordinate_moments)

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one check of a
-count argument."""
+count argument and of a moment order q."""
 
+import math
 import operator
 
 
@@ -48,14 +49,22 @@ class InvalidCountError(ValueError):
     """Success count outside [0, trials]."""
 
 
-def checked_count(value, name: str, error=ValueError) -> int:
-    """value as a Python int, if it is an integer >= 1 (a Python or numpy
+def checked_count(value, name: str, error=ValueError, least: int = 1) -> int:
+    """value as a Python int, if it is an integer >= least (a Python or numpy
     integer: a float, even a whole one, is no count); else ``error``, naming
     the parameter. Arithmetic on the int cannot wrap as a numpy integer's can."""
     try:
         count = operator.index(value)
     except TypeError:
-        count = 0
-    if count < 1:
-        raise error(f"{name} must be an integer >= 1, got {value!r}")
+        count = least - 1
+    if count < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return count
+
+
+def checked_q(q) -> float:
+    """The moment order q as a float, if it is finite and exceeds 2; else
+    InvalidQError, naming q."""
+    if not 2 < q < math.inf:
+        raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
+    return float(q)

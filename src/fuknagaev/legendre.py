@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError, InvalidQError
+from .errors import DomainError, checked_q
 
 _E = math.e
 
@@ -88,13 +88,12 @@ class CgfPieces:
 
 
 def cgf_pieces(q: float, sigma: float, trunc_L: float) -> CgfPieces:
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
+    q = checked_q(q)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if trunc_L <= 0:
         raise ValueError(f"truncation level must be positive, got {trunc_L}")
-    return CgfPieces(q=float(q), sigma=float(sigma), trunc_L=float(trunc_L))
+    return CgfPieces(q=q, sigma=float(sigma), trunc_L=float(trunc_L))
 
 
 def _objective(psi, x: float, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -217,8 +216,7 @@ def log_poly_check(x: float, q: float) -> CheckResult:
 
 def rio36_check(q: float, x: float) -> CheckResult:
     """psi_q(x) / x <= exp(x) * min(1/q, 1/5) at the given point."""
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
+    checked_q(q)
     if x <= 0:
         raise ValueError(f"x must be positive, got {x}")
     lhs = psi_tail(q, x) / x
@@ -229,8 +227,7 @@ def rio36_check(q: float, x: float) -> CheckResult:
 def truncation_error_bound(q: float, u: float) -> float:
     """CVaR bound on the truncation error under normalized assumptions with
     level L = (2/u)^(1/q): equals u^(-1/q) * 2^(1/q - 1)."""
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
+    checked_q(q)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     return u ** (-1.0 / q) * 2.0 ** (1.0 / q - 1.0)
@@ -296,8 +293,7 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     The recorded final coefficient is the constant in front of (2/u)^(1/q)
     in the user-facing bound; it matches bounds.constant_c exactly.
     """
-    if not 2 < q < math.inf:
-        raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
+    checked_q(q)
     if not (1 <= D < math.inf and 0 < sigma < math.inf and 0.0 < u < 1.0):
         raise ValueError("need finite D >= 1 and sigma > 0, and u in (0, 1)")
     DD = D * D

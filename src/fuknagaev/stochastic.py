@@ -18,12 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence, ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import (betainc, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, logsumexp,
                            poch, stdtr, stdtrit)
 
-from .errors import (InfiniteMomentError, InvalidQError, PreconditionError,
-                     UnsupportedFunctionError, checked_count)
+from .errors import (InfiniteMomentError, PreconditionError, UnsupportedFunctionError,
+                     checked_count, checked_q)
 from .spaces import SmoothSpace, make_euclidean
 
 SYMMETRIC_PARETO = "symmetric_pareto"
@@ -129,8 +129,7 @@ class MomentProfile:
     q: float
 
     def __post_init__(self):
-        if not self.q > 2:
-            raise InvalidQError(f"q must exceed 2, got {self.q}")
+        checked_q(self.q)
         for name in ("sigma_sq", "cq_to_q"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -157,166 +156,54 @@ class TruncationLevel:
             raise ValueError(f"truncation level must be positive, got {self.trunc_L}")
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
-# hashmix(v) = xorshift((v ^ h) * h') mod 2^32, where the hash constant h
-# steps to h' = h * MULT_A from INIT_A while entropy is mixed in, and by
-# MULT_B from INIT_B while words are generated; mix(x, y) =
-# xorshift(MIX_MULT_L x - MIX_MULT_R y) mod 2^32. The helpers take Python
-# ints or uint32 arrays, whose arithmetic wraps mod 2^32 as the hash does.
-_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_UINT32, _UINT64 = np.dtype(np.uint32), np.dtype(np.uint64)
-_TABLE_WORDS = 4096  # 32-bit words per seed table (16 KB)
-
-
-def _entropy_int(n) -> int:
-    """n as a Python int, with SeedSequence's exception types for anything
-    but a nonnegative integer."""
-    n = operator.index(n)  # TypeError for a float, a string or np.bool_
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    return n
-
-
-def _uint32_words(n: int) -> list:
-    """Little-endian 32-bit words of a nonnegative integer ([0] for 0)."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-@functools.lru_cache(maxsize=256)
-def _hash_steps(h: int, mult: int, count: int) -> tuple:
-    """The (h, h') pairs of ``count`` hash steps from h, for the pool's
-    fixed counts (seed tables take their steps from one cumprod)."""
-    steps = []
-    for _ in range(count):
-        steps.append((h, h * mult & _MASK32))
-        h = steps[-1][1]
-    return tuple(steps)
-
-
-def _hashmix(value, step):
-    h, h_next = step
-    value = (value ^ h) * h_next & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _mix_in(pool: list, h: int, words) -> int:
-    """Mix the entropy words past the first four into every pool word, in
-    place; returns the hash constant after them."""
-    for w in words:
-        steps = _hash_steps(h, _MULT_A, _POOL_SIZE)
-        for i, step in enumerate(steps):
-            pool[i] = _mix(pool[i], _hashmix(w, step))
-        h = steps[-1][1]
-    return h
-
-
-@functools.lru_cache(maxsize=256)
-def _seed_pool(seed: int) -> tuple:
-    """The pool and hash constant of SeedSequence(entropy=seed, spawn_key=k)
-    after the seed's words, which precede k's and do not depend on it."""
-    words = _uint32_words(seed)
-    words += [0] * (_POOL_SIZE - len(words))  # padded because a spawn key follows
-    steps = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-    pool = [_hashmix(w, step) for w, step in zip(words[:_POOL_SIZE], steps)]
-    pairs = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
-    for (src, dst), step in zip(pairs, steps[_POOL_SIZE:]):
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], step))
-    h = _mix_in(pool, steps[-1][1], words[_POOL_SIZE:])
-    return tuple(pool), h
-
-
-def _table_trials(count: int) -> int:
-    """K, the trials of one seed table for requests of ``count`` 32-bit
-    words: the largest power of two with K count <= _TABLE_WORDS, at least 1."""
-    return 1 << max(0, (_TABLE_WORDS // max(count, 1)).bit_length() - 1)
+_TABLE_TRIALS = 512  # trial seeds per seed table: 512 Philox blocks of 32 bytes, 16 KB
+_TRIAL_LIMIT = 1 << 247  # 2^256 / 512: far inside the 256-bit counter, which advance() wraps
 
 
 @functools.lru_cache(maxsize=8)
-def _seed_table(seed: int, n_words: int, dtype: np.dtype, chunk: int) -> np.ndarray:
-    """generate_state(n_words, dtype) of the seed's trials chunk K to
-    chunk K + K - 1, as the rows of a read-only (K, n_words) array.
-
-    The K trials differ only in their lowest word, so the chunk mixes one
-    uint32 array of low words into the seed's pool, then its shared high
-    words, as 1-element arrays (a Python int above 2^32 cannot meet a uint32
-    array), and hashes every word of every row in one pass."""
-    count = n_words * dtype.itemsize // 4
-    size = _table_trials(count)
-    low, *high = _uint32_words(chunk * size)
-    pool, h = _seed_pool(seed)
-    pool = [np.full(1, p, dtype=_UINT32) for p in pool]
-    _mix_in(pool, h, [np.arange(low, low + size, dtype=_UINT32),
-                      *(np.full(1, w, dtype=_UINT32) for w in high)])
-    steps = np.full(count + 1, _MULT_B, dtype=_UINT32)
-    steps[0] = _INIT_B
-    np.cumprod(steps, out=steps)  # h_i = INIT_B * MULT_B^i mod 2^32, wrapping
-    table = _hashmix(np.stack(pool, axis=1)[:, np.arange(count) % _POOL_SIZE],
-                     (steps[:-1], steps[1:]))
-    if dtype == _UINT64:  # little-endian word pairs, as numpy joins them
-        table = table.astype("<u4", order="C").view("<u8").astype(_UINT64)
+def _seed_table(seed: int, chunk: int) -> np.ndarray:
+    """Blocks 512 chunk to 512 chunk + 511 of the stream of Philox(seed), as
+    the rows of a read-only (512, 4) uint64 array."""
+    bits = np.random.Philox(seed)
+    bits.advance(_TABLE_TRIALS * chunk)
+    table = bits.random_raw(4 * _TABLE_TRIALS).reshape(_TABLE_TRIALS, 4)
     table.flags.writeable = False
     return table
 
 
-class TrialSeedSequence(ISpawnableSeedSequence):
-    """numpy's SeedSequence(entropy=seed, spawn_key=(trial,)) in a lighter
-    object: the same generate_state words and the same children. Its words
-    are one row of a seed table, which holds those of K consecutive trials
-    and is built once for all of them."""
-    _spawner = None  # the SeedSequence that spawn() delegates to, built on first use
+class _TrialSeed(ISeedSequence):
+    """The seed of one trial: its 32 bytes are a row of a seed table."""
 
     def __init__(self, seed: int, trial: int):
-        self.entropy, self.spawn_key = _entropy_int(seed), (_entropy_int(trial),)
+        # as SeedSequence checks them: TypeError for a float, a str or np.bool_
+        self.seed, self.trial = operator.index(seed), operator.index(trial)
+        if self.seed < 0 or not 0 <= self.trial < _TRIAL_LIMIT:
+            raise ValueError(f"seed and trial must be non-negative integers, the trial below "
+                             f"2^247, got seed {self.seed}, trial {self.trial}")
+
+    def _row(self) -> np.ndarray:
+        return _seed_table(self.seed, self.trial // _TABLE_TRIALS)[self.trial % _TABLE_TRIALS]
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         dtype = np.dtype(dtype)
-        if dtype != _UINT32 and dtype != _UINT64:
+        if dtype != np.uint32 and dtype != np.uint64:
             raise ValueError("only support uint32 or uint64")
-        n_words = operator.index(n_words)
-        if n_words < 0:
-            raise ValueError(f"n_words must be nonnegative, got {n_words}")
-        return self._words(n_words, dtype).copy()
-
-    def _words(self, n_words: int, dtype: np.dtype) -> np.ndarray:
-        """generate_state's words for a valid request, as a read-only row
-        of a seed table."""
-        size, trial = _table_trials(n_words * dtype.itemsize // 4), self.spawn_key[0]
-        # a table of one trial is never shared, so it is not cached
-        table = _seed_table if size > 1 else _seed_table.__wrapped__
-        return table(self.entropy, n_words, dtype, trial // size)[trial % size]
-
-    def spawn(self, n_children: int) -> list:
-        """numpy's children, counted across calls as numpy counts them."""
-        if self._spawner is None:
-            self._spawner = np.random.SeedSequence(entropy=self.entropy,
-                                                   spawn_key=self.spawn_key)
-        return self._spawner.spawn(n_children)
+        if not 0 <= operator.index(n_words) * dtype.itemsize <= 32:
+            raise ValueError(f"a trial seed holds 32 bytes, got a request for {n_words} "
+                             f"{dtype} words")
+        return self._row().view(dtype)[:n_words].copy()
 
 
-def trial_seed(seed: int, trial: int) -> TrialSeedSequence:
-    """Splittable seed of one trial or one block of trials, order-independent.
-    Its words equal those of numpy's SeedSequence(entropy=seed,
-    spawn_key=(trial,)), so every stream is the same; it costs a fraction of
-    that object. Seed and trial are nonnegative integers of any size.
-
-    The words of the K = 2^k consecutive trials from a multiple of K (K
-    requests of n_words fit in 4096 32-bit words: K = 1024 for Philox's two
-    64-bit words) are hashed together into one read-only table, cached with
-    at most 7 others (16 KB each); each object copies its row. A request
-    of more than 4096 words is a table of one trial, built per call."""
-    return TrialSeedSequence(seed, trial)
+def trial_seed(seed: int, trial: int) -> ISeedSequence:
+    """Seed of one trial or one block of trials, order-independent: its 32
+    bytes, four uint64 words (or their eight uint32 views), are block
+    ``trial`` of the stream of np.random.Philox(seed), that is
+    np.random.Philox(seed).random_raw(4 * trial + 4)[4 * trial:]. Seed and
+    trial are nonnegative integers, the trial below 2^247. The blocks of
+    512 consecutive trials from a multiple of 512 are drawn together into a
+    read-only table, cached with at most 7 others (16 KB each). Generators
+    seeded with it do not spawn."""
+    return _TrialSeed(seed, trial)
 
 
 _thread = threading.local()  # per thread: the generator that _philox_rng re-keys
@@ -330,11 +217,11 @@ def _philox_rng(seed) -> np.random.Generator:
     empty buffer give the stream a new one would, without building one.
     Threads never share the generator; callers finish their draws before
     they return and hand it to no one, as the next call re-keys it."""
-    if isinstance(seed, TrialSeedSequence):  # its table row, without a copy
-        key = seed._words(2, _UINT64)
+    if isinstance(seed, _TrialSeed):  # its table row, without a copy
+        key = seed._row()[:2]
     else:  # as BitGenerator.__init__ takes a seed
         key = (seed if isinstance(seed, ISeedSequence)
-               else np.random.SeedSequence(seed)).generate_state(2, _UINT64)
+               else np.random.SeedSequence(seed)).generate_state(2, np.uint64)
     rng = getattr(_thread, "rng", None)
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.Philox(0))
@@ -497,8 +384,7 @@ def norm_moment(dist: IncrementDistribution, p: float) -> float:
 
 def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfile:
     """Profile (sigma^2, C_q^q, q) of the iid-sum martingale of length n."""
-    if not 2 < q < math.inf:
-        raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
+    checked_q(q)
     n = checked_count(n, "n")
     return MomentProfile(sigma_sq=n * norm_moment(dist, 2.0),
                          cq_to_q=n * norm_moment(dist, q), q=float(q))
@@ -711,6 +597,8 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
     for sure is not integrated: the density decreases past q, so the
     integral over [q, L] is at least f(L) e^(tL) (1 - e^(-t(L - q))) / t.
     """
+    if not -math.inf < t < math.inf:
+        raise ValueError(f"t must be finite, got {t}")
     L = _truncation_level(trunc_L)
     law = _scalar_norm_law(dist)
     try:
@@ -809,15 +697,22 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
                     - t * truncated_norm_mean(dist, trunc_L)), norms
 
 
+def _standard_errors(values: np.ndarray) -> np.ndarray:
+    """Standard errors of the means over axis 0 (the trials); 0 for one trial."""
+    if len(values) == 1:
+        return np.zeros(values.shape[1:])
+    return values.std(axis=0, ddof=1) / math.sqrt(len(values))
+
+
 def pinelis_supermartingale_profile(ensemble, t: float, D: float,
                                     dist: IncrementDistribution,
                                     trunc_L=None) -> PinelisState:
     """Track E G_i over an iid truncated ensemble, step by step."""
     e_term, norms = _pinelis_terms(ensemble, t, D, dist, trunc_L)
-    trials, n = norms.shape
+    n = norms.shape[1]
     g = np.cosh(t * norms) / np.cumprod(np.full(n, 1.0 + e_term))
     g_means = np.concatenate(([1.0], g.mean(axis=0)))
-    g_se = np.concatenate(([0.0], g.std(axis=0, ddof=1) / math.sqrt(trials)))
+    g_se = np.concatenate(([0.0], _standard_errors(g)))
     passed = bool(np.all(g_means <= 1.0 + 3.0 * g_se))
     return PinelisState(t=t, e_terms=np.full(n, e_term), g_means=g_means,
                         g_standard_errors=g_se, passed=passed)
@@ -837,7 +732,7 @@ def pinelis_check(ensemble, t: float, D: float,
     trials, n = norms.shape
     cosh_vals = np.cosh(t * norms[:, -1]) if n else np.ones(trials)
     emp = float(cosh_vals.mean())
-    se = float(cosh_vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    se = float(_standard_errors(cosh_vals))
     product = (1.0 + e_term) ** n
     return PinelisReport(t=t, D=D, n=n, trials=trials, empirical_cosh=emp,
                          standard_error=se, e_term=e_term, product_bound=product,
@@ -849,9 +744,17 @@ def pinelis_check(ensemble, t: float, D: float,
 
 @dataclass(frozen=True)
 class DiscreteNormLaw:
-    """Discrete law of one ||xi~_i||, values >= 0 with probabilities."""
+    """Discrete law of one ||xi~_i||: finite values >= 0, each with a
+    probability in [0, 1]."""
     values: tuple
     probs: tuple
+
+    def __post_init__(self):
+        if not (0 < len(self.values) == len(self.probs)
+                and all(0 <= v < math.inf for v in self.values)
+                and all(0 <= p <= 1 for p in self.probs)):
+            raise ValueError(f"a norm law needs values finite and >= 0, at least one, each with a "
+                             f"probability in [0, 1], got values {self.values}, probs {self.probs}")
 
     def moment(self, k: float) -> float:
         return float(sum(p * v ** k for v, p in zip(self.values, self.probs)))
@@ -875,11 +778,16 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
     Preconditions (normalized assumptions): sum E^2 <= sigma^2,
     sum E^q <= 1, all values <= L.
     """
-    if q <= 2:
-        raise InvalidQError(f"q must exceed 2, got {q}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    checked_q(q)
+    if not 2 <= k < math.inf:
+        raise ValueError(f"k must be finite and >= 2, got {k}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not 0 < trunc_L < math.inf:
+        raise ValueError(f"trunc_L must be finite and > 0, got {trunc_L}")
     laws = list(norm_laws)
+    if not laws:
+        raise ValueError("norm_laws must hold at least one law")
     tol = 1e-12
     m2 = sum(law.moment(2.0) for law in laws)
     mq = sum(law.moment(q) for law in laws)

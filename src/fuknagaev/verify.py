@@ -7,6 +7,7 @@ Clopper-Pearson upper limit (exceedance counts near zero are the common
 case, where normal approximations are useless).
 """
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ import numpy as np
 from scipy.special import betaincinv
 
 from .bounds import _tail_terms, confidence_bound
-from .errors import InvalidCountError, InvalidLevelError, InvalidQError, checked_count
+from .errors import InvalidCountError, InvalidLevelError, checked_count, checked_q
 from .quantile import make_sample, quantile_q
 from .stochastic import (IncrementDistribution, MomentProfile, moment_profile,
                          running_max_ensemble)
@@ -24,6 +25,11 @@ def clopper_pearson_upper(k: int, trials: int, confidence: float) -> float:
     """Exact one-sided upper confidence limit for a binomial proportion:
     the confidence quantile of Beta(k + 1, trials - k), from Boost's
     inverse regularised incomplete beta function (as scipy.stats.beta.ppf)."""
+    trials = checked_count(trials, "trials", InvalidCountError)
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvalidCountError(f"k must be an integer, got {k!r}") from None
     if not 0 <= k <= trials:
         raise InvalidCountError(f"need 0 <= k <= trials, got k={k}, trials={trials}")
     if not 0.0 < confidence < 1.0:
@@ -49,8 +55,7 @@ class CampaignConfig:
         if self.trials < 100:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
         checked_count(self.n, "n")
-        if self.q <= 2:
-            raise InvalidQError(f"q must exceed 2, got {self.q}")
+        checked_q(self.q)
         if not self.D >= self.dist.space.smoothness_D:
             raise ValueError(f"D must be >= the smoothness constant "
                              f"{self.dist.space.smoothness_D:.6g} of the space, got {self.D}")
@@ -195,6 +200,7 @@ def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,
     t_lo, t_hi = bracket
     if not 0 < t_lo < t_hi:
         raise ValueError(f"need 0 < t_lo < t_hi, got {bracket}")
+    grid_points = checked_count(grid_points, "grid_points", least=2)
 
     def g(t):
         poly, gauss = _tail_terms(profile, D, t)

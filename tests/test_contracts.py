@@ -1,5 +1,5 @@
 """Contracts of the shared implementations: the documented draw order of
-every sampler, per-trial seeds with numpy's SeedSequence words, moment
+every sampler, per-trial seeds read from Philox's own stream, moment
 profiles that never draw and fit in bounded memory,
 the Pinelis pair read from one set of partial sums, the truncated moments
 of the scalar norm law, and the input checks and exit codes of the command
@@ -26,8 +26,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from fuknagaev import cli, quantile, stochastic
-from fuknagaev.bounds import independent_sum_bound, tail_bound
-from fuknagaev.errors import InternalInconsistencyError, InvalidDimensionError, InvalidQError
+from fuknagaev.bounds import (HolderSpec, constant_c, holder_constants, independent_sum_bound,
+                              tail_bound)
+from fuknagaev.errors import (InternalInconsistencyError, InvalidCountError, InvalidDimensionError,
+                              InvalidQError)
+from fuknagaev.legendre import cgf_pieces, proof_chain, rio36_check, truncation_error_bound
 from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp, smoothness_certificate
 from fuknagaev.stochastic import (CoordinateTerm, IncrementDistribution, MomentProfile,
                                   SeparableFunction, gaussian, moment_profile,
@@ -37,7 +40,7 @@ from fuknagaev.stochastic import (CoordinateTerm, IncrementDistribution, MomentP
                                   symmetric_pareto, trial_seed,
                                   truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean, uniform_cube)
-from fuknagaev.verify import CampaignConfig, crossover_scan
+from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan
 
 R1 = make_euclidean(1)
 R3 = make_euclidean(3)
@@ -84,28 +87,54 @@ def test_sampler_draw_order(space):
 # ---------------------------------------------------------------- per-trial seeds
 
 _EDGES = (0, 2**32 - 1, 2**32, 2**64)
+_LAST_TRIAL = 2**247 - 1
 
 
-def _seed_sequence(seed, trial):
-    return np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+def _philox_block(seed, trial):
+    """Block ``trial`` of the stream of np.random.Philox(seed): for small
+    trials literally Philox(seed).random_raw(4 * trial + 4)[4 * trial:], past
+    them the block after advance(trial), which skips whole blocks."""
+    if trial < 2048:
+        return np.random.Philox(seed).random_raw(4 * trial + 4)[4 * trial:]
+    bits = np.random.Philox(seed)
+    bits.advance(trial)
+    return bits.random_raw(4)
+
+
+def _reference(seed, trial):
+    """A new Philox keyed as Philox(trial_seed(seed, trial)) is."""
+    return np.random.Philox(key=_philox_block(seed, trial)[:2])
+
+
+def _want_words(seed, trial, n_words, dtype):
+    block = _philox_block(seed, trial)
+    return (block if dtype == np.uint64 else block.view(np.uint32))[:n_words]
+
+
+def test_philox_advance_skips_whole_blocks():
+    raw = np.random.Philox(3).random_raw(4 * 2100)
+    for trial in (0, 1, 511, 512, 2047, 2048, 2099):
+        bits = np.random.Philox(3)
+        bits.advance(trial)
+        assert np.array_equal(bits.random_raw(4), raw[4 * trial:4 * trial + 4])
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**130 - 1)),
-       trial=st.one_of(st.sampled_from(_EDGES), st.integers(0, 2**70 - 1)),
-       n_words=st.integers(1, 8), dtype=st.sampled_from([np.uint32, np.uint64]))
-def test_trial_seed_words_equal_seed_sequence(seed, trial, n_words, dtype):
+       trial=st.one_of(st.sampled_from(_EDGES + (_LAST_TRIAL,)), st.integers(0, _LAST_TRIAL)),
+       dtype=st.sampled_from([np.uint32, np.uint64]), data=st.data())
+def test_trial_seed_words_equal_philox_blocks(seed, trial, dtype, data):
+    n_words = data.draw(st.integers(1, 8 if dtype == np.uint32 else 4))
     got = trial_seed(seed, trial).generate_state(n_words, dtype)
-    want = _seed_sequence(seed, trial).generate_state(n_words, dtype)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == dtype and np.array_equal(got, _want_words(seed, trial, n_words, dtype))
 
 
 def test_trial_seed_words_at_word_edges():
     for seed in _EDGES + (2**130 - 1,):
-        for trial in _EDGES + (2**70 - 1,):
-            for dtype in (np.uint32, np.uint64):
-                got = trial_seed(seed, trial).generate_state(8, dtype)
-                assert np.array_equal(got, _seed_sequence(seed, trial).generate_state(8, dtype))
+        for trial in _EDGES + (2**70 - 1, _LAST_TRIAL):
+            for dtype, n_words in ((np.uint32, 8), (np.uint64, 4)):
+                got = trial_seed(seed, trial).generate_state(n_words, dtype)
+                assert np.array_equal(got, _want_words(seed, trial, n_words, dtype))
 
 
 @pytest.mark.parametrize("seed, trial, error", [
@@ -114,14 +143,24 @@ def test_trial_seed_words_at_word_edges():
     (0, np.float32(1), TypeError)])
 def test_trial_seed_rejects_what_seed_sequence_rejects(seed, trial, error):
     with pytest.raises(error):
-        _seed_sequence(seed, trial)
+        np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     with pytest.raises(error):
+        trial_seed(seed, trial)
+
+
+@pytest.mark.parametrize("seed, trial, error", [
+    (0, 2**247, ValueError), (5, 2**256, ValueError), (5, 2**256 + 3, ValueError),
+    ("3", 0, TypeError), (0, "3", TypeError), (np.bool_(True), 0, TypeError),
+    (0, np.bool_(False), TypeError), (0, None, TypeError)])
+def test_trial_seed_rejects_bad_inputs_and_too_large_trials(seed, trial, error):
+    # Philox's advance wraps at 2^256, so trial 2^256 would silently reuse trial 0's words
+    with pytest.raises(error, match="trial" if error is ValueError else None):
         trial_seed(seed, trial)
 
 
 def test_trial_seed_accepts_numpy_integers():
     got = trial_seed(np.int64(7), np.int64(3)).generate_state(4)
-    assert np.array_equal(got, _seed_sequence(np.int64(7), np.int64(3)).generate_state(4))
+    assert np.array_equal(got, _want_words(7, 3, 4, np.uint32))
     assert np.array_equal(got, trial_seed(7, 3).generate_state(4))
     with pytest.raises(ValueError):
         trial_seed(np.int64(-7), 3)
@@ -129,46 +168,47 @@ def test_trial_seed_accepts_numpy_integers():
         trial_seed(7, 3).generate_state(2, np.int64)
 
 
-def test_trial_seed_spawns_seed_sequence_children():
-    ours, theirs = trial_seed(5, 9), _seed_sequence(5, 9)
-    for k in (2, 3):  # the second call continues the children's count
-        for a, b in zip(ours.spawn(k), theirs.spawn(k), strict=True):
-            assert a.spawn_key == b.spawn_key
-            assert np.array_equal(a.generate_state(4), b.generate_state(4))
+@pytest.mark.parametrize("n_words, dtype", [(5, np.uint64), (9, np.uint32), (-1, np.uint32)])
+def test_trial_seed_holds_32_bytes(n_words, dtype):
+    with pytest.raises(ValueError, match="32 bytes"):
+        trial_seed(7, 3).generate_state(n_words, dtype)
+    assert trial_seed(7, 3).generate_state(0, dtype).shape == (0,)
+
+
+def test_trial_generators_do_not_spawn():
     rng = np.random.Generator(np.random.Philox(trial_seed(5, 9)))
-    ref = np.random.Generator(np.random.Philox(_seed_sequence(5, 9)))
-    for a, b in zip(rng.spawn(2), ref.spawn(2), strict=True):
-        assert np.array_equal(a.random(3), b.random(3))
+    with pytest.raises(TypeError):
+        rng.spawn(2)
+    assert not hasattr(trial_seed(5, 9), "spawn")
 
 
 @pytest.mark.parametrize("n", [5, 20])
-def test_per_trial_ensemble_equals_seed_sequence_ensemble(n):
+def test_per_trial_ensemble_equals_philox_block_ensemble(n):
     # criterion 6's construction, at a tenth of its trials
     dist, seed = rademacher(R1, 1.0), 20240506 + n
     ours = [sample_increments(dist, n, trial_seed(seed, j)).increments for j in range(2000)]
-    theirs = [sample_increments(dist, n, _seed_sequence(seed, j)).increments
-              for j in range(2000)]
+    theirs = [_fresh(dist, n, _reference(seed, j)) for j in range(2000)]
     assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("n_words", [1, 2, 4, 4096, 4097, 10000])
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
 def test_trial_seed_words_across_table_edges(n_words, dtype):
-    # K trials share a table; from 4096 32-bit words on, a table holds one trial
-    count = n_words * np.dtype(dtype).itemsize // 4
-    K = stochastic._table_trials(count)
-    assert K == {4: 1024, 1: 4096, 2: 2048, 8: 512}.get(count, 1)
+    # a table holds 512 trials; a request of more than 32 bytes is no row of it
     for seed in (0, 2**64 + 3):
-        for trial in (K - 1, K, K + 1, 2**32 - 1, 2**32 + 1):
+        for trial in (511, 512, 513, 1023, 1024, 2**32 - 1, 2**32 + 1):
+            if n_words * np.dtype(dtype).itemsize > 32:
+                with pytest.raises(ValueError, match="32 bytes"):
+                    trial_seed(seed, trial).generate_state(n_words, dtype)
+                continue
             got = trial_seed(seed, trial).generate_state(n_words, dtype)
-            want = _seed_sequence(seed, trial).generate_state(n_words, dtype)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == dtype
+            assert np.array_equal(got, _want_words(seed, trial, n_words, dtype))
 
 
-@pytest.mark.parametrize("n_words", [2, 64])
+@pytest.mark.parametrize("n_words", [2, 4])
 def test_trial_seed_words_do_not_depend_on_visit_order(n_words):
-    # 3 tables of 1024 trials, or 41 of 32 trials: more than the cache keeps
-    trials = list(range(3 * 1024 + 5 if n_words == 2 else 41 * 32))
+    trials = list(range(9 * 512 + 5))  # 10 tables: more than the cache keeps
 
     def words(order):
         stochastic._seed_table.cache_clear()
@@ -176,26 +216,26 @@ def test_trial_seed_words_do_not_depend_on_visit_order(n_words):
         return np.array([got[j] for j in trials])
 
     ref = words(trials)
-    assert np.array_equal(ref, [_seed_sequence(11, j).generate_state(n_words, np.uint64)
-                                for j in trials])
+    raw = np.random.Philox(11).random_raw(4 * len(trials)).reshape(-1, 4)
+    assert np.array_equal(ref, raw[:, :n_words])
     assert np.array_equal(words(trials[::-1]), ref)
     assert np.array_equal(words(np.random.default_rng(0).permutation(trials).tolist()), ref)
 
 
-@pytest.mark.parametrize("n_words", [2, 4097])
+@pytest.mark.parametrize("n_words", [2, 4])
 def test_seed_table_is_read_only(n_words):
-    want = _seed_sequence(5, 3).generate_state(n_words, np.uint64)
+    want = _want_words(5, 3, n_words, np.uint64)
     got = trial_seed(5, 3).generate_state(n_words, np.uint64)
     got[:] = 0  # a returned array is the caller's own
     assert np.array_equal(trial_seed(5, 3).generate_state(n_words, np.uint64), want)
-    table = stochastic._seed_table(5, n_words, np.dtype(np.uint64), 0)
+    table = stochastic._seed_table(5, 0)
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 0
 
 
 def test_seed_tables_memory_is_bounded():
-    # 1e5 trials in 120 tables of 16 KB; all of them kept would reach 2 MB
+    # 1e5 trials in 200 tables of 16 KB; all of them kept would reach 3 MB
     stochastic._seed_table.cache_clear()
     tracemalloc.start()
     try:
@@ -209,73 +249,97 @@ def test_seed_tables_memory_is_bounded():
 
 
 def test_large_seed_requests_hold_no_memory():
-    # above 4096 words a request is a one-trial table, neither cached nor
-    # kept; its hash constants are not kept per count either
-    trial_seed(1, 0).generate_state(2, np.uint64)  # the seed's cached pool
+    # a request of more than 32 bytes is rejected before any table is built
+    stochastic._seed_table.cache_clear()
     tracemalloc.start()
     try:
         for n_words in (10000, 10001, 10002):
-            trial_seed(1, 0).generate_state(n_words, np.uint64)
+            with pytest.raises(ValueError, match="32 bytes"):
+                trial_seed(1, 2**40 + n_words).generate_state(n_words, np.uint64)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 2 ** 19
+    assert held < 2 ** 12
+    assert stochastic._seed_table.cache_info().currsize == 0
 
 
-def test_block_rngs_built_on_four_threads_at_once():
-    seeds = (3, 2**40 + 1)
-    stochastic._seed_pool.cache_clear()  # the seeds' pools and tables are built concurrently too
-    stochastic._seed_table.cache_clear()
+def _on_four_threads(draws):
+    """draws(worker) for workers 0..3, started together, with frequent thread switches."""
     start = threading.Barrier(4, timeout=60)
 
-    def draws(worker):
+    def run(worker):
         start.wait()
-        return [(seed, b, stochastic._block_rng(seed, b).random(8))
-                for b in range(worker, 64, 4) for seed in seeds]
+        return draws(worker)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            results = [row for rows in pool.map(draws, range(4), timeout=60) for row in rows]
+            return list(pool.map(run, range(4), timeout=60))
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_block_rngs_built_on_four_threads_at_once():
+    seeds = (3, 2**40 + 1)
+    stochastic._seed_table.cache_clear()  # the seeds' tables are built concurrently too
+
+    def draws(worker):
+        return [(seed, b, stochastic._block_rng(seed, b).random(8))
+                for b in range(worker, 64, 4) for seed in seeds]
+
+    results = [row for rows in _on_four_threads(draws) for row in rows]
     assert len(results) == 128
     for seed, b, got in results:
-        ref = np.random.Generator(np.random.Philox(_seed_sequence(seed, b)))
-        assert np.array_equal(got, ref.random(8))
+        assert np.array_equal(got, np.random.Generator(_reference(seed, b)).random(8))
+
+
+def test_trial_seed_words_on_four_threads_at_once():
+    trials = [0, 511, 512, 2**32 + 5, 2**70, _LAST_TRIAL] + list(range(1, 3000, 7))
+    stochastic._seed_table.cache_clear()
+
+    def draws(worker):
+        return [(j, dtype, n_words, trial_seed(13, j).generate_state(n_words, dtype))
+                for j in trials[worker::4] for dtype, n_words in ((np.uint32, 8), (np.uint64, 4),
+                                                                   (np.uint64, 2))]
+
+    results = [row for rows in _on_four_threads(draws) for row in rows]
+    assert len(results) == 3 * len(trials)
+    for j, dtype, n_words, got in results:
+        assert np.array_equal(got, _want_words(13, j, n_words, dtype))
 
 
 # ---------------------------------------------------------------- one generator per thread
 
 _SAMPLED = (gaussian(R3, 1.5), uniform_cube(R3, 0.5), rademacher(R1, 1.0),
             symmetric_pareto(make_lp(4, 3.0), 4.5), student_t(R3, 5.0))
-_TRIALS = (0, 1023, 1024, 2**32 + 5)
+_TRIALS = (0, 511, 512, 2**32 + 5, 2**70, _LAST_TRIAL)
 
 
-def _fresh(dist, n, seed):
-    """The increments of a new Generator(Philox(seed))."""
-    return stochastic._draw(dist, (n,), np.random.Generator(np.random.Philox(seed)))
+def _fresh(dist, n, bits):
+    """The increments of a new Generator on the new bit generator ``bits``."""
+    return stochastic._draw(dist, (n,), np.random.Generator(bits))
 
 
 def _seeds(seed):
-    """An int, a SeedSequence and the trial seeds of ``seed``, each with the
-    seed a new Philox takes for the same stream."""
-    cases = [(seed, seed), (np.random.SeedSequence(seed), np.random.SeedSequence(seed))]
-    return cases + [(trial_seed(seed, j), _seed_sequence(seed, j)) for j in _TRIALS]
+    """An int, a SeedSequence and the trial seeds of ``seed``, each with a
+    maker of the new Philox that draws the same stream."""
+    cases = [(seed, lambda: np.random.Philox(seed)),
+             (np.random.SeedSequence(seed), lambda: np.random.Philox(np.random.SeedSequence(seed)))]
+    return cases + [(trial_seed(seed, j), lambda j=j: _reference(seed, j)) for j in _TRIALS]
 
 
 @pytest.mark.parametrize("dist", _SAMPLED, ids=lambda d: d.kind)
 @pytest.mark.parametrize("n", [1, 5, 20])
 def test_sample_increments_equal_a_new_philox_generator(dist, n):
-    for seed, ref in _seeds(2**40 + 9):
+    for seed, make in _seeds(2**40 + 9):
         got = sample_increments(dist, n, seed).increments
-        assert got.tobytes() == _fresh(dist, n, ref).tobytes()
+        assert got.tobytes() == _fresh(dist, n, make()).tobytes()
 
 
 def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch):
-    cases = [(dist, n, seed, _fresh(dist, n, ref)) for dist in _SAMPLED for n in (1, 7)
-             for seed, ref in _seeds(31)]
+    cases = [(dist, n, seed, _fresh(dist, n, make())) for dist in _SAMPLED for n in (1, 7)
+             for seed, make in _seeds(31)]
     order = np.random.default_rng(4).permutation(len(cases) * 2) % len(cases)
     for i in order:
         dist, n, seed, want = cases[i]
@@ -300,25 +364,16 @@ def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch)
 
 
 def test_sample_increments_on_four_threads_at_once():
-    cases = [(dist, 5, trial_seed(77, j)) for dist in _SAMPLED for j in range(0, 2048, 2)]
-    want = [_fresh(dist, n, _seed_sequence(77, seed.spawn_key[0])).tobytes()
-            for dist, n, seed in cases]
-    start = threading.Barrier(4, timeout=60)
+    cases = [(dist, 5, j) for dist in _SAMPLED for j in range(0, 2048, 2)]
+    want = [_fresh(dist, n, _reference(77, j)).tobytes() for dist, n, j in cases]
 
     def draws(worker):
-        start.wait()
         rng = stochastic._philox_rng(0)
-        got = [(i, sample_increments(*cases[i]).increments.tobytes())
-               for i in range(worker, len(cases), 4)]
+        got = [(i, sample_increments(dist, n, trial_seed(77, j)).increments.tobytes())
+               for i, (dist, n, j) in enumerate(cases) if i % 4 == worker]
         return rng, got
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(draws, range(4), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
+    results = _on_four_threads(draws)
     got = dict(row for _, rows in results for row in rows)
     assert sorted(got) == list(range(len(cases)))
     assert all(got[i] == want[i] for i in got)
@@ -335,10 +390,10 @@ def test_doob_generator_kept_by_sample_inputs_is_its_own():
     f = SeparableFunction(terms=(CoordinateTerm(g=lambda z: z, mean=0.5),) * 4)
     stochastic.doob_running_max_ensemble(f, inputs, 3, seed=12)
     rng = kept[0]
-    ref = np.random.Generator(np.random.Philox(_seed_sequence(12, 0)))
+    ref = np.random.Generator(_reference(12, 0))
     ref.random((3, 4))  # the three trials' inputs
     for j, dist in enumerate(_SAMPLED):
-        want = _fresh(dist, 5, _seed_sequence(8, j)).tobytes()
+        want = _fresh(dist, 5, _reference(8, j)).tobytes()
         assert sample_increments(dist, 5, trial_seed(8, j)).increments.tobytes() == want
         assert rng.random(3).tobytes() == ref.random(3).tobytes()  # its own stream goes on
         assert sample_increments(dist, 5, trial_seed(8, j)).increments.tobytes() == want
@@ -830,6 +885,106 @@ def test_count_checks_take_numpy_integers_and_keep_their_other_rules():
     empty = SeparableFunction(terms=())
     with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0"):
         stochastic.doob_running_max_ensemble(empty, lambda rng, n: rng.random(n), 5, 1)
+
+
+def _q_calls(q):
+    """name: a call that takes the moment order ``q``."""
+    config = dict(dist=gaussian(R3, 1.0), n=5, trials=100, D=1.0, u_grid=(0.1,), seed=1)
+    spec = HolderSpec(holder_L=1.0, alpha=1.0, coordinate_moments=((1.0, 1.0),))
+    laws = [stochastic.DiscreteNormLaw(values=(0.0, 0.5), probs=(0.5, 0.5))]
+    return {
+        "MomentProfile": lambda: MomentProfile(1.0, 1.0, q),
+        "moment_profile": lambda: moment_profile(gaussian(R3, 1.0), q, 5),
+        "CampaignConfig": lambda: CampaignConfig(**config, q=q),
+        "constant_c": lambda: constant_c(q, 1.0),
+        "holder_constants": lambda: holder_constants(spec, q),
+        "rio_moment_check": lambda: stochastic.rio_moment_check(laws, q, 3.0, 1.0, 1.0),
+        "cgf_pieces": lambda: cgf_pieces(q, 1.0, 1.0),
+        "truncation_error_bound": lambda: truncation_error_bound(q, 0.1),
+        "rio36_check": lambda: rio36_check(q, 1.0),
+        "proof_chain": lambda: proof_chain(q, 1.0, 1.0, 0.1)}
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, 2.0])
+@pytest.mark.parametrize("site", list(_q_calls(4.0)))
+def test_every_q_entry_takes_one_check(site, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidQError, match="^q must exceed 2 and be finite, got "):
+            _q_calls(q)[site]()
+    _q_calls(4.0)[site]()  # a valid q passes the same call
+
+
+_RIO_LAWS = [stochastic.DiscreteNormLaw(values=(0.0, 0.5), probs=(0.5, 0.5))]
+
+
+@pytest.mark.parametrize("args, match", [
+    (dict(k=math.inf), "^k must be finite and >= 2"), (dict(k=math.nan), "^k must be finite"),
+    (dict(k=1.5), "^k must be finite and >= 2"),
+    (dict(sigma=math.nan), "^sigma must be finite"), (dict(sigma=math.inf), "^sigma must be finite"),
+    (dict(sigma=-1.0), "^sigma must be finite and >= 0"),
+    (dict(trunc_L=math.nan), "^trunc_L must be finite"), (dict(trunc_L=math.inf), "^trunc_L must"),
+    (dict(trunc_L=0.0), "^trunc_L must be finite and > 0"),
+    (dict(norm_laws=[]), "^norm_laws must hold at least one law")])
+def test_rio_moment_check_rejects_invalid_input(args, match):
+    call = dict(norm_laws=_RIO_LAWS, q=4.0, k=3.0, sigma=1.0, trunc_L=1.0) | args
+    with pytest.raises(ValueError, match=match):
+        stochastic.rio_moment_check(**call)
+
+
+@pytest.mark.parametrize("values, probs", [
+    ((0.5,), (-1.0,)), ((0.5,), (1.5,)), ((0.5,), (math.nan,)), ((-1.0,), (1.0,)),
+    ((math.nan,), (1.0,)), ((math.inf,), (1.0,)), ((), ()), ((0.5, 1.0), (1.0,))])
+def test_discrete_norm_laws_reject_invalid_values_and_probabilities(values, probs):
+    with pytest.raises(ValueError, match="^a norm law needs values finite and >= 0"):
+        stochastic.DiscreteNormLaw(values=values, probs=probs)
+
+
+@pytest.mark.parametrize("holder_L, moments, match", [
+    (math.nan, ((1.0, 1.0),), "^holder_L must be finite"), (math.inf, ((1.0, 1.0),), "^holder_L"),
+    (1.0, ((-1.0, 1.0),), "^coordinate moments must"), (1.0, ((1.0, math.nan),), "^coordinate"),
+    (1.0, ((math.inf, 1.0),), "^coordinate moments must be finite and >= 0")])
+def test_holder_spec_rejects_invalid_constants(holder_L, moments, match):
+    with pytest.raises(ValueError, match=match):
+        HolderSpec(holder_L=holder_L, alpha=1.0, coordinate_moments=moments)
+
+
+@pytest.mark.parametrize("k, trials, match", [
+    (1.5, 10, "^k must be an integer"), (1, 10.5, "^trials must be an integer >= 1"),
+    (np.float64(1.0), 10, "^k must be an integer"), (0, 0, "^trials must be an integer >= 1"),
+    ("1", 10, "^k must be an integer"), (11, 10, "^need 0 <= k <= trials")])
+def test_clopper_pearson_counts_are_integers(k, trials, match):
+    with pytest.raises(InvalidCountError, match=match):
+        clopper_pearson_upper(k, trials, 0.9)
+    assert clopper_pearson_upper(np.int64(1), np.int64(10), 0.9) == clopper_pearson_upper(1, 10, 0.9)
+
+
+@pytest.mark.parametrize("grid_points", [0, 1, 2.5, 512.0, -3])
+def test_crossover_scan_needs_two_grid_points(grid_points):
+    prof = MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0)
+    with pytest.raises(ValueError, match="^grid_points must be an integer >= 2, got "):
+        crossover_scan(prof, 1.0, (1.0, 1e4), grid_points=grid_points)
+    assert crossover_scan(prof, 1.0, (1.0, 1e4), grid_points=2) is None
+
+
+def test_pinelis_checks_on_one_trial_give_zero_errors_without_warnings():
+    dist = rademacher(R1, 1.0)
+    ens = truncated_ensemble(dist, 4, 1, seed=3, trunc_L=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = pinelis_supermartingale_profile(ens, t=0.5, D=1.0, dist=dist)
+        report = pinelis_check(ens, t=0.5, D=1.0, dist=dist)
+    assert np.array_equal(state.g_standard_errors, np.zeros(5))
+    assert report.standard_error == 0.0 and report.trials == 1
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dist", [gaussian(R1, 1.0), rademacher(R1, 1.0), uniform_cube(R1, 1.0)])
+def test_truncated_exp_moment_rejects_a_t_that_is_not_finite(dist, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^t must be finite, got "):
+            truncated_norm_exp_moment(dist, t, 2.0)
 
 
 @pytest.mark.parametrize("t, D", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0),
