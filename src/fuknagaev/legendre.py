@@ -40,7 +40,7 @@ _MAX_ZOOMS = 8
 
 def psi_tail(q: float, t):
     """Tail of the exponential series: sum of t^k / k! over integers k >= q,
-    elementwise on a scalar or an array of t >= 0.
+    for a finite q > 0, elementwise on a scalar or an array of t >= 0.
 
     For non-integer q the sum starts at ceil(q). Computed in closed form as
     exp(t) P(ceil(q), t), with P the regularized lower incomplete gamma
@@ -48,10 +48,10 @@ def psi_tail(q: float, t):
     (t > ~709.78) the value is not finite.
     """
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    if not (t >= 0).all():  # nan too
         raise ValueError(f"t must be >= 0, got {t.min()}")
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(t) * gammainc(math.ceil(q), t)
 
@@ -59,7 +59,8 @@ def psi_tail(q: float, t):
 @dataclass(frozen=True)
 class CgfPieces:
     """Closures l0, l1, l2 for given (q, sigma, L), on a scalar or an array
-    of t; l1 is zero when no integer lies strictly between 2 and q."""
+    of t; l1 is zero when no integer lies strictly between 2 and q.
+    ``cgf_pieces`` takes sigma finite and >= 0 and L finite and > 0."""
     q: float
     sigma: float
     trunc_L: float
@@ -89,10 +90,10 @@ class CgfPieces:
 
 def cgf_pieces(q: float, sigma: float, trunc_L: float) -> CgfPieces:
     q = checked_q(q)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if trunc_L <= 0:
-        raise ValueError(f"truncation level must be positive, got {trunc_L}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not 0 < trunc_L < math.inf:
+        raise ValueError(f"trunc_L must be finite and > 0, got {trunc_L}")
     return CgfPieces(q=q, sigma=float(sigma), trunc_L=float(trunc_L))
 
 
@@ -207,8 +208,10 @@ class CheckResult:
 
 def log_poly_check(x: float, q: float) -> CheckResult:
     """log(x) <= (q/e) x^(1/q) for all x, q > 0, with equality at x = e^q."""
-    if x <= 0 or q <= 0:
-        raise ValueError("need x > 0 and q > 0")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be finite and > 0, got {x}")
+    if not q > 0:
+        raise ValueError(f"q must be > 0, got {q}")
     lhs = math.log(x)
     rhs = (q / _E) * x ** (1.0 / q)
     return CheckResult(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs * (1 + 1e-12) + 1e-300))
@@ -217,8 +220,8 @@ def log_poly_check(x: float, q: float) -> CheckResult:
 def rio36_check(q: float, x: float) -> CheckResult:
     """psi_q(x) / x <= exp(x) * min(1/q, 1/5) at the given point."""
     checked_q(q)
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be finite and > 0, got {x}")
     lhs = psi_tail(q, x) / x
     rhs = math.exp(x) * min(1.0 / q, 0.2)
     return CheckResult(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs * (1 + 1e-12)))

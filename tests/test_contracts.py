@@ -570,9 +570,13 @@ def test_overflowing_exp_moment_is_infinite():
 def _exp_moment_mpmath(lo, pdf, sf, t, L):
     """E exp(t X) 1{X <= L} + P[X > L] for X with density pdf from lo, by
     30-digit quadrature on intervals that shrink towards L, where the
-    integrand peaks."""
+    integrand peaks; for L = inf, on [lo, lo + 2^-4], [lo + 2^-4, lo + 2^-3],
+    ..., [lo + 2^10, inf]."""
     with mpmath.workdps(30):
         L = mpmath.mpf(L)
+        if L == mpmath.inf:
+            points = [lo] + [lo + mpmath.mpf(2) ** k for k in range(-4, 11)] + [L]
+            return float(mpmath.quad(lambda x: pdf(x) * mpmath.exp(t * x), points))
         points = [lo] + [L - (L - lo) / mpmath.mpf(2) ** k for k in range(1, 30)] + [L]
         return float(mpmath.quad(lambda x: pdf(x) * mpmath.exp(t * x), points) + sf(L))
 
@@ -723,6 +727,82 @@ def test_exp_moment_at_far_truncation_levels(dist, lo, pdf, sf, t, L):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert truncated_norm_exp_moment(dist, t, L) == pytest.approx(want, rel=1e-9)
+
+
+def _folded_t_mpmath(nu):
+    """Density and survival function of |T|, T ~ Student-t(nu), in mpmath."""
+    c = 2 * mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
+    return (lambda x: c * (1 + x * x / nu) ** (-(nu + 1) / 2),
+            lambda L: mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + L * L), regularized=True))
+
+
+def _chi_mpmath(d, a):
+    """Density and survival function of a R, R ~ chi(d), in mpmath."""
+    norm = 2 ** (1 - mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2) / a
+    return (lambda x: norm * (x / a) ** (d - 1) * mpmath.exp(-(x / a) ** 2 / 2),
+            lambda L: mpmath.gammainc(mpmath.mpf(d) / 2, (L / a) ** 2 / 2, regularized=True))
+
+
+# every row of the norm-law table: (distribution, lower end, density, survival function)
+_MOMENT_LAWS = {
+    "pareto4.5": (symmetric_pareto(R3, 4.5), 1, lambda x: 4.5 * x ** -5.5, lambda L: L ** -4.5),
+    "pareto2.5": (symmetric_pareto(R1, 2.5), 1, lambda x: 2.5 * x ** -3.5, lambda L: L ** -2.5),
+    "t3": (student_t(R1, 3.0), 0, *_folded_t_mpmath(3)),
+    "t5": (student_t(R3, 5.0), 0, _T5_PDF, _T5_SF),
+    "t30": (student_t(R1, 30.0), 0, *_folded_t_mpmath(30)),
+    "halfnormal": (gaussian(R1, 0.5), 0, *_chi_mpmath(1, mpmath.mpf(0.5))),
+    "chi3": (gaussian(R3, 2.0), 0, *_chi_mpmath(3, 2)),
+    "chi16": (gaussian(make_lp(16, 2.0), 1.5), 0, *_chi_mpmath(16, mpmath.mpf(1.5))),
+    "uniform": (uniform_cube(R1, 1.5), 0, lambda x: 1 / mpmath.mpf(1.5), lambda L: 1 - L / 1.5),
+}
+
+
+@pytest.mark.parametrize("law, t, L", [
+    ("pareto4.5", -1.0, math.inf), ("pareto4.5", 0.0, 7.0), ("pareto4.5", 0.8, 4.0),
+    ("pareto2.5", -0.2, math.inf), ("pareto2.5", 1.5, 20.0),
+    ("t3", -1.0, math.inf), ("t3", 0.0, math.inf), ("t3", 2.0, 6.0),
+    ("t5", 0.5, 2.0), ("t5", -3.0, 50.0),
+    ("t30", 2.0, 8.0), ("t30", -0.5, math.inf),
+    ("halfnormal", -4.0, math.inf), ("halfnormal", 3.0, 1.0), ("halfnormal", 0.0, 0.7),
+    ("chi3", 0.7, math.inf), ("chi3", -0.7, 5.0), ("chi3", 0.0, math.inf),
+    ("chi16", 1.0, math.inf), ("chi16", -2.0, math.inf), ("chi16", 0.3, 5.0),
+    ("uniform", 2.5, 1.0), ("uniform", -4.0, 1.5), ("uniform", 0.0, 0.3)])
+def test_exp_moment_of_every_law_matches_mpmath(law, t, L):
+    dist, lo, pdf, sf = _MOMENT_LAWS[law]
+    want = _exp_moment_mpmath(lo, pdf, sf, t, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncated_norm_exp_moment(dist, t, L) == pytest.approx(want, rel=1e-12)
+    if law == "uniform":  # past the support end truncation changes nothing
+        assert truncated_norm_exp_moment(dist, t, math.inf) == truncated_norm_exp_moment(
+            dist, t, max(L, 1.5))
+
+
+@pytest.mark.parametrize("law, dist, t, L", [
+    ("pareto4.5", symmetric_pareto(make_euclidean(5), 4.5), -0.5, math.inf),
+    ("halfnormal", gaussian(R1, 0.5), 5.0, 100.0)], ids=["pareto-R5", "halfnormal"])
+def test_exp_moment_to_full_relative_accuracy(law, dist, t, L):
+    # scipy's quad, one interval each, was 8.9e-12 and 1.0e-11 off
+    _, lo, pdf, sf = _MOMENT_LAWS[law]
+    want = _exp_moment_mpmath(lo, pdf, sf, t, L)
+    assert want == pytest.approx(0.5334253486462053 if t < 0 else 45.237127524292305, rel=1e-15)
+    assert truncated_norm_exp_moment(dist, t, L) == pytest.approx(want, rel=1e-13)
+
+
+def test_exp_moment_far_from_the_law_body():
+    # the mass at 0 for t << 0, or a peak beyond 10 q, far inside one long
+    # interval: scipy's quad read 1.9e-19, 1e-18 and 0 for the first three; a
+    # single shift by the largest log integrand lost the last one's peak
+    dist, lo, pdf, sf = _MOMENT_LAWS["t5"]
+    want = _exp_moment_mpmath(lo, pdf, sf, -50.0, 1e4)
+    assert want == pytest.approx(0.0151769930826733, rel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert truncated_norm_exp_moment(dist, -50.0, 1e4) == pytest.approx(want, rel=1e-12)
+        assert truncated_norm_exp_moment(symmetric_pareto(R3, 4.5), 100.0, 1e4) == math.inf
+        assert truncated_norm_exp_moment(gaussian(R3, 100.0), 2.0, math.inf) == math.inf
+        assert truncated_norm_exp_moment(gaussian(make_lp(16, 2.0), 1.5), 100.0,
+                                         math.inf) == math.inf
 
 
 # ---------------------------------------------------------------- invalid moments
@@ -1147,17 +1227,23 @@ config = CampaignConfig(dist=rademacher(make_euclidean(1), 1.0), n=20, trials=30
 assert tightness(config, n_boot=20).passed
 signs = truncated_ensemble(config.dist, 5, 500, seed=4, trunc_L=1.0)  # a point-mass norm
 assert pinelis_check(signs, t=0.5, D=1.0, dist=config.dist, trunc_L=1.0).passed
-loaded = [name for name in lazy if name in sys.modules]
-assert not loaded, f"loaded without a caller that needs them: {loaded}"
-
-# the calls that need integrate or optimize still work, and none loads scipy.stats
+# the continuous laws integrate their truncated moments with numpy alone
 for dist in (symmetric_pareto(make_euclidean(3), 4.5), student_t(make_euclidean(3), 5.0),
              gaussian(make_euclidean(3), 1.0), uniform_cube(make_euclidean(1), 1.0)):
     ens = truncated_ensemble(dist, 5, 500, seed=21, trunc_L=2.0)
     assert pinelis_check(ens, t=0.5, D=1.0, dist=dist, trunc_L=2.0).passed, dist
+loaded = [name for name in lazy if name in sys.modules]
+assert not loaded, f"loaded without a caller that needs them: {loaded}"
+# scipy's subpackages are the public names below it; scipy.version holds its version strings
+others = sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")}
+                - {"special", "version"})
+assert all(name.startswith("_") for name in others), f"scipy subpackages loaded: {others}"
+
+# crossover_scan, the one caller of scipy.optimize, still works and loads neither of the others
 t = crossover_scan(MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0), 1.0, (1.0, 1e4))
 assert t is not None and 1.0 <= t <= 1e4
-assert "scipy.stats" not in sys.modules, "a truncated moment or crossover_scan loaded scipy.stats"
+loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
+assert not loaded, f"crossover_scan loaded {loaded}"
 print("ok")
 """
 

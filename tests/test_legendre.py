@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -73,6 +74,49 @@ def test_psi_rejects_negative_t():
         psi_tail(4.0, -1.0)
     with pytest.raises(ValueError):
         psi_tail(4.0, np.array([1.0, -1e-300]))
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: psi_tail(_NAN, 1.0), "^q must be positive and finite, got nan",
+                 id="psi_tail-q-nan"),
+    pytest.param(lambda: psi_tail(_INF, 1.0), "^q must be positive and finite, got inf",
+                 id="psi_tail-q-inf"),
+    pytest.param(lambda: psi_tail(4.0, _NAN), "^t must be >= 0, got nan", id="psi_tail-t-nan"),
+    pytest.param(lambda: psi_tail(4.0, np.array([1.0, _NAN])), "^t must be >= 0, got nan",
+                 id="psi_tail-t-array-nan"),
+    pytest.param(lambda: cgf_pieces(4.0, _NAN, 1.0), "^sigma must be finite and >= 0, got nan",
+                 id="cgf_pieces-sigma-nan"),
+    pytest.param(lambda: cgf_pieces(4.0, _INF, 1.0), "^sigma must be finite and >= 0, got inf",
+                 id="cgf_pieces-sigma-inf"),
+    pytest.param(lambda: cgf_pieces(4.0, -1.0, 1.0), "^sigma must be finite and >= 0, got -1",
+                 id="cgf_pieces-sigma-negative"),
+    pytest.param(lambda: cgf_pieces(4.0, 1.0, _INF), "^trunc_L must be finite and > 0, got inf",
+                 id="cgf_pieces-L-inf"),
+    pytest.param(lambda: cgf_pieces(4.0, 1.0, _NAN), "^trunc_L must be finite and > 0, got nan",
+                 id="cgf_pieces-L-nan"),
+    pytest.param(lambda: cgf_pieces(4.0, 1.0, 0.0), "^trunc_L must be finite and > 0, got 0",
+                 id="cgf_pieces-L-zero"),
+    pytest.param(lambda: rio36_check(4.0, _NAN), "^x must be finite and > 0, got nan",
+                 id="rio36_check-x-nan"),
+    pytest.param(lambda: rio36_check(4.0, _INF), "^x must be finite and > 0, got inf",
+                 id="rio36_check-x-inf"),
+    pytest.param(lambda: rio36_check(4.0, 0.0), "^x must be finite and > 0, got 0",
+                 id="rio36_check-x-zero"),
+    pytest.param(lambda: log_poly_check(_NAN, 3.0), "^x must be finite and > 0, got nan",
+                 id="log_poly_check-x-nan"),
+    pytest.param(lambda: log_poly_check(_INF, 3.0), "^x must be finite and > 0, got inf",
+                 id="log_poly_check-x-inf"),
+    pytest.param(lambda: log_poly_check(2.0, _NAN), "^q must be > 0, got nan",
+                 id="log_poly_check-q-nan")])
+def test_legendre_inputs_out_of_range_raise_naming_the_parameter(call, match):
+    # each gave nan, a FAIL with nan sides, a warning or an error naming no parameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 # ---------------------------------------------------------------- cgf pieces
