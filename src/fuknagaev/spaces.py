@@ -48,24 +48,33 @@ class SmoothSpace:
         return float(self.norms(v))
 
     def norms(self, rows) -> np.ndarray:
-        """Norms along the last axis of an (..., dimension) array. For p in
-        _MUL_POWERS, |x|^p is a product of p factors |x| (the same bits as
-        pow at p = 2, a few ulp off above); other p call pow in place. The
-        sums call np.add.reduce, the ufunc behind ndarray.sum, so the bits are
-        the same without the method's Python wrapper."""
+        """Norms along the last axis of an (..., dimension) array. In
+        dimension 1 the norm is |x| for every p, taken as such. Otherwise,
+        for p in _MUL_POWERS, |x|^p is a product of p factors |x| (the same
+        bits as pow at p = 2, a few ulp off above); other p call pow in place.
+        The sums call np.add.reduce, the ufunc behind ndarray.sum, so the bits
+        are the same without the method's Python wrapper."""
         return self._norms(np.asarray(rows, dtype=float))
 
     @property
     def _norm_temporaries(self) -> int:
-        """How many arrays of rows' size ``_norms`` fills: x^2 or |x|, and
-        |x|^p for p in _MUL_POWERS."""
+        """How many arrays of rows' size ``_norms`` fills: none in dimension
+        1, else x^2 or |x|, and |x|^p for p in _MUL_POWERS."""
+        if self.dimension == 1:
+            return 0
         return 2 if self.norm_kind == LP and self.p in _MUL_POWERS else 1
 
     def _norms(self, rows: np.ndarray, scratch=()) -> np.ndarray:
         """``norms`` of a float array, with its temporaries written into the
         arrays of ``scratch`` (float arrays of rows' shape that the caller
         owns, at most _norm_temporaries of them) and fresh arrays for the
-        rest. The same ufuncs in the same order either way."""
+        rest. The same ufuncs in the same order either way.
+
+        In dimension 1 this is a fresh |x|. The euclidean sqrt(x^2) has the
+        same bits for 2^-511 <= |x| < 2^512, where x^2 neither underflows
+        nor overflows; the l^p (|x|^p)^(1/p) was a few ulp off for p != 2."""
+        if self.dimension == 1:
+            return np.abs(rows[..., 0])
         first, second = (*scratch, None, None)[:2]
         if self.norm_kind == EUCLIDEAN:
             sums = np.add.reduce(np.multiply(rows, rows, out=first), axis=-1)
@@ -81,6 +90,17 @@ class SmoothSpace:
         sums = np.add.reduce(power, axis=-1)
         sums **= 1.0 / self.p  # as sums ** (1 / p), which takes sqrt at p = 2
         return sums
+
+    def _unit(self, rows: np.ndarray, scratch=()) -> np.ndarray:
+        """Sets the rows of a float array to their directions x / ||x|| in
+        place and returns it; ``scratch`` is passed to the norms. The unit
+        sphere of dimension 1 is {-1, 1}: a row becomes its sign, with +-0
+        mapped to +-1, where x / |x| would be nan, and the same bits
+        elsewhere."""
+        if self.dimension == 1:
+            return np.copysign(1.0, rows, out=rows)
+        rows /= self._norms(rows, scratch)[..., None]
+        return rows
 
 
 def make_euclidean(d: int) -> SmoothSpace:

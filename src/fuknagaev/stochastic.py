@@ -206,7 +206,7 @@ def trial_seed(seed: int, trial: int) -> ISeedSequence:
     return _TrialSeed(seed, trial)
 
 
-_thread = threading.local()  # per thread: the generator that _philox_rng re-keys
+_thread = threading.local()  # per thread: the generator that _philox_rng re-keys, and its state
 _PHILOX_ZEROS = (0, 0, 0, 0)
 
 
@@ -216,7 +216,9 @@ def _philox_rng(seed) -> np.random.Generator:
     key and a counter, so the key that Philox(seed) derives, counter 0 and an
     empty buffer give the stream a new one would, without building one.
     Threads never share the generator; callers finish their draws before
-    they return and hand it to no one, as the next call re-keys it."""
+    they return and hand it to no one, as the next call re-keys it. Each
+    thread also keeps the state it sets, in which a call writes only the
+    key; the setter copies the values out of it."""
     if isinstance(seed, _TrialSeed):  # its table row, without a copy
         key = seed._row()[:2]
     else:  # as BitGenerator.__init__ takes a seed
@@ -225,9 +227,12 @@ def _philox_rng(seed) -> np.random.Generator:
     rng = getattr(_thread, "rng", None)
     if rng is None:
         rng = _thread.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": key},
-        "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _thread.state = {
+            "bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": None},
+            "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = _thread.state
+    state["state"]["key"] = key
+    rng.bit_generator.state = state
     return rng
 
 
@@ -247,7 +252,7 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
     if dist.kind == GAUSSIAN:
         xi *= dist.param
         return xi
-    xi /= dist.space._norms(xi, scratch)[..., None]  # uniform on the unit sphere
+    dist.space._unit(xi, scratch)  # uniform on the unit sphere
     if dist.kind == RADEMACHER:
         xi *= dist.param
     elif dist.kind == SYMMETRIC_PARETO:
@@ -482,7 +487,14 @@ def _folded_t_law(nu: float) -> _NormLaw:
     """|T| for T Student-t(nu): density 2c (1 + x^2/nu)^(-(nu+1)/2), with
     c = Gamma((nu+1)/2) / (sqrt(nu pi) Gamma(nu/2))."""
     two_c = 2.0 * float(poch(nu / 2.0, 0.5)) / math.sqrt(nu * math.pi)
-    log_two_c = math.log(two_c)
+    log_two_c, log_nu = math.log(two_c), math.log(nu)
+
+    def logpdf(x):
+        y = x * x / nu
+        if y < math.inf:
+            return log_two_c - (nu + 1.0) / 2.0 * math.log1p(y)
+        # x^2 overflows: log1p(x^2 / nu) = 2 log x - log nu + log1p(nu / x^2)
+        return log_two_c - (nu + 1.0) / 2.0 * (2.0 * math.log(x) - log_nu + math.log1p(nu / x / x))
 
     def logsf(x):
         # from 1/2 up, log sf is log1p(-cdf), which keeps its relative accuracy near 0
@@ -493,7 +505,7 @@ def _folded_t_law(nu: float) -> _NormLaw:
 
     return _NormLaw(
         support=(0.0, math.inf),
-        logpdf=lambda x: log_two_c - (nu + 1.0) / 2.0 * math.log1p(x * x / nu),
+        logpdf=logpdf,
         logsf=logsf,
         isf=lambda q: -float(stdtrit(nu, q / 2.0)),
         mean_below=lambda L: (two_c * nu / (nu - 1.0)
@@ -661,9 +673,10 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
     upper quantile q, up to L or, for L = inf, up to 10 q, past which the
     integral runs to inf in u = (x - 10 q) / (x - 10 q + 1). For t > 0 and a
     finite end they also break at the end minus 1/t, 2/t, ..., 32/t, where
-    the peak there lies. Past 10 q a moment that overflows for sure is not
-    integrated: the density decreases past q, so the integral over [q, L]
-    is at least f(L) e^(tL) (1 - e^(-t(L - q))) / t.
+    the peak there lies. A moment that overflows for sure is not
+    integrated: the density decreases past q, so at every x in (q, L] the
+    integral over [q, x] is at least f(x) e^(tx) (1 - e^(-t(x - q))) / t,
+    and that bound is tested at every finite break above q.
     """
     if not -math.inf < t < math.inf:
         raise ValueError(f"t must be finite, got {t}")
@@ -679,14 +692,14 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
         log_val = -math.inf
         if lo < L:
             q = law.isf(1e-16)
-            if (10.0 * q < hi < math.inf and t > 0 and t * hi + law.logpdf(hi)
-                    + math.log(-math.expm1(-t * (hi - q)) / t) > _LOG_MAX):
-                return math.inf
             points = q * 10.0 ** np.arange(-16.0, math.log10(hi / q) if hi < math.inf else 2.0)
             if t > 0 and hi < math.inf:
                 points = np.append(points, hi - np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0]) / t)
-            breaks = np.concatenate([[lo], points[(lo < points) & (points < hi)], [hi]])
-            log_val = _log_moment_integral(law, t, np.unique(breaks))
+            breaks = np.unique(np.concatenate([[lo], points[(lo < points) & (points < hi)], [hi]]))
+            if t > 0 and any(t * x + law.logpdf(x) + _log(-math.expm1(-t * (x - q)) / t)
+                             > _LOG_MAX for x in breaks[(q < breaks) & (breaks < math.inf)].tolist()):
+                return math.inf
+            log_val = _log_moment_integral(law, t, breaks)
         return math.exp(np.logaddexp(log_val, law.logsf(L)))
     except OverflowError:  # the point mass, or the moment itself
         return math.inf

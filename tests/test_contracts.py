@@ -353,14 +353,36 @@ def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch)
         sample_increments(_SAMPLED[0], 5, -1)
     later_calls_unchanged()
 
-    def norms_fail(self, rows, scratch=()):
-        raise RuntimeError("norms failed")
+    def fails(self, rows, scratch=()):
+        raise RuntimeError("the step after the normal draws failed")
 
-    # a radial law fails after its normal draws, in the middle of a stream
-    with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="norms failed"):
-        patch.setattr(SmoothSpace, "_norms", norms_fail)
-        sample_increments(_SAMPLED[2], 20, trial_seed(31, 5))
-    later_calls_unchanged()
+    # a radial law fails after its normal draws, in the middle of a stream: the
+    # sign law in R^1 where its draws go onto the unit sphere {-1, 1}, the
+    # Pareto law on l^3 R^4 where their norms are taken
+    for step, dist in (("_unit", _SAMPLED[2]), ("_norms", _SAMPLED[3])):
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="draws failed"):
+            patch.setattr(SmoothSpace, step, fails)
+            sample_increments(dist, 20, trial_seed(31, 5))
+        later_calls_unchanged()
+
+
+@pytest.mark.parametrize("space", [R1, make_lp(1, 3.0)], ids=["R1", "l3-R1"])
+@pytest.mark.parametrize("law, param", [(rademacher, 2.0), (symmetric_pareto, 4.5),
+                                        (student_t, 5.0)], ids=["rademacher", "pareto", "t"])
+def test_one_coordinate_draws_are_signs_times_radii(space, law, param):
+    # the unit sphere of R^1 is {-1, 1}: a direction is the sign of its normal draw
+    dist = law(space, param)
+    for j in _TRIALS:
+        rng = np.random.Generator(_reference(2**40 + 9, j))
+        z = rng.standard_normal((20, 1))
+        if law is rademacher:
+            radius = param
+        elif law is symmetric_pareto:
+            radius = ((1.0 - rng.random(20)) ** (-1.0 / param))[:, None]
+        else:
+            radius = rng.standard_t(param, size=20)[:, None]
+        got = sample_increments(dist, 20, trial_seed(2**40 + 9, j)).increments
+        assert got.tobytes() == (np.sign(z) * radius).tobytes()
 
 
 def test_sample_increments_on_four_threads_at_once():
@@ -803,6 +825,32 @@ def test_exp_moment_far_from_the_law_body():
         assert truncated_norm_exp_moment(gaussian(R3, 100.0), 2.0, math.inf) == math.inf
         assert truncated_norm_exp_moment(gaussian(make_lp(16, 2.0), 1.5), 100.0,
                                          math.inf) == math.inf
+
+
+@pytest.mark.parametrize("dist, t, L", [
+    (gaussian(R3, 100.0), 2.0, math.inf), (gaussian(R3, 100.0), 2.0, 1e10),
+    (gaussian(make_lp(16, 2.0), 1.5), 100.0, math.inf),
+    (student_t(R1, 2.004), 4.2e-5, 5.5e296)])
+def test_moment_that_must_overflow_is_not_integrated(monkeypatch, dist, t, L):
+    # f(x) e^(tx) (1 - e^(-t(x - q))) / t, a lower bound at every x in (q, L],
+    # passes the float range at a break below L or at L itself
+    def integral(*args):
+        raise AssertionError("a moment that overflows was integrated")
+
+    monkeypatch.setattr(stochastic, "_log_moment_integral", integral)
+    assert truncated_norm_exp_moment(dist, t, L) == math.inf
+
+
+@pytest.mark.parametrize("x", [1e150, 1e160, 1e300])
+def test_folded_t_log_density_where_the_square_overflows(x):
+    nu = 2.004
+    with mpmath.workdps(40):
+        nu_mp = mpmath.mpf(nu)
+        log_two_c = mpmath.log(2 * mpmath.gamma((nu_mp + 1) / 2)
+                               / (mpmath.sqrt(nu_mp * mpmath.pi) * mpmath.gamma(nu_mp / 2)))
+        want = float(log_two_c - (nu_mp + 1) / 2 * mpmath.log1p(mpmath.mpf(x) ** 2 / nu_mp))
+    law = stochastic._scalar_norm_law(student_t(R1, nu))
+    assert law.logpdf(x) == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------- invalid moments

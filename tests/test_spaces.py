@@ -96,7 +96,10 @@ def test_norm_homogeneous_and_triangle(x, y, c):
 
 
 def _pow_norms(x, p):
-    """The l^p norm through pow, the reference for the multiplied-out kernel."""
+    """The l^p norm through pow, the reference for the multiplied-out kernel;
+    |x| itself in dimension 1, where the norm is taken without pow."""
+    if x.shape[-1] == 1:
+        return np.abs(x[..., 0])
     return (np.abs(x) ** p).sum(-1) ** (1.0 / p)
 
 
@@ -125,3 +128,35 @@ def test_integer_power_norms_within_4_ulp(x, p):
 def test_non_integer_and_square_norms_bit_identical(x, p):
     with np.errstate(all="ignore"):
         np.testing.assert_array_equal(make_lp(x.shape[-1], p).norms(x), _pow_norms(x, p))
+
+
+def _signed_doubles(low, high):
+    """Doubles with every binary exponent in [low, high], both signs, 64 of
+    each, and the ends of that range."""
+    rng = np.random.default_rng(19)
+    e = np.repeat(np.arange(low, high + 1), 64)
+    x = np.ldexp(rng.uniform(1.0, 2.0, e.size), e) * rng.choice([-1.0, 1.0], e.size)
+    ends = [np.ldexp(1.0, low), np.ldexp(np.nextafter(2.0, 0.0), high)]
+    return np.concatenate([x, ends, np.negative(ends)])
+
+
+def test_euclidean_one_coordinate_norm_keeps_the_bits_of_sqrt_of_the_square():
+    # for 2^-511 <= |x| < 2^512, where x^2 neither underflows nor overflows
+    x = _signed_doubles(-511, 511)
+    assert make_euclidean(1).norms(x[:, None]).tobytes() == np.sqrt(x * x).tobytes()
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 7.0])
+def test_lp_one_coordinate_norm_is_the_absolute_value(p):
+    # (|x|^p)^(1/p) was a few ulp off |x|, and inf or 0 where |x|^p left the float range
+    x = np.concatenate([_signed_doubles(-1074, 1023), [0.0, -0.0, math.inf, -math.inf]])
+    assert make_lp(1, p).norms(x[:, None]).tobytes() == np.abs(x).tobytes()
+
+
+@pytest.mark.parametrize("space", [make_euclidean(1), make_lp(1, 2.5), make_lp(1, 3.0)],
+                         ids=["R1", "l2.5-R1", "l3-R1"])
+def test_one_coordinate_directions_are_signs(space):
+    x = np.concatenate([[0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324],
+                        _signed_doubles(-1022, 1023)])[:, None]
+    want = np.where(np.signbit(x), -1.0, 1.0)
+    assert space._unit(x.copy()).tobytes() == want.tobytes()
