@@ -72,9 +72,28 @@ class SmoothSpace:
 
         In dimension 1 this is a fresh |x|. The euclidean sqrt(x^2) has the
         same bits for 2^-511 <= |x| < 2^512, where x^2 neither underflows
-        nor overflows; the l^p (|x|^p)^(1/p) was a few ulp off for p != 2."""
+        nor overflows; the l^p (|x|^p)^(1/p) was a few ulp off for p != 2.
+        In higher dimensions a row whose sum of powers overflows or
+        underflows, a norm of inf with every |x_i| finite or of 0 with one
+        nonzero, is redone as m ||x / m||, m its largest |x_i|; every other
+        row keeps the bits of the plain sum."""
         if self.dimension == 1:
             return np.abs(rows[..., 0])
+        with np.errstate(over="ignore"):  # such rows are redone below
+            norms = self._power_sum_norms(rows, scratch)
+        flagged = (norms == 0.0) | (norms == math.inf)
+        if not flagged.any():
+            return norms
+        fixed, x = np.array(norms), rows[flagged]  # 0-d for a single row
+        top = np.abs(x).max(axis=-1)
+        redo = (0.0 < top) & (top < math.inf)  # else all zero, or an |x_i| is inf
+        values = fixed[flagged]
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            values[redo] = self._norms(x[redo] / top[redo, None]) * top[redo]
+        fixed[flagged] = values
+        return fixed[()]
+
+    def _power_sum_norms(self, rows: np.ndarray, scratch) -> np.ndarray:
         first, second = (*scratch, None, None)[:2]
         if self.norm_kind == EUCLIDEAN:
             sums = np.add.reduce(np.multiply(rows, rows, out=first), axis=-1)

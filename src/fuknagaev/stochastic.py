@@ -97,8 +97,7 @@ def _norm_bound(dist: IncrementDistribution) -> float:
 
 @dataclass(frozen=True)
 class DifferenceSequence:
-    """Martingale differences xi_1..xi_n as rows of an (n, d) array (or a
-    (trials, n, d) stack of such, inside the ensemble engine)."""
+    """Martingale differences xi_1..xi_n as rows of an (n, d) array."""
     increments: np.ndarray
     space: SmoothSpace
 
@@ -241,10 +240,9 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
     fill it directly; the radial laws draw all normal directions first,
     then one radius per increment.
 
-    The ensemble engine passes float arrays of that shape: ``out`` to hold
-    the increments (None: a fresh array), and ``scratch`` for the norms of
-    the radial laws. The cube law draws into a fresh array, since numpy's
-    uniform takes no output array."""
+    The iid block kernel passes float arrays of that shape: ``out`` for the
+    increments (None: a fresh array), ``scratch`` for the radial laws' norms.
+    The cube law draws a fresh array, as numpy's uniform takes no output."""
     full = shape + (dist.space.dimension,)
     if dist.kind == UNIFORM_CUBE:
         return rng.uniform(-dist.param, dist.param, size=full)
@@ -743,7 +741,8 @@ class PinelisState:
 
 def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
                    trunc_L):
-    """Input checks shared by both Pinelis checks. Returns the step term
+    """Input checks shared by both Pinelis checks, whose ensemble is a (trials,
+    n, d) array, left unmodified, or a sequence of DifferenceSequence. Returns
     e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
     ||M~_i|| of the partial sums."""
     if not 0 < t < math.inf:
@@ -756,17 +755,28 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         if trunc_L == math.inf:
             raise PreconditionError(f"{dist.kind} increments are unbounded; truncate "
                                     "first and pass the truncation level")
-    ensemble = list(ensemble)
-    increments = [diffs.increments for diffs in ensemble]
-    if len({len(xi) for xi in increments}) != 1:
-        raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
-    # one copy into a new (trials, n, d) array, which _paths overwrites; it is
-    # freed before the moments below
-    stack = np.concatenate(increments).reshape(len(increments), *increments[0].shape)
-    norms = _paths(stack, ensemble[0].space)[1]
-    del stack
-    return D * D * (truncated_norm_exp_moment(dist, t, trunc_L) - 1.0
-                    - t * truncated_norm_mean(dist, trunc_L)), norms
+    level = _truncation_level(trunc_L)
+    if isinstance(ensemble, np.ndarray):
+        xi = np.asarray(ensemble, dtype=float)
+    else:
+        ensemble = list(ensemble)
+        increments = [diffs.increments for diffs in ensemble
+                      if diffs.space is dist.space or diffs.space == dist.space]
+        if len(increments) < len(ensemble):
+            raise ValueError(f"ensemble holds a sequence not on dist's space, {dist.space}")
+        if len({len(x) for x in increments}) != 1:
+            raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
+        xi = np.concatenate(increments, dtype=float).reshape(len(ensemble), *increments[0].shape)
+    if xi.ndim != 3 or not len(xi) or xi.shape[2] != dist.space.dimension:
+        raise ValueError(f"ensemble must be a nonempty (trials, n, {dist.space.dimension}) "
+                         f"array, got shape {xi.shape}")
+    # nan and inf fail too; the norm of a unit direction may round a few ulp above 1
+    if not (dist.space._norms(xi) <= min(level * (1.0 + 1e-12), sys.float_info.max)).all():
+        raise ValueError(f"ensemble holds an increment that is not finite or of norm above "
+                         f"the truncation level {level:.6g}")
+    norms = _paths(xi.copy() if xi is ensemble else xi, dist.space)[1]  # _paths overwrites it
+    return D * D * (truncated_norm_exp_moment(dist, t, level) - 1.0
+                    - t * truncated_norm_mean(dist, level)), norms
 
 
 def _standard_errors(values: np.ndarray) -> np.ndarray:
@@ -879,86 +889,75 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
 
 
 # ---------------------------------------------------------------------------
-# ensembles: block b holds trials [b B, (b+1) B), B = max(1, _BLOCK_VALUES //
-# (n d)), and draws all B from trial_seed(seed, b) even where it keeps fewer,
-# so trial j depends only on (seed, j, n, law), not on the trial count or
-# the order in which blocks run. The iid blocks therefore run on up to
-# (usable CPUs) threads, numpy's fills and ufuncs releasing the GIL, and are
-# joined in block order: results do not depend on the CPU count. Each worker
-# keeps block-sized buffers for one call, the drawn block and the norms'
-# temporaries, so a block allocates no such array but the cube law's draw
-# and the blocks truncated_ensemble returns; the ufuncs and their order are
-# those of the allocating path, so the bits are too. An iid block draws
-# through its thread's _philox_rng; a Doob block gets a new generator, since
-# sample_inputs receives it. The Doob route calls sample_inputs and the g_i
-# on the calling thread, in trial order.
+# ensembles
 
-def _blocks(n: int, trials: int, d: int) -> tuple:
-    """The block size B of an ensemble, and the number of trials it keeps
-    of each block, in block order."""
+def _usable_cpus() -> int:  # os.cpu_count() where the platform has no affinity call
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _ensemble(kernel, n: int, trials: int, d: int, shape=(), threaded=True) -> np.ndarray:
+    """The engine of every ensemble: a new (trials,) + shape float array, of which
+    ``kernel(b, B, rows)`` fills the rows of block b, the trials [b B, (b+1) B)
+    with B = max(1, _BLOCK_VALUES // (n d)). A kernel draws block b from
+    trial_seed(seed, b) alone, the iid one all B trials even where it keeps
+    fewer, so trial j depends only on (seed, j, n, law), not on the trial count
+    or the order in which blocks run. With ``threaded`` the blocks run on up to (usable CPUs) threads,
+    numpy's fills and ufuncs releasing the GIL, each writing only its own rows,
+    so results do not depend on the CPU count; on an error or Ctrl-C the queued
+    blocks are dropped and the threads joined. Else they run on the calling
+    thread, in block order."""
     n, trials = checked_count(n, "n"), checked_count(trials, "trials")
     size = max(1, _BLOCK_VALUES // (n * d))
-    return size, [min(size, trials - start) for start in range(0, trials, size)]
-
-
-def _block_rng(seed: int, b: int):
-    return np.random.Generator(np.random.Philox(trial_seed(seed, b)))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _iid_blocks(dist: IncrementDistribution, n: int, trials: int, seed: int,
-                trunc_L, increments: bool) -> list:
-    """Per block, in block order: the running maxima of its trials, or with
-    ``increments`` their (truncated) increments as one (rows, n, d) array."""
-    space = dist.space
-    size, kept = _blocks(n, trials, space.dimension)
-    if trunc_L is not None:
-        trunc_L = _truncation_level(trunc_L)
-    local = threading.local()  # per worker thread: its block buffers, for this call only
-
-    def block(b):
-        if not hasattr(local, "scratch"):  # the drawn block, and scratch for its norms
-            full = (size, n, space.dimension)
-            local.out = None if increments else np.empty(full)
-            local.scratch = [np.empty(full) for _ in range(space._norm_temporaries)]
-        rows = kept[b]
-        xi = _draw(dist, (size, n), _philox_rng(trial_seed(seed, b)), local.out,
-                   local.scratch)[:rows]
-        scratch = [buf[:rows] for buf in local.scratch]
-        if trunc_L is not None:  # as truncate, in place
-            xi *= (space._norms(xi, scratch) <= trunc_L)[..., None]
-        if increments:  # a fresh array, which the caller keeps: no more rows than it asked for
-            return xi.copy() if rows < size else xi
-        return _paths(xi, space, scratch)[2]
-
-    blocks = range(len(kept))
-    workers = min(_usable_cpus(), len(blocks))
+    out = np.empty((trials, *shape))
+    rows = [out[start:start + size] for start in range(0, trials, size)]
+    workers = min(_usable_cpus(), len(rows)) if threaded else 1
     if workers <= 1:
-        return [block(b) for b in blocks]
+        for b, block in enumerate(rows):
+            kernel(b, size, block)
+        return out
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(block, blocks))
-    finally:  # on an error or Ctrl-C, drop the queued blocks and join the threads
+        list(pool.map(kernel, range(len(rows)), [size] * len(rows), rows))  # raises a block's error
+    finally:
         pool.shutdown(cancel_futures=True)
+    return out
+
+
+def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
+    """The iid block kernel: B paths of n increments drawn through this
+    thread's _philox_rng, truncated in place at ``trunc_L`` unless it is
+    None, fill rows of shape (n, d), else their running maxima fill the rows.
+    Each worker thread keeps block-sized buffers for one call, so a block
+    allocates none but the cube law's draw; the ufuncs and their order are
+    those of the allocating path, so the bits are too."""
+    space, level = dist.space, None if trunc_L is None else _truncation_level(trunc_L)
+    local = threading.local()  # per worker thread: its block buffers, for this call only
+
+    def kernel(b, size, rows):
+        if not hasattr(local, "xi"):  # the drawn block, and scratch for its norms
+            local.xi, *local.scratch = (np.empty((size, n, space.dimension))
+                                        for _ in range(1 + space._norm_temporaries))
+        xi = _draw(dist, (size, n), _philox_rng(trial_seed(seed, b)), local.xi,
+                   local.scratch)[:len(rows)]
+        scratch = [buf[:len(rows)] for buf in local.scratch]
+        if level is not None:  # as truncate, in place
+            xi *= (space._norms(xi, scratch) <= level)[..., None]
+        rows[...] = xi if rows.ndim > 1 else _paths(xi, space, scratch)[2]
+
+    return kernel
 
 
 def running_max_ensemble(dist: IncrementDistribution, n: int, trials: int,
                          seed: int, trunc_L=None) -> np.ndarray:
     """Running maxima max_i ||M_i|| over independent trials."""
-    return np.concatenate([np.empty(0), *_iid_blocks(dist, n, trials, seed, trunc_L, False)])
+    return _ensemble(_iid_kernel(dist, n, seed, trunc_L), n, trials, dist.space.dimension)
 
 
 def truncated_ensemble(dist: IncrementDistribution, n: int, trials: int,
-                       seed: int, trunc_L) -> list:
-    """The truncated trials of ``running_max_ensemble``, as block array views."""
-    return [DifferenceSequence(increments=x, space=dist.space)
-            for xi in _iid_blocks(dist, n, trials, seed, trunc_L, True) for x in xi]
+                       seed: int, trunc_L) -> np.ndarray:
+    """The truncated increments of running_max_ensemble's trials, a new (trials, n, d) array."""
+    d = dist.space.dimension
+    return _ensemble(_iid_kernel(dist, n, seed, trunc_L), n, trials, d, (n, d))
 
 
 def doob_running_max_ensemble(f_spec: SeparableFunction, sample_inputs,
@@ -966,13 +965,14 @@ def doob_running_max_ensemble(f_spec: SeparableFunction, sample_inputs,
     """Running maxima of exact Doob paths over independent input draws.
 
     ``sample_inputs(rng, n)`` returns one realization of the n inputs; it is
-    called once per trial, in trial order, on the generator of the trial's
-    block. Each g_i is called once per block (see ``CoordinateTerm``). All
-    calls are made on the calling thread."""
-    n = len(f_spec.terms)
-    maxima = [np.empty(0)]
-    for b, rows in enumerate(_blocks(n, trials, f_spec.space.dimension)[1]):
-        rng = _block_rng(seed, b)  # a new generator: sample_inputs may keep it
-        z = np.array([sample_inputs(rng, n) for _ in range(rows)])
-        maxima.append(_paths(_doob_increments(f_spec, z), f_spec.space)[2])
-    return np.concatenate(maxima)
+    called once per trial, in trial order, on its block's new generator
+    Generator(Philox(trial_seed(seed, b))), which it may keep. Each g_i is
+    called once per block (see ``CoordinateTerm``), all on the calling thread."""
+    n, space = len(f_spec.terms), f_spec.space
+
+    def kernel(b, size, rows):
+        rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
+        z = np.array([sample_inputs(rng, n) for _ in range(len(rows))])
+        rows[...] = _paths(_doob_increments(f_spec, z), space)[2]
+
+    return _ensemble(kernel, n, trials, space.dimension, threaded=False)

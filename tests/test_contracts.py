@@ -32,8 +32,8 @@ from fuknagaev.errors import (InternalInconsistencyError, InvalidCountError, Inv
                               InvalidQError)
 from fuknagaev.legendre import cgf_pieces, proof_chain, rio36_check, truncation_error_bound
 from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp, smoothness_certificate
-from fuknagaev.stochastic import (CoordinateTerm, IncrementDistribution, MomentProfile,
-                                  SeparableFunction, gaussian, moment_profile,
+from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence, IncrementDistribution,
+                                  MomentProfile, SeparableFunction, gaussian, moment_profile,
                                   norm_moment, pinelis_check,
                                   pinelis_supermartingale_profile, rademacher,
                                   sample_increments, student_t,
@@ -285,7 +285,7 @@ def test_block_rngs_built_on_four_threads_at_once():
     stochastic._seed_table.cache_clear()  # the seeds' tables are built concurrently too
 
     def draws(worker):
-        return [(seed, b, stochastic._block_rng(seed, b).random(8))
+        return [(seed, b, np.random.Generator(np.random.Philox(trial_seed(seed, b))).random(8))
                 for b in range(worker, 64, 4) for seed in seeds]
 
     results = [row for rows in _on_four_threads(draws) for row in rows]
@@ -497,7 +497,7 @@ def test_pinelis_pair_share_partial_sums():
     ens = truncated_ensemble(dist, n, 1500, seed=21, trunc_L=L)
     rep = pinelis_check(ens, t=t, D=1.0, dist=dist, trunc_L=L)
 
-    finals = np.array([R3.norm(diffs.increments.sum(axis=0)) for diffs in ens])
+    finals = np.array([R3.norm(xi.sum(axis=0)) for xi in ens])
     cosh_vals = np.cosh(t * finals)
     e_term = truncated_norm_exp_moment(dist, t, L) - 1.0 - t * truncated_norm_mean(dist, L)
     assert rep.trials == len(ens) and rep.n == n
@@ -513,10 +513,69 @@ def test_pinelis_pair_share_partial_sums():
     assert state.g_means[-1] * (1.0 + e_term) ** n == pytest.approx(rep.empirical_cosh,
                                                                   rel=1e-12)
 
-    mixed = ens[:10] + truncated_ensemble(dist, n + 1, 2, seed=22, trunc_L=L)
+    mixed = [DifferenceSequence(xi, R3)
+             for xi in (*ens[:10], *truncated_ensemble(dist, n + 1, 2, seed=22, trunc_L=L))]
     for check in (pinelis_check, pinelis_supermartingale_profile):
         with pytest.raises(ValueError, match="must share n"):
             check(mixed, t=t, D=1.0, dist=dist, trunc_L=L)
+
+
+def _pinelis_inputs_that_do_not_match_dist():
+    """(ensemble, dist, trunc_L) triples that both Pinelis checks reject."""
+    R2, signs2 = make_euclidean(2), rademacher(make_euclidean(2), 1.0)
+    ens = truncated_ensemble(signs2, 4, 50, seed=3, trunc_L=1.0)
+    seqs = [DifferenceSequence(xi, R2) for xi in ens]
+    nan = ens.copy()
+    nan[7, 2, 1] = math.nan
+    pareto = symmetric_pareto(R3, 4.5)
+    return {
+        "l4 space": (seqs, rademacher(make_lp(2, 4.0), 1.0), None),
+        "R3 space": (seqs, rademacher(R3, 1.0), None),
+        "R3 axis": (ens, rademacher(R3, 1.0), None),
+        "2-D": (ens[0], signs2, None),
+        "no trials": (ens[:0], signs2, None),
+        "nan": (nan, signs2, None),
+        "nan sequences": ([DifferenceSequence(xi, R2) for xi in nan], signs2, None),
+        "inf": (np.where(nan == nan, ens, math.inf), gaussian(R2, 1.0), math.inf),
+        "above L": (truncated_ensemble(pareto, 4, 400, seed=5, trunc_L=10.0), pareto, 1.5),
+    }
+
+
+@pytest.mark.parametrize("case", ["l4 space", "R3 space", "R3 axis", "2-D", "no trials", "nan",
+                                  "nan sequences", "inf", "above L"])
+def test_pinelis_checks_reject_an_ensemble_that_does_not_match_dist(case):
+    ensemble, dist, L = _pinelis_inputs_that_do_not_match_dist()[case]
+    D = dist.space.smoothness_D
+    for check in (pinelis_check, pinelis_supermartingale_profile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ensemble"):
+                check(ensemble, t=0.5, D=D, dist=dist, trunc_L=L)
+
+
+def test_pinelis_checks_take_unit_directions_at_their_scale():
+    # a unit direction's norm may round a few ulp above 1: not above the level
+    dist = rademacher(make_lp(3, 4.0), 2.0)
+    ens = [sample_increments(dist, 6, trial_seed(8, j)) for j in range(500)]
+    assert any((diffs.norms() > 2.0).any() for diffs in ens)
+    assert pinelis_check(ens, t=0.5, D=math.sqrt(3.0), dist=dist).passed
+
+
+@pytest.mark.parametrize("dist, L", [(symmetric_pareto(R3, 4.5), 3.0),
+                                     (student_t(make_lp(4, 3.0), 5.0), 2.0),
+                                     (rademacher(R1, 1.0), 1.0)],
+                         ids=["pareto-R3", "t-l3", "sign-R1"])
+def test_pinelis_checks_agree_on_the_array_and_its_sequences(dist, L):
+    ens = truncated_ensemble(dist, 8, 700, seed=31, trunc_L=L)
+    before = ens.tobytes()
+    seqs = [DifferenceSequence(xi, dist.space) for xi in ens]
+    D = dist.space.smoothness_D
+    assert pinelis_check(ens, 0.5, D, dist, L) == pinelis_check(seqs, 0.5, D, dist, L)
+    state, from_seqs = (pinelis_supermartingale_profile(e, 0.5, D, dist, L) for e in (ens, seqs))
+    assert state.t == from_seqs.t and state.passed == from_seqs.passed
+    for field in ("e_terms", "g_means", "g_standard_errors"):
+        assert getattr(state, field).tobytes() == getattr(from_seqs, field).tobytes()
+    assert ens.tobytes() == before
 
 
 # ---------------------------------------------------------------- (d) truncated moments

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,10 +98,16 @@ def test_norm_homogeneous_and_triangle(x, y, c):
 
 def _pow_norms(x, p):
     """The l^p norm through pow, the reference for the multiplied-out kernel;
-    |x| itself in dimension 1, where the norm is taken without pow."""
+    |x| itself in dimension 1, where the norm is taken without pow. A row
+    whose sum of powers leaves the float range, with finite values not all
+    zero, is m ||x / m||, m its largest |x_i|."""
     if x.shape[-1] == 1:
         return np.abs(x[..., 0])
-    return (np.abs(x) ** p).sum(-1) ** (1.0 / p)
+    norms = (np.abs(x) ** p).sum(-1) ** (1.0 / p)
+    top = np.abs(x).max(-1)
+    redo = ((norms == 0.0) | (norms == math.inf)) & (0.0 < top) & (top < math.inf)
+    norms[redo] = (np.abs(x[redo] / top[redo, None]) ** p).sum(-1) ** (1.0 / p) * top[redo]
+    return norms
 
 
 # any float but nan: zeros, negatives, subnormals, and values whose p-th power
@@ -160,3 +167,23 @@ def test_one_coordinate_directions_are_signs(space):
                         _signed_doubles(-1022, 1023)])[:, None]
     want = np.where(np.signbit(x), -1.0, 1.0)
     assert space._unit(x.copy()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("space", [make_euclidean(3), make_lp(3, 3.0), make_lp(3, 2.5)],
+                         ids=["R3", "l3-R3", "l2.5-R3"])
+def test_norms_whose_sum_of_powers_leaves_the_float_range(space):
+    # x^2 or |x|^p overflowed to an inf norm, or underflowed to 0; only such
+    # rows are redone, scaled by their largest |x_i|
+    rows = np.array([[1e200, 0.0, 0.0], [-1e-200, 0.0, 0.0], [0.0, 0.0, 0.0],
+                     [3.0, -4.0, 1.0], [1e300, 1e300, 0.0], [1.7e308, 1.7e308, 1.7e308],
+                     [math.inf, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = space.norms(rows)
+        assert space.norm([1e200, 0, 0]) == 1e200 and space.norm([1e-200, 0, 0]) == 1e-200
+    assert norms[:3].tolist() == [1e200, 1e-200, 0.0]
+    # a row that is not redone keeps the bits that it has alone
+    assert norms[3] == space.norms(rows[3:4])[0] == pytest.approx(
+        _pow_norms(rows[3:4], space.p)[0], rel=1e-15)
+    assert norms[4] == pytest.approx(2.0 ** (1.0 / space.p) * 1e300, rel=1e-15)
+    assert norms[5:].tolist() == [math.inf, math.inf]  # past the float range, and an inf

@@ -440,7 +440,7 @@ def test_block_stream_contract(dist, trunc_L):
                               rm[:k])
     if trunc_L is not None:
         ens = truncated_ensemble(dist, n, trials, seed, trunc_L)
-        assert all(np.array_equal(a.increments, b.increments) for a, b in zip(ens, rows))
+        assert np.array_equal(ens, [diffs.increments for diffs in rows])
         assert len(ens) == trials
 
 
@@ -481,7 +481,7 @@ def test_threaded_blocks_equal_serial_loop(dist, trunc_L, trials, cpus, monkeypa
     if trunc_L is not None:
         ens = truncated_ensemble(dist, n, trials, seed, trunc_L)
         assert len(ens) == trials
-        assert all(np.array_equal(a.increments, b) for a, b in zip(ens, rows))
+        assert np.array_equal(ens, rows)
 
 
 class _BlockFailed(Exception):
@@ -539,32 +539,33 @@ def test_ensemble_blocks_reuse_their_buffers():
 
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_truncated_blocks_are_fresh_arrays(cpus, monkeypatch):
-    # the returned blocks share no memory with each other or with a later
-    # call's buffers, and the partial last block holds only its own rows
+    # the returned array shares no memory with a later call's result or
+    # buffers, and holds only the trials asked for, the partial last block's too
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
     dist, n, trials, L = student_t(make_lp(16, 4.0), 5.0), 1000, 10, 2.0  # B = 4
-    blocks = stochastic._iid_blocks(dist, n, trials, 3, L, True)
-    kept = [xi.copy() for xi in blocks]
     ens = truncated_ensemble(dist, n, trials, 3, L)
+    kept = ens.copy()
     running_max_ensemble(dist, n, trials, 4, L)
-    truncated_ensemble(dist, n, trials, 5, L)
-    assert all(np.array_equal(xi, ref) for xi, ref in zip(blocks, kept))
-    assert all(np.array_equal(a.increments, b) for a, b in zip(ens, itertools.chain(*kept)))
-    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
-    assert [len(xi) for xi in blocks] == [4, 4, 2] and blocks[-1].base is None
+    later = truncated_ensemble(dist, n, trials, 5, L)
+    assert np.array_equal(ens, kept)
+    assert np.array_equal(ens, _serial_blocks(dist, n, trials, 3, L)[1])
+    assert not np.shares_memory(ens, later)
+    assert ens.shape == (trials, n, 16) and ens.base is None
 
 
 def test_block_buffers_stay_per_worker_under_fast_thread_switching(monkeypatch):
     # eight workers on 2^16-value blocks, switching threads every microsecond:
-    # a worker that wrote into another's buffers would change some maxima
+    # a worker that wrote into another's buffers or rows would change some
+    # maxima or increments
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 8)
     dist, n, trials = symmetric_pareto(make_lp(16, 2.5), 4.5), 200, 400  # B = 20
-    maxima = _serial_blocks(dist, n, trials, 11, 3.0)[0]
+    maxima, rows = _serial_blocks(dist, n, trials, 11, 3.0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             assert np.array_equal(running_max_ensemble(dist, n, trials, 11, 3.0), maxima)
+            assert np.array_equal(truncated_ensemble(dist, n, trials, 11, 3.0), rows)
     finally:
         sys.setswitchinterval(interval)
 
