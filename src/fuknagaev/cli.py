@@ -29,10 +29,7 @@ _USER_ERRORS = (ValueError, UnsupportedFunctionError, OSError)
 
 SEED_ENV = "FUKNAGAEV_SEED"
 
-_DISTS = {"rademacher": stochastic.rademacher, "pareto": stochastic.symmetric_pareto,
-          "student_t": stochastic.student_t, "uniform_cube": stochastic.uniform_cube,
-          "gaussian": stochastic.gaussian}
-_DIST_CHOICES = tuple(_DISTS)
+_KINDS = {law.flag: kind for kind, law in stochastic._LAWS.items()}  # --dist name: kind
 
 
 def _fmt_machine(x):
@@ -146,9 +143,9 @@ def _build_dist(params):
     p = params.get("p")
     space = spaces.make_lp(dim, float(p)) if p is not None else spaces.make_euclidean(dim)
     name = params.get("dist", "rademacher")
-    if name not in _DISTS:
-        raise ValueError(f"unknown distribution {name!r}, choose from {_DIST_CHOICES}")
-    return _DISTS[name](space, float(params.get("alpha", 1.0)))
+    if name not in _KINDS:
+        raise ValueError(f"unknown distribution {name!r}, choose from {tuple(_KINDS)}")
+    return stochastic.IncrementDistribution(_KINDS[name], space, float(params.get("alpha", 1.0)))
 
 
 def _moment_inputs(params):
@@ -305,11 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--D", type=float,
                           help="smoothness constant, at least and by default the space's "
                                "own: 1 for euclidean, sqrt(p - 1) for l^p")
-    p_verify.add_argument("--dist", type=str, choices=_DIST_CHOICES,
-                          help="increment law")
+    p_verify.add_argument("--dist", type=str, choices=tuple(_KINDS), help="increment law")
     p_verify.add_argument("--alpha", type=float,
-                          help="law parameter: tail index (pareto), dof (student_t), "
-                               "scale (rademacher, gaussian), half width (uniform_cube)")
+                          help="law parameter: " + ", ".join(
+                              f"{law.param} ({law.flag})" for law in stochastic._LAWS.values()))
     p_verify.add_argument("--dim", type=int, help="space dimension, >= 1")
     p_verify.add_argument("--p", type=float,
                           help="l^p norm exponent >= 2; omit for euclidean")
@@ -363,3 +359,7 @@ def run(argv) -> int:
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -26,38 +26,26 @@ from .errors import (InfiniteMomentError, PreconditionError, UnsupportedFunction
                      checked_count, checked_q)
 from .spaces import SmoothSpace, make_euclidean
 
-SYMMETRIC_PARETO = "symmetric_pareto"
-STUDENT_T = "student_t"
-RADEMACHER = "rademacher_scale"
-UNIFORM_CUBE = "uniform_cube"
-GAUSSIAN = "gaussian"
-# kind: the name of its parameter and the bound it must exceed (a Gaussian scale may be 0)
-_PARAMS = {SYMMETRIC_PARETO: ("tail index", 2.0), STUDENT_T: ("degrees of freedom", 2.0),
-           RADEMACHER: ("scale", 0.0), UNIFORM_CUBE: ("half width", 0.0), GAUSSIAN: ("scale", 0.0)}
-
 _BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
 _LOG_MAX = math.log(sys.float_info.max)  # e^x overflows above it
 
 
 @dataclass(frozen=True)
 class IncrementDistribution:
-    """Mean-zero increment law on a smooth space.
-
-    ``param`` is the tail index alpha for symmetric_pareto, the degrees of
-    freedom for student_t, the scale for rademacher_scale and gaussian, and
-    the half width for uniform_cube.
-    """
+    """Mean-zero increment law on a smooth space: ``kind`` names its row in
+    _LAWS, which names ``param`` and bounds it."""
     kind: str
     space: SmoothSpace
     param: float
 
     def __post_init__(self):
-        if self.kind not in _PARAMS:
+        if self.kind not in _LAWS:
             raise ValueError(f"unknown increment kind {self.kind!r}")
-        name, bound = _PARAMS[self.kind]
-        rel = ">=" if self.kind == GAUSSIAN else ">"  # scale 0: the zero martingale
-        if not (bound < self.param < math.inf or rel == ">=" and self.param == bound):
-            raise ValueError(f"{name} must be finite and {rel} {bound:g}, got {self.param}")
+        law = _LAWS[self.kind]
+        rel = ">=" if law.at_bound else ">"
+        if not (law.bound < self.param < math.inf or law.at_bound and self.param == law.bound):
+            raise ValueError(f"{law.param} must be finite and {rel} {law.bound:g}, "
+                             f"got {self.param}")
 
 
 def symmetric_pareto(space: SmoothSpace, alpha: float) -> IncrementDistribution:
@@ -66,33 +54,23 @@ def symmetric_pareto(space: SmoothSpace, alpha: float) -> IncrementDistribution:
     E ||xi||^p = alpha / (alpha - p) for p < alpha. alpha > 2 keeps the
     variance finite.
     """
-    return IncrementDistribution(SYMMETRIC_PARETO, space, float(alpha))
+    return IncrementDistribution("symmetric_pareto", space, float(alpha))
 
 
 def student_t(space: SmoothSpace, dof: float) -> IncrementDistribution:
-    return IncrementDistribution(STUDENT_T, space, float(dof))
+    return IncrementDistribution("student_t", space, float(dof))
 
 
 def rademacher(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
-    return IncrementDistribution(RADEMACHER, space, float(scale))
+    return IncrementDistribution("rademacher_scale", space, float(scale))
 
 
 def uniform_cube(space: SmoothSpace, half_width: float) -> IncrementDistribution:
-    return IncrementDistribution(UNIFORM_CUBE, space, float(half_width))
+    return IncrementDistribution("uniform_cube", space, float(half_width))
 
 
 def gaussian(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
-    return IncrementDistribution(GAUSSIAN, space, float(scale))
-
-
-def _norm_bound(dist: IncrementDistribution) -> float:
-    """Supremum of ||xi||, which is also the default truncation level of a
-    bounded law; inf for an unbounded one."""
-    if dist.kind == RADEMACHER:
-        return dist.param
-    if dist.kind == UNIFORM_CUBE:
-        return dist.space.norm(np.full(dist.space.dimension, dist.param))
-    return math.inf
+    return IncrementDistribution("gaussian", space, float(scale))
 
 
 @dataclass(frozen=True)
@@ -236,27 +214,19 @@ def _philox_rng(seed) -> np.random.Generator:
 
 
 def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) -> np.ndarray:
-    """A shape + (d,) array of iid increments. The Gaussian and cube laws
-    fill it directly; the radial laws draw all normal directions first,
-    then one radius per increment.
+    """A shape + (d,) array of iid increments, drawn as the law's row says:
+    its coordinates filled directly, or all normal directions first, then
+    one radius per increment.
 
     The iid block kernel passes float arrays of that shape: ``out`` for the
     increments (None: a fresh array), ``scratch`` for the radial laws' norms.
     The cube law draws a fresh array, as numpy's uniform takes no output."""
-    full = shape + (dist.space.dimension,)
-    if dist.kind == UNIFORM_CUBE:
-        return rng.uniform(-dist.param, dist.param, size=full)
+    law, full = _LAWS[dist.kind], shape + (dist.space.dimension,)
+    if law.radius is None:
+        return law.coords(rng, full, dist.param, out)
     xi = rng.standard_normal(full, out=out)
-    if dist.kind == GAUSSIAN:
-        xi *= dist.param
-        return xi
     dist.space._unit(xi, scratch)  # uniform on the unit sphere
-    if dist.kind == RADEMACHER:
-        xi *= dist.param
-    elif dist.kind == SYMMETRIC_PARETO:
-        xi *= ((1.0 - rng.random(shape)) ** (-1.0 / dist.param))[..., None]
-    else:  # STUDENT_T
-        xi *= rng.standard_t(dist.param, size=shape)[..., None]
+    xi *= law.radius(rng, shape, dist.param)
     return xi
 
 
@@ -285,12 +255,18 @@ def build_martingale(diffs: DifferenceSequence) -> MartingalePath:
                           running_max=float(top[0]), space=diffs.space)
 
 
-def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
-    """Zero out increments with norm strictly above the level.
+def _kept(norms: np.ndarray, level: float) -> np.ndarray:
+    """The indicator 1{||xi|| <= L} of the truncation at level L, up to a
+    relative 1e-12: the computed norm of a unit direction may round a few
+    ulp above 1, and a law of norm L must keep all its increments at L."""
+    return norms <= level * (1.0 + 1e-12)
 
-    Ties ||xi|| = L are kept, matching the indicator 1{||xi|| <= L}.
+
+def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
+    """Zero out increments with norm above the level, by _kept: ties
+    ||xi|| = L are kept, and so are norms up to L (1 + 1e-12).
     """
-    keep = diffs.norms() <= _truncation_level(level)
+    keep = _kept(diffs.norms(), _truncation_level(level))
     return DifferenceSequence(increments=diffs.increments * keep[..., None],
                               space=diffs.space)
 
@@ -303,27 +279,34 @@ def _log_chi_moment(d: int, p: float) -> float:
     return 0.5 * p * math.log(2.0) + gammaln((d + p) / 2) - gammaln(d / 2)
 
 
-def _closed_norm_moment(dist: IncrementDistribution, p: float):
-    """E ||xi||^p in closed form, or None where there is none: the norm law's
-    moment, or the p = 2 and p = 4 forms of the cube on euclidean R^d, d > 1."""
-    try:
-        law = _scalar_norm_law(dist)
-    except PreconditionError:
-        d, a = dist.space.dimension, dist.param
-        if dist.kind == UNIFORM_CUBE and dist.space.p == 2 and p in (2, 4):
-            return d * a * a / 3.0 if p == 2 else d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
-        return None
-    if isinstance(law, float):
-        return law ** p
-    if p >= law.tail_index:
-        raise InfiniteMomentError(f"moment order {p} >= tail index {dist.param} of {dist.kind}")
-    return law.moment(p)
+def _uniform_powers(p: float, m: int, k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log a_k(lam) = log E[X^k e^(-lam X)] for X = U^p, U uniform(0, 1), as
+    Gamma(s) P(s, lam) lam^-s / p, s = k + 1/p, in Kummer's form below s."""
+    s = k + 1.0 / p
+    lo, hi = np.minimum(lam, s), np.maximum(lam, s)
+    return np.where(lam < s, np.log(hyp1f1(1.0, s + 1.0, lo) / (p * s)) - lo,
+                    gammaln(s) + np.log(gammainc(s, hi) / p) - s * np.log(hi))
+
+
+def _normal_powers(p: float, m: int, k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """log a_k(lam) = log E[X^k e^(-lam X)] for X = |N|^p: x = c y with
+    c = (1 + lam)^(-1/p) and y^p = exp(t - e^-t); rows are divided by their
+    lam = 0 values, exactly E|N|^(pk); 256 lam nodes a block."""
+    t = np.arange(-math.log(40.0 * p) - 1.0, p * math.log(math.sqrt(p * m + 1.0) + 9.0),
+                  min(0.12, 0.45 / math.sqrt(m)))
+    log_y = (t - np.exp(-t)) / p
+    log_c = -np.log1p(np.concatenate(([0.0], lam)))[:, None] / p
+    sums = [np.exp(np.log1p(np.exp(-t)) + log_y + np.expm1(p * c) * np.exp(p * log_y)
+                   - np.exp(2.0 * (c + log_y)) / 2.0) @ np.exp(p * k.T * log_y[:, None])
+            for c in np.split(log_c, range(256, len(log_c), 256))]  # e^-(lam x^p + x^2/2)
+    la = np.log(np.concatenate(sums)).T + (p * k + 1) * log_c.T
+    return la[:, 1:] - la[:, :1] + _log_chi_moment(1, p * k)
 
 
 def _product_norm_moment(dist: IncrementDistribution, order: float) -> float:
-    """E ||xi||^order on l^p for the Gaussian and cube laws, whose d
-    coordinates are iid, for orders <= 64, p <= 32 and d <= 1e4 (relative
-    error below 1e-12 up to d = 64, growing like 1e-15 d). With
+    """E ||xi||^order on l^p for a law whose d coordinates are iid, with the
+    coordinate law of its row, for orders <= 64, p <= 32 and d <= 1e4
+    (relative error below 1e-12 up to d = 64, growing like 1e-15 d). With
     X_i = |xi_i / a|^p, S = sum_i X_i, r = order / p and m = floor(r) + 2,
 
         E S^r = Gamma(m - r)^-1 int_0^inf lam^(m-r-1) E[S^m e^(-lam S)] dlam,
@@ -336,28 +319,13 @@ def _product_norm_moment(dist: IncrementDistribution, order: float) -> float:
     if not (order <= 64 and p <= 32 and d <= 10_000):
         raise ValueError(f"{dist.kind} norm moments on l^p are computed for orders <= 64, "
                          f"p <= 32 and d <= 10000, got order {order:g}, p = {p:g}, d = {d}")
-    r, m, cube = order / p, math.floor(order / p) + 2, dist.kind == UNIFORM_CUBE
-    log_ex = (lambda o: -math.log(o + 1.0)) if cube else (lambda o: _log_chi_moment(1, o))
+    log_ex, log_powers = _LAWS[dist.kind].coordinate
+    r, m = order / p, math.floor(order / p) + 2
     # grid ends below e^-42 E S^r: E S^m <= d^m E X^m, P(S < s) <= s^(d/p), E S^r >= E X^r
     u = np.arange((log_ex(order) - log_ex(p * m) - m * math.log(d) - 42.0) / (m - r),
                   (42.0 - log_ex(order)) / (r + d / p) + 4.0, h)
     k, lam = np.arange(m + 1.0)[:, None], np.exp(u)
-    if cube:  # X = U^p: a_k = Gamma(s) P(s, lam) lam^-s / p, s = k + 1/p, in Kummer's form below s
-        s = k + 1.0 / p
-        lo, hi = np.minimum(lam, s), np.maximum(lam, s)
-        la = np.where(lam < s, np.log(hyp1f1(1.0, s + 1.0, lo) / (p * s)) - lo,
-                      gammaln(s) + np.log(gammainc(s, hi) / p) - s * np.log(hi))
-    else:  # X = |N|^p: x = c y with c = (1 + lam)^(-1/p) and y^p = exp(t - e^-t);
-        # rows are divided by their lam = 0 values, exactly E|N|^(pk); 256 lam nodes a block
-        t = np.arange(-math.log(40.0 * p) - 1.0, p * math.log(math.sqrt(p * m + 1.0) + 9.0),
-                      min(0.12, 0.45 / math.sqrt(m)))
-        log_y = (t - np.exp(-t)) / p
-        log_c = -np.log1p(np.concatenate(([0.0], lam)))[:, None] / p
-        sums = [np.exp(np.log1p(np.exp(-t)) + log_y + np.expm1(p * c) * np.exp(p * log_y)
-                       - np.exp(2.0 * (c + log_y)) / 2.0) @ np.exp(p * k.T * log_y[:, None])
-                for c in np.split(log_c, range(256, len(log_c), 256))]  # e^-(lam x^p + x^2/2)
-        la = np.log(np.concatenate(sums)).T + (p * k + 1) * log_c.T
-        la = la[:, 1:] - la[:, :1] + _log_chi_moment(1, p * k)
+    la = log_powers(p, m, k, lam)
     log_s = la[1] - la[0]  # x is scaled by the tilted mean of X
     coef = _series_power(np.exp(la - la[0] - gammaln(k + 1) - k * log_s), d)[m]
     log_f = (m - r) * u + gammaln(m + 1) + d * la[0] + m * log_s + np.log(coef)
@@ -375,11 +343,21 @@ def _series_power(b: np.ndarray, d: int) -> np.ndarray:
 
 
 def norm_moment(dist: IncrementDistribution, p: float) -> float:
-    """E ||xi||^p: a closed form if there is one, else _product_norm_moment; inf on overflow."""
+    """E ||xi||^p: the moment of the norm law, else the row's closed form, else
+    _product_norm_moment; inf on overflow."""
     if not 0 <= p < math.inf:
         raise ValueError(f"moment order p must be finite and >= 0, got {p}")
+    row = _LAWS[dist.kind]
     try:
-        closed = _closed_norm_moment(dist, p)
+        law = row.norm_law(dist.space, dist.param)
+        if isinstance(law, float):
+            return law ** p
+        if law is not None:
+            if p >= law.tail_index:
+                raise InfiniteMomentError(f"moment order {p} >= tail index {dist.param} "
+                                          f"of {dist.kind}")
+            return law.moment(p)
+        closed = row.moment(dist.space, dist.param, p)
         return _product_norm_moment(dist, p) if closed is None else closed
     except OverflowError:
         return math.inf
@@ -445,7 +423,7 @@ def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exponential-moment (Pinelis) check
+# laws of ||xi||, and the table of increment laws
 
 def _log(x: float) -> float:
     """log x, and -inf at 0, where a survival function underflows."""
@@ -551,22 +529,91 @@ def _uniform_law(a: float) -> _NormLaw:
         moment=lambda p: a ** p / (p + 1.0))
 
 
+def _gaussian_coords(rng, full: tuple, a: float, out) -> np.ndarray:
+    xi = rng.standard_normal(full, out=out)
+    xi *= a
+    return xi
+
+
+def _gaussian_norm_law(space: SmoothSpace, a: float):
+    """A point mass at scale 0, else chi in R^1, euclidean R^d or l^2; none on other l^p."""
+    if a == 0.0:
+        return float(a)
+    return _chi_law(space.dimension, a) if space.dimension == 1 or space.p == 2 else None
+
+
+def _cube_moment(space: SmoothSpace, a: float, p: float):
+    """The p = 2 and p = 4 moments of the cube on euclidean R^d, d > 1."""
+    d = space.dimension
+    if space.p == 2 and p in (2, 4):
+        return d * a * a / 3.0 if p == 2 else d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
+    return None
+
+
+@dataclass(frozen=True)
+class _IncrementLaw:
+    """All that differs between increment laws, as one row of _LAWS; ``a``
+    is the law's parameter and ``space`` its SmoothSpace.
+
+    flag, param: the --dist name and the name of the parameter, which must
+    be finite and above ``bound``, or equal to it where ``at_bound``.
+    radius(rng, shape, a): the radii of a radial law, drawn after all its
+    unit directions and broadcast against them; a law without radii fills
+    its coordinates with coords(rng, shape + (d,), a, out).
+    norm_law(space, a): the law of ||xi||: a float for a point mass, a
+    _NormLaw, or None. moment(space, a, p): E ||xi||^p in closed form where
+    there is no norm law, else None.
+    coordinate: for iid coordinates, o -> log E |xi_1 / a|^o and the log
+    tilted moments of |xi_1 / a|^p that _product_norm_moment integrates.
+    sup(space, a): the supremum of ||xi||, inf for an unbounded law."""
+    flag: str
+    param: str
+    bound: float
+    norm_law: object
+    at_bound: bool = False
+    radius: object = None
+    coords: object = None
+    moment: object = lambda space, a, p: None
+    coordinate: tuple = None
+    sup: object = lambda space, a: math.inf
+
+
+_LAWS = {  # kind: its row, in the order of the --dist choices
+    "rademacher_scale": _IncrementLaw(
+        "rademacher", "scale", 0.0, norm_law=lambda space, a: float(a),
+        radius=lambda rng, shape, a: a,  # a scalar: a (shape, 1) array costs microseconds a draw
+        sup=lambda space, a: a),
+    "symmetric_pareto": _IncrementLaw(
+        "pareto", "tail index", 2.0, norm_law=lambda space, a: _pareto_law(a),
+        radius=lambda rng, shape, a: ((1.0 - rng.random(shape)) ** (-1.0 / a))[..., None]),
+    "student_t": _IncrementLaw(
+        "student_t", "degrees of freedom", 2.0, norm_law=lambda space, a: _folded_t_law(a),
+        radius=lambda rng, shape, a: rng.standard_t(a, size=shape)[..., None]),
+    "uniform_cube": _IncrementLaw(
+        "uniform_cube", "half width", 0.0,
+        norm_law=lambda space, a: _uniform_law(a) if space.dimension == 1 else None,
+        coords=lambda rng, full, a, out: rng.uniform(-a, a, size=full), moment=_cube_moment,
+        coordinate=(lambda o: -math.log(o + 1.0), _uniform_powers),
+        sup=lambda space, a: space.norm(np.full(space.dimension, a))),
+    "gaussian": _IncrementLaw(
+        "gaussian", "scale", 0.0, at_bound=True,  # scale 0: the zero martingale
+        norm_law=_gaussian_norm_law, coords=_gaussian_coords,
+        coordinate=(lambda o: _log_chi_moment(1, o), _normal_powers)),
+}
+
+
 def _scalar_norm_law(dist: IncrementDistribution):
     """Law of ||xi||: a float for a point mass, else a _NormLaw. Raises
     PreconditionError when the norm has no closed-form scalar law."""
-    kind, d, a = dist.kind, dist.space.dimension, dist.param
-    if kind == RADEMACHER or (kind == GAUSSIAN and a == 0.0):
-        return float(a)
-    if kind == SYMMETRIC_PARETO:
-        return _pareto_law(a)
-    if kind == STUDENT_T:
-        return _folded_t_law(a)
-    if kind == GAUSSIAN and (d == 1 or dist.space.p == 2):  # R^1, euclidean or l^2
-        return _chi_law(d, a)
-    if kind == UNIFORM_CUBE and d == 1:
-        return _uniform_law(a)
-    raise PreconditionError(f"no scalar norm law for {kind} in dimension {d}")
+    law = _LAWS[dist.kind].norm_law(dist.space, dist.param)
+    if law is None:
+        raise PreconditionError(f"no scalar norm law for {dist.kind} in dimension "
+                                f"{dist.space.dimension}")
+    return law
 
+
+# ---------------------------------------------------------------------------
+# exponential-moment (Pinelis) check
 
 def _truncation_level(trunc_L) -> float:
     level = trunc_L if isinstance(trunc_L, TruncationLevel) else TruncationLevel(float(trunc_L))
@@ -751,7 +798,7 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         raise ValueError(f"D must be finite and >= the smoothness constant "
                          f"{dist.space.smoothness_D:.6g} of the space, got {D}")
     if trunc_L is None:
-        trunc_L = _norm_bound(dist)  # truncation at the support bound changes nothing
+        trunc_L = _LAWS[dist.kind].sup(dist.space, dist.param)  # truncation there changes nothing
         if trunc_L == math.inf:
             raise PreconditionError(f"{dist.kind} increments are unbounded; truncate "
                                     "first and pass the truncation level")
@@ -770,8 +817,8 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     if xi.ndim != 3 or not len(xi) or xi.shape[2] != dist.space.dimension:
         raise ValueError(f"ensemble must be a nonempty (trials, n, {dist.space.dimension}) "
                          f"array, got shape {xi.shape}")
-    # nan and inf fail too; the norm of a unit direction may round a few ulp above 1
-    if not (dist.space._norms(xi) <= min(level * (1.0 + 1e-12), sys.float_info.max)).all():
+    top = dist.space._norms(xi).max(initial=0.0)  # nan and inf fail too
+    if not (_kept(top, level) and top < math.inf):
         raise ValueError(f"ensemble holds an increment that is not finite or of norm above "
                          f"the truncation level {level:.6g}")
     norms = _paths(xi.copy() if xi is ensemble else xi, dist.space)[1]  # _paths overwrites it
@@ -941,7 +988,7 @@ def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
                    local.scratch)[:len(rows)]
         scratch = [buf[:len(rows)] for buf in local.scratch]
         if level is not None:  # as truncate, in place
-            xi *= (space._norms(xi, scratch) <= level)[..., None]
+            xi *= _kept(space._norms(xi, scratch), level)[..., None]
         rows[...] = xi if rows.ndim > 1 else _paths(xi, space, scratch)[2]
 
     return kernel

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 
 from fuknagaev import cli
 from fuknagaev.cli import run
@@ -49,6 +54,40 @@ def test_help_lists_flags(capsys):
     for flag in ("--q", "--D", "--n", "--trials", "--seed", "--dist", "--alpha",
                  "--dim", "--p", "--u", "--out", "--format", "--config"):
         assert flag in out
+
+
+_KIND_OF = {"rademacher": "rademacher_scale", "pareto": "symmetric_pareto",
+            "student_t": "student_t", "uniform_cube": "uniform_cube", "gaussian": "gaussian"}
+
+
+def test_help_lists_every_law_and_its_parameter(capsys):
+    assert run(["verify", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--dist {rademacher,pareto,student_t,uniform_cube,gaussian}" in out
+    assert ("law parameter: scale (rademacher), tail index (pareto), degrees of freedom "
+            "(student_t), half width (uniform_cube), scale (gaussian)") in out
+
+
+@pytest.mark.parametrize("name, alpha", [("rademacher", "1"), ("pareto", "4.5"),
+                                         ("student_t", "5"), ("uniform_cube", "1"),
+                                         ("gaussian", "1")])
+def test_each_dist_choice_builds_its_kind(tmp_path, name, alpha):
+    out = tmp_path / "r.json"
+    assert run(["verify", "--dist", name, "--alpha", alpha, "--dim", "2", "--n", "5",
+                "--trials", "100", "--q", "4", "--u", "0.5", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["dist"], config["param"]) == (_KIND_OF[name], float(alpha))
+
+
+def test_module_entry_point_runs_a_subcommand():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "fuknagaev.cli", "bound", "--q", "4", "--D", "1",
+                           "--sigma", "1", "--cq", "1", "--u", "0.1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "confidence threshold B(0.1) = 8.06944" in done.stdout
 
 
 def test_proofcheck_all_pass(capsys):

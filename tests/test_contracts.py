@@ -74,6 +74,7 @@ def test_sampler_draw_order(space):
     rng = _philox(seed)
     theta = _directions(rng, n, space)
     rebuilt[student_t(space, a)] = rng.standard_t(a, size=n)[:, None] * theta
+    assert {dist.kind for dist in rebuilt} == set(stochastic._LAWS)
     for dist, expected in rebuilt.items():
         got = sample_increments(dist, n, seed).increments
         assert np.array_equal(got, expected), dist.kind

@@ -117,23 +117,26 @@ def test_uniform_cube_moments_against_quadrature():
     assert norm_moment(d3, 4.0) == pytest.approx(oracle, rel=1e-9)
 
 
+# E ||xi||^p of every law in R^d, written out, each form in the order of its terms
+_CLOSED_FORMS = {
+    "rademacher_scale": lambda d, a, p: a ** p,
+    "symmetric_pareto": lambda d, a, p: a / (a - p),
+    "student_t": lambda d, a, p: math.exp(0.5 * p * math.log(a) + gammaln((p + 1) / 2)
+                                          + gammaln((a - p) / 2) - 0.5 * math.log(math.pi)
+                                          - gammaln(a / 2)),
+    "gaussian": lambda d, a, p: 0.0 if a == 0.0 else a ** p * math.exp(
+        0.5 * p * math.log(2.0) + gammaln((d + p) / 2) - gammaln(d / 2)),
+    "uniform_cube": lambda d, a, p: (a ** p / (p + 1.0) if d == 1 else d * a * a / 3.0 if p == 2
+                                     else d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0),
+}
+
+
 def _closed_form(kind, space, a, p):
-    """E ||xi||^p written out, each form in the order of its terms."""
-    d = space.dimension
-    if kind == "rademacher_scale":
-        return a ** p
-    if kind == "symmetric_pareto":
-        return a / (a - p)
-    if kind == "student_t":
-        return math.exp(0.5 * p * math.log(a) + gammaln((p + 1) / 2) + gammaln((a - p) / 2)
-                        - 0.5 * math.log(math.pi) - gammaln(a / 2))
-    if kind == "gaussian":
-        if a == 0.0:
-            return 0.0
-        return a ** p * math.exp(0.5 * p * math.log(2.0) + gammaln((d + p) / 2) - gammaln(d / 2))
-    if d == 1:  # the cube
-        return a ** p / (p + 1.0)
-    return d * a * a / 3.0 if p == 2 else d * a ** 4 / 5.0 + d * (d - 1) * a ** 4 / 9.0
+    return _CLOSED_FORMS[kind](space.dimension, a, p)
+
+
+def test_closed_forms_cover_every_law():
+    assert set(_CLOSED_FORMS) == set(stochastic._LAWS)
 
 
 _CLOSED_FORM_SPACES = (R1, make_euclidean(3), make_lp(1, 3.0), make_lp(16, 2.0))
@@ -165,7 +168,7 @@ def test_euclidean_cube_moments_equal_their_closed_forms(a, d):
     dist = uniform_cube(make_euclidean(d), a)
     for p in (2.0, 4.0):
         assert norm_moment(dist, p) == _closed_form(dist.kind, dist.space, a, p)
-    assert stochastic._closed_norm_moment(dist, 3.0) is None
+    assert stochastic._LAWS[dist.kind].moment(dist.space, a, 3.0) is None  # no closed form
 
 
 def test_monte_carlo_moment_fallback_reports_error():
@@ -216,6 +219,23 @@ def test_truncate_indicator_semantics():
     diffs = DifferenceSequence(np.array([[0.5], [2.0], [1.0]]), R1)
     out = truncate(diffs, TruncationLevel(1.0))
     assert out.increments.ravel().tolist() == [0.5, 0.0, 1.0]  # boundary kept
+
+
+@pytest.mark.parametrize("space", [make_euclidean(5), make_lp(3, 4.0), make_lp(16, 2.5)])
+def test_truncation_at_a_point_mass_keeps_every_increment(space):
+    # some unit directions have a computed norm of 1 + 2^-52; a law of norm
+    # 1 truncated at 1 is the law itself, in every truncating path
+    dist = rademacher(space, 1.0)
+    diffs = sample_increments(dist, 2000, seed=4)
+    assert (diffs.norms() > 1.0).any()
+    assert np.array_equal(truncate(diffs, 1.0).increments, diffs.increments)
+    assert np.array_equal(truncated_ensemble(dist, 20, 500, 4, 1.0),
+                          truncated_ensemble(dist, 20, 500, 4, math.inf))
+    assert np.array_equal(running_max_ensemble(dist, 20, 500, 4, trunc_L=1.0),
+                          running_max_ensemble(dist, 20, 500, 4))
+    # the allowance is a relative 1e-12, no more
+    edge = DifferenceSequence(np.array([[1.0 + 2.0 ** -52], [1.0 + 1e-9]]), R1)
+    assert truncate(edge, 1.0).increments.ravel().tolist() == [1.0 + 2.0 ** -52, 0.0]
 
 
 def test_truncate_large_level_is_identity():
