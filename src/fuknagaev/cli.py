@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import bounds, legendre, quantile, spaces, stochastic, verify
-from .errors import InternalInconsistencyError, UnsupportedFunctionError
+from .errors import InternalInconsistencyError, UnsupportedFunctionError, checked_q, checked_real
 
 _USER_ERRORS = (ValueError, UnsupportedFunctionError, OSError)
 
@@ -150,16 +150,16 @@ def _build_dist(params):
 
 def _moment_inputs(params):
     """(MomentProfile, D, report config) from --q, --D, --sigma and --cq.
-    sigma and C_q are checked before a power could hide their sign."""
+    sigma and C_q are checked before a power could hide their sign or overflow."""
     q, D = _need(params, "q"), _need(params, "D")
     sigma, cq = _need(params, "sigma"), _need(params, "cq")
-    for key, value in (("sigma", sigma), ("cq", cq)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"--{key} must be finite and >= 0, got {value}")
+    checked_q(q)  # before math.pow, which raises ValueError for q < 0 at C_q = 0
+    checked_real(sigma, "--sigma", least=0, below=1.3e154)  # sigma^2 stays finite
+    checked_real(cq, "--cq", least=0)
     try:
         cq_to_q = math.pow(cq, q)
-    except (OverflowError, ValueError):  # C_q^q overflows, or q < 0 with C_q = 0
-        cq_to_q = math.inf  # MomentProfile rejects it, or first rejects q
+    except OverflowError:
+        raise ValueError(f"--cq = {cq} overflows C_q^q at q = {q}") from None
     profile = stochastic.MomentProfile(sigma_sq=sigma * sigma, cq_to_q=cq_to_q, q=q)
     return profile, D, {"q": q, "D": D, "sigma": sigma, "cq": cq}
 

@@ -26,9 +26,10 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError, checked_q
+from .errors import DomainError, checked_q, checked_real
 
 _E = math.e
+_LOG_MAX = 709.78  # e^x overflows above log(float max) = 709.7827...
 
 _LOG_T_SCAN = np.linspace(-46.0, 46.0, 185)  # t from ~1e-20 to ~1e20
 _T_SCAN = np.exp(_LOG_T_SCAN)
@@ -50,8 +51,7 @@ def psi_tail(q: float, t):
     t = np.asarray(t, dtype=float)
     if not (t >= 0).all():  # nan too
         raise ValueError(f"t must be >= 0, got {t.min()}")
-    if not 0 < q < math.inf:
-        raise ValueError(f"q must be positive and finite, got {q}")
+    checked_real(q, "q", above=0)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.exp(t) * gammainc(math.ceil(q), t)
 
@@ -90,10 +90,8 @@ class CgfPieces:
 
 def cgf_pieces(q: float, sigma: float, trunc_L: float) -> CgfPieces:
     q = checked_q(q)
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if not 0 < trunc_L < math.inf:
-        raise ValueError(f"trunc_L must be finite and > 0, got {trunc_L}")
+    checked_real(sigma, "sigma", least=0)
+    checked_real(trunc_L, "trunc_L", above=0)
     return CgfPieces(q=q, sigma=float(sigma), trunc_L=float(trunc_L))
 
 
@@ -121,17 +119,15 @@ def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
     narrows each bracket to the neighbours of its best point. A lane stops
     when its bracket's width is at most rel_tol times the midpoint
     magnitude, so it ends with the bits a one-lane search gives. The best
-    value each lane saw is returned. If psi is finite nowhere on the scan
-    for some lane a DomainError is raised.
+    value each lane saw is returned. A lane finite nowhere on the scan extends
+    it toward t = 0, and raises a DomainError if finite nowhere up to e^-700.
     """
     rows = np.arange(lanes)
     scan = _objective(psi, x, rows, np.tile(_T_SCAN, (lanes, 1)))
     best, a, b = [], [], []
     for lane in rows:
         log_t, vals = _LOG_T_SCAN, scan[lane]
-        i = int(np.argmin(vals))
-        if not vals[i] < math.inf:
-            raise DomainError("objective not finite anywhere in the bracket")
+        i = int(np.argmin(vals))  # 0 where psi is finite nowhere: it is finite near t = 0
         while i in (0, log_t.size - 1) and abs(log_t[i]) < _LOG_T_LIMIT:
             edge = log_t[i]
             end = math.copysign(min(abs(edge) + np.ptp(_LOG_T_SCAN), _LOG_T_LIMIT), edge)
@@ -142,6 +138,8 @@ def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
             order = np.argsort(log_t)
             log_t, vals = log_t[order], vals[order]
             i = int(np.argmin(vals))
+        if not vals[i] < math.inf:
+            raise DomainError("objective not finite anywhere in the bracket")
         best.append(float(vals[i]))
         a.append(float(log_t[max(i - 1, 0)]))
         b.append(float(log_t[min(i + 1, log_t.size - 1)]))
@@ -174,28 +172,27 @@ def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
     in the bracket and narrows it to the neighbours of the best one, until
     its width is at most rel_tol times the midpoint magnitude. The best
     value seen is returned, so boundary infima (x = 0, or psi flat) come
-    out as the best value at |log t| = 700. If psi is finite nowhere on
-    the scan a DomainError is raised.
+    out as the best value at |log t| = 700. If psi is finite nowhere on the
+    scan, nor toward t = 0 up to e^-700, a DomainError is raised.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    checked_real(x, "x", least=0)
     return _search(lambda t, rows: psi(t[0]), x, 1, rel_tol)[0]
 
 
 def quadratic_closed_form(sigma: float, D: float, x: float) -> float:
     """Exact T[D^2 l0](x) = sqrt(2 x) D sigma for the quadratic piece."""
-    if sigma < 0 or D < 1 or x < 0:
-        raise ValueError("need sigma >= 0, D >= 1, x >= 0")
-    if sigma == 0.0:
-        return 0.0
+    checked_real(sigma, "sigma", least=0)
+    checked_real(D, "D", least=1)
+    checked_real(x, "x", least=0)
     return math.sqrt(2.0 * x) * D * sigma
 
 
 def bercu_infimum(c: float, v: float, x: float) -> float:
     """Closed form of inf over 0 < t < 1/c of v t / (2 (1 - c t)) + x / t,
     namely c x + sqrt(2 x v)."""
-    if c <= 0 or x <= 0 or v < 0:
-        raise ValueError("need c > 0, x > 0, v >= 0")
+    checked_real(c, "c", above=0)
+    checked_real(x, "x", above=0)
+    checked_real(v, "v", least=0)
     return c * x + math.sqrt(2.0 * x * v)
 
 
@@ -207,32 +204,30 @@ class CheckResult:
 
 
 def log_poly_check(x: float, q: float) -> CheckResult:
-    """log(x) <= (q/e) x^(1/q) for all x, q > 0, with equality at x = e^q."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"x must be finite and > 0, got {x}")
-    if not q > 0:
-        raise ValueError(f"q must be > 0, got {q}")
+    """log(x) <= (q/e) x^(1/q) for all x, q > 0, with equality at x = e^q; the
+    right side reads inf where x^(1/q) overflows."""
+    checked_real(x, "x", above=0)
+    checked_real(q, "q", above=0)
     lhs = math.log(x)
-    rhs = (q / _E) * x ** (1.0 / q)
+    rhs = (q / _E) * x ** (1.0 / q) if lhs < _LOG_MAX * q else math.inf
     return CheckResult(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs * (1 + 1e-12) + 1e-300))
 
 
 def rio36_check(q: float, x: float) -> CheckResult:
-    """psi_q(x) / x <= exp(x) * min(1/q, 1/5) at the given point."""
+    """psi_q(x) / x <= exp(x) * min(1/q, 1/5) at the given point, decided with
+    e^x divided out; a side past the float range reads inf."""
     checked_q(q)
-    if not 0 < x < math.inf:
-        raise ValueError(f"x must be finite and > 0, got {x}")
-    lhs = psi_tail(q, x) / x
-    rhs = math.exp(x) * min(1.0 / q, 0.2)
-    return CheckResult(lhs=lhs, rhs=rhs, passed=bool(lhs <= rhs * (1 + 1e-12)))
+    checked_real(x, "x", above=0)
+    ratio, m = gammainc(math.ceil(q), x) / x, min(1.0 / q, 0.2)
+    e = math.exp(x) if x <= _LOG_MAX else math.inf
+    return CheckResult(lhs=e * ratio, rhs=e * m, passed=bool(ratio <= m * (1 + 1e-12)))
 
 
 def truncation_error_bound(q: float, u: float) -> float:
     """CVaR bound on the truncation error under normalized assumptions with
     level L = (2/u)^(1/q): equals u^(-1/q) * 2^(1/q - 1)."""
     checked_q(q)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
+    checked_real(u, "u", above=0, below=1)
     return u ** (-1.0 / q) * 2.0 ** (1.0 / q - 1.0)
 
 
@@ -297,8 +292,9 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     in the user-facing bound; it matches bounds.constant_c exactly.
     """
     checked_q(q)
-    if not (1 <= D < math.inf and 0 < sigma < math.inf and 0.0 < u < 1.0):
-        raise ValueError("need finite D >= 1 and sigma > 0, and u in (0, 1)")
+    checked_real(D, "D", least=1)
+    checked_real(sigma, "sigma", above=0)
+    checked_real(u, "u", above=1.2e-308, below=1)  # 2/u stays finite
     DD = D * D
     if not (DD < math.inf and sigma * sigma < math.inf):
         raise ValueError(f"D^2 or sigma^2 overflows at D = {D}, sigma = {sigma}")
@@ -356,7 +352,7 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     if 0.5 * math.log(2.0 * x_hat) - math.log(D * sigma) > _LOG_T_LIMIT:
         raise ValueError(f"the ell0 minimiser lies past t = e^700 at D = {D}, sigma = {sigma}")
     if not all(math.isfinite(s.lhs) and math.isfinite(s.rhs) for s in steps):
-        raise ValueError(f"the proof chain overflows at q = {q}, D = {D}, sigma = {sigma}")
+        raise ValueError(f"the proof chain overflows at q = {q}, D = {D}, sigma = {sigma}, u = {u}")
 
     return ProofChainReport(q=float(q), D=float(D), sigma=float(sigma), u=float(u),
                             x_hat=x_hat, trunc_L=L, alpha_qD=alpha,

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, InvalidLevelError
+from .errors import InternalInconsistencyError, InvalidLevelError, checked_real
 
 
 @dataclass(frozen=True)
@@ -104,18 +104,13 @@ def _raise_bad_line(handle, path):
             raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
 
 
-def _check_u(u: float):
-    if not 0.0 < u <= 1.0:
-        raise InvalidLevelError(f"u must lie in (0, 1], got {u}")
-
-
 def quantile_q(sample: EmpiricalSample, u: float) -> float:
     """Largest (1-u)-quantile under the empirical law.
 
     The empirical tail P[X > t] uses strict inequality, so the infimum is
     attained at the order statistic with index k = N + 1 - ceil(N u).
     """
-    _check_u(u)
+    checked_real(u, "u", above=0, most=1, error=InvalidLevelError)
     n = len(sample)
     k = n + 1 - math.ceil(n * u)
     k = min(max(k, 1), n)
@@ -130,7 +125,7 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
     the two agree for every discrete law, so a disagreement beyond 1e-9
     times max(1, max|X|) raises InternalInconsistencyError.
     """
-    _check_u(u)
+    checked_real(u, "u", above=0, most=1, error=InvalidLevelError)
     x = sample.values
     n = len(x)
     m = math.ceil(n * u)
@@ -198,7 +193,7 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
     formed as (t max + log E exp(t (X - max)) + log(1/u)) / t, whose terms
     cancel where Qinf is near zero against max|X|.
     """
-    _check_u(u)
+    checked_real(u, "u", above=0, most=1, error=InvalidLevelError)
     x = sample.values
     xmax = float(x[-1])
     if x[0] == xmax:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, UnsupportedExponentError, checked_count
+from .errors import InvalidDimensionError, UnsupportedExponentError, checked_count, checked_real
 
 EUCLIDEAN = "euclidean"
 LP = "lp"
@@ -42,6 +42,11 @@ class SmoothSpace:
     def smoothness_D(self) -> float:
         """D = sqrt(p - 1), which is 1 for the euclidean norm."""
         return math.sqrt(self.p - 1.0)
+
+    def _checked_D(self, D):
+        """D, if finite and >= smoothness_D: the theorem gives no bound below it."""
+        return checked_real(D, "D", least=self.smoothness_D,
+                            lo_text=f"the smoothness constant {self.smoothness_D:.6g} of the space")
 
     def norm(self, v) -> float:
         """Norm of a single coordinate vector."""
@@ -160,12 +165,14 @@ def smoothness_certificate(space: SmoothSpace, num_pairs: int, seed: int,
     """Sample pairs and test the two-point smoothness inequality.
 
     Checks ||x+y||^2 + ||x-y||^2 <= 2||x||^2 + 2 D^2 ||y||^2 on ``num_pairs``
-    standard-normal pairs plus a fixed corner-case list. ``check_D`` overrides
-    the space's certified constant, which is how an undersized D is exposed
-    as a positive violation. Passes iff max_violation <= 1e-9 * scale.
+    standard-normal pairs plus a fixed corner-case list. ``check_D`` (in
+    [0, 1e150)) overrides the space's certified constant, which is how an
+    undersized D is exposed as a positive violation. Passes iff
+    max_violation <= 1e-9 * scale.
     """
     num_pairs = checked_count(num_pairs, "num_pairs")
-    D = space.smoothness_D if check_D is None else float(check_D)
+    D = space.smoothness_D if check_D is None else \
+        float(checked_real(check_D, "check_D", least=0, below=1e150))  # 2 D^2 stays finite
     d = space.dimension
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((num_pairs, d))

@@ -23,7 +23,7 @@ from scipy.special import (betainc, gammainc, gammaincc, gammainccinv, gammaln, 
                            poch, stdtr, stdtrit)
 
 from .errors import (InfiniteMomentError, PreconditionError, UnsupportedFunctionError,
-                     checked_count, checked_q)
+                     checked_count, checked_q, checked_real)
 from .spaces import SmoothSpace, make_euclidean
 
 _BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
@@ -42,10 +42,7 @@ class IncrementDistribution:
         if self.kind not in _LAWS:
             raise ValueError(f"unknown increment kind {self.kind!r}")
         law = _LAWS[self.kind]
-        rel = ">=" if law.at_bound else ">"
-        if not (law.bound < self.param < math.inf or law.at_bound and self.param == law.bound):
-            raise ValueError(f"{law.param} must be finite and {rel} {law.bound:g}, "
-                             f"got {self.param}")
+        checked_real(self.param, law.param, **{"least" if law.at_bound else "above": law.bound})
 
 
 def symmetric_pareto(space: SmoothSpace, alpha: float) -> IncrementDistribution:
@@ -107,9 +104,8 @@ class MomentProfile:
 
     def __post_init__(self):
         checked_q(self.q)
-        for name in ("sigma_sq", "cq_to_q"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        checked_real(self.sigma_sq, "sigma_sq", least=0)
+        checked_real(self.cq_to_q, "cq_to_q", least=0)
 
     @property
     def sigma(self) -> float:
@@ -345,8 +341,7 @@ def _series_power(b: np.ndarray, d: int) -> np.ndarray:
 def norm_moment(dist: IncrementDistribution, p: float) -> float:
     """E ||xi||^p: the moment of the norm law, else the row's closed form, else
     _product_norm_moment; inf on overflow."""
-    if not 0 <= p < math.inf:
-        raise ValueError(f"moment order p must be finite and >= 0, got {p}")
+    checked_real(p, "moment order p", least=0)
     row = _LAWS[dist.kind]
     try:
         law = row.norm_law(dist.space, dist.param)
@@ -723,8 +718,7 @@ def truncated_norm_exp_moment(dist: IncrementDistribution, t: float, trunc_L) ->
     integral over [q, x] is at least f(x) e^(tx) (1 - e^(-t(x - q))) / t,
     and that bound is tested at every finite break above q.
     """
-    if not -math.inf < t < math.inf:
-        raise ValueError(f"t must be finite, got {t}")
+    checked_real(t, "t")
     L = _truncation_level(trunc_L)
     law = _scalar_norm_law(dist)
     try:
@@ -792,11 +786,8 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     n, d) array, left unmodified, or a sequence of DifferenceSequence. Returns
     e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
     ||M~_i|| of the partial sums."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if not dist.space.smoothness_D <= D < math.inf:
-        raise ValueError(f"D must be finite and >= the smoothness constant "
-                         f"{dist.space.smoothness_D:.6g} of the space, got {D}")
+    checked_real(t, "t", above=0)
+    dist.space._checked_D(D)
     if trunc_L is None:
         trunc_L = _LAWS[dist.kind].sup(dist.space, dist.param)  # truncation there changes nothing
         if trunc_L == math.inf:
@@ -822,6 +813,8 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         raise ValueError(f"ensemble holds an increment that is not finite or of norm above "
                          f"the truncation level {level:.6g}")
     norms = _paths(xi.copy() if xi is ensemble else xi, dist.space)[1]  # _paths overwrites it
+    if not t * norms.max(initial=0.0) <= _LOG_MAX:
+        raise ValueError(f"cosh(t ||M_i||) overflows at t = {t}")
     return D * D * (truncated_norm_exp_moment(dist, t, level) - 1.0
                     - t * truncated_norm_mean(dist, level)), norms
 
@@ -855,7 +848,8 @@ def pinelis_check(ensemble, t: float, D: float,
     The ensemble must hold already-truncated sequences when the increment
     law is unbounded; ``trunc_L`` is the level used so the product side can
     be computed analytically. Verdict: empirical <= product within three
-    Monte Carlo standard errors.
+    Monte Carlo standard errors; e_term and product_bound read inf where they
+    overflow.
     """
     e_term, norms = _pinelis_terms(ensemble, t, D, dist, trunc_L)
     trials, n = norms.shape
@@ -908,12 +902,9 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
     sum E^q <= 1, all values <= L.
     """
     checked_q(q)
-    if not 2 <= k < math.inf:
-        raise ValueError(f"k must be finite and >= 2, got {k}")
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if not 0 < trunc_L < math.inf:
-        raise ValueError(f"trunc_L must be finite and > 0, got {trunc_L}")
+    checked_real(k, "k", least=2)
+    checked_real(sigma, "sigma", least=0)
+    checked_real(trunc_L, "trunc_L", above=0)
     laws = list(norm_laws)
     if not laws:
         raise ValueError("norm_laws must hold at least one law")
@@ -922,11 +913,11 @@ def rio_moment_check(norm_laws, q: float, k: float, sigma: float,
     mq = sum(law.moment(q) for law in laws)
     vmax = max(max(law.values) for law in laws)
     if m2 > sigma * sigma * (1 + tol):
-        raise PreconditionError(f"sum E||xi||^2 = {m2} exceeds sigma^2 = {sigma**2}")
+        raise PreconditionError(f"sum E||xi||^2 = {m2} exceeds sigma^2 at sigma = {sigma}")
     if mq > 1.0 + tol:
         raise PreconditionError(f"sum E||xi||^q = {mq} exceeds 1")
     if vmax > trunc_L * (1 + tol):
-        raise PreconditionError(f"norm value {vmax} exceeds truncation level {trunc_L}")
+        raise PreconditionError(f"norm value {vmax} exceeds trunc_L = {trunc_L}")
 
     lhs = sum(law.moment(k) for law in laws)
     rhs = sigma ** (2.0 * (q - k) / (q - 2.0)) if k <= q else trunc_L ** (k - q)

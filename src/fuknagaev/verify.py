@@ -7,6 +7,7 @@ Clopper-Pearson upper limit (exceedance counts near zero are the common
 case, where normal approximations are useless).
 """
 
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .bounds import _tail_terms, confidence_bound
-from .errors import InvalidCountError, InvalidLevelError, checked_count, checked_q
+from .bounds import confidence_bound, constant_c
+from .errors import InvalidCountError, InvalidLevelError, checked_count, checked_q, checked_real
 from .quantile import make_sample, quantile_q
 from .stochastic import (IncrementDistribution, MomentProfile, moment_profile,
                          running_max_ensemble)
@@ -32,11 +33,13 @@ def clopper_pearson_upper(k: int, trials: int, confidence: float) -> float:
         raise InvalidCountError(f"k must be an integer, got {k!r}") from None
     if not 0 <= k <= trials:
         raise InvalidCountError(f"need 0 <= k <= trials, got k={k}, trials={trials}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    checked_real(confidence, "confidence", above=0, below=1)
     if k == trials:
         return 1.0
-    return float(betaincinv(k + 1, trials - k, confidence))
+    upper = float(betaincinv(k + 1, trials - k, confidence))
+    if upper != upper:  # Boost's inverse is nan at some confidences below ~1e-190
+        raise ValueError(f"the beta quantile is nan at confidence = {confidence}, k = {k}")
+    return upper
 
 
 @dataclass(frozen=True)
@@ -56,17 +59,12 @@ class CampaignConfig:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
         checked_count(self.n, "n")
         checked_q(self.q)
-        if not self.D >= self.dist.space.smoothness_D:
-            raise ValueError(f"D must be >= the smoothness constant "
-                             f"{self.dist.space.smoothness_D:.6g} of the space, got {self.D}")
+        self.dist.space._checked_D(self.D)
         if not self.u_grid:
             raise ValueError("u grid must be nonempty")
         for u in self.u_grid:
-            if not 1e-6 <= u <= 0.99:
-                raise InvalidLevelError(
-                    f"campaign levels must lie in [1e-6, 0.99], got {u}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
+            checked_real(u, "u_grid level", least=1e-6, most=0.99, error=InvalidLevelError)
+        checked_real(self.confidence, "confidence", above=0, below=1)
 
 
 @dataclass(frozen=True)
@@ -189,29 +187,33 @@ def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,
                    grid_points: int = 512) -> float | None:
     """Where the Gaussian and polynomial tail terms swap dominance.
 
-    Scans g(t) = 2 exp(-t^2/(8 D^2 sigma^2)) - 2 (2 c C_q / t)^q for a sign
-    change on a log grid over the bracket and bisects the last one (the
-    dominance switch deepest in the tail). Returns None when the bracket
-    contains no sign change, which is a valid outcome: for small sigma the
-    polynomial term dominates throughout.
+    Scans g(t) = 2 exp(-t^2/(8 D^2 sigma^2)) - 2 (2 c C_q / t)^q, in logs so
+    that no term underflows, for a sign change on a log grid over the bracket
+    and bisects the last one (the dominance switch deepest in the tail).
+    Returns None when the bracket contains no sign change, which is a valid
+    outcome: for small sigma the polynomial term dominates throughout, and a
+    zero sigma or C_q drops a term.
     """
     from scipy.optimize import brentq
 
     t_lo, t_hi = bracket
-    if not 0 < t_lo < t_hi:
-        raise ValueError(f"need 0 < t_lo < t_hi, got {bracket}")
+    checked_real(t_lo, "t_lo", above=0)
+    checked_real(t_hi, "t_hi", above=t_lo, lo_text=f"t_lo = {t_lo}")
     grid_points = checked_count(grid_points, "grid_points", least=2)
+    c = constant_c(profile.q, D)
+    if profile.sigma_sq == 0.0 or profile.cq_to_q == 0.0:
+        return None
+    log_2c_cq = math.log(2.0 * c) + math.log(profile.cq_to_q) / profile.q
 
-    def g(t):
-        poly, gauss = _tail_terms(profile, D, t)
-        return gauss - poly
+    def g(t):  # the log of the Gaussian term minus the log of the polynomial one
+        return -(t / D) * (t / D) / (8.0 * profile.sigma_sq) - profile.q * (log_2c_cq - math.log(t))
 
-    ts = np.geomspace(t_lo, t_hi, grid_points)
-    vals = np.array([g(t) for t in ts])
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    ts = np.geomspace(t_lo, t_hi, grid_points).tolist()  # Python floats: t * t reads inf
+    signs = np.sign([g(t) for t in ts])
+    hits = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
     if not hits.size:
         return None
     i = hits[-1]
-    if vals[i] == 0.0:
-        return float(ts[i])
+    if signs[i] == 0.0:
+        return ts[i]
     return float(brentq(g, ts[i], ts[i + 1], xtol=1e-12, rtol=1e-14))

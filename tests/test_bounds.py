@@ -181,6 +181,22 @@ def test_holder_zero_constant():
     assert holder_constants(spec, 4.0) == (0.0, 0.0)
 
 
+def test_holder_constants_overflow_to_inf_and_mcdiarmid_refuses_them():
+    # L^q raised OverflowError: 1e300^4 is past the float range
+    spec = HolderSpec(holder_L=1e300, alpha=1.0, coordinate_moments=((1.0, 1.0),))
+    assert holder_constants(spec, 4.0) == (math.inf, math.inf)
+    with pytest.raises(ValueError, match="^sigma_sq must be finite and >= 0, got inf"):
+        mcdiarmid_bound(*holder_constants(spec, 4.0), 4.0, 1.0, 0.1)
+    spec = HolderSpec(holder_L=1e100, alpha=1.0, coordinate_moments=((1.0, 1.0),))
+    sigma_sq, cq_to_q = holder_constants(spec, 4.0)
+    assert sigma_sq == 1e200 and cq_to_q == math.inf
+    with pytest.raises(ValueError, match="^cq_to_q must be finite and >= 0, got inf"):
+        mcdiarmid_bound(sigma_sq, cq_to_q, 4.0, 1.0, 0.1)
+    # a zero moment sum gives a zero constant even where L^q overflows
+    spec = HolderSpec(holder_L=1e300, alpha=1.0, coordinate_moments=((0.0, 0.0),))
+    assert holder_constants(spec, 4.0) == (0.0, 0.0)
+
+
 def test_holder_normed_coordinate_shortcut():
     # E d^p <= 2^p E ||Z||^p; for uniform(0,1), p = 2: 1/6 <= 4 * 1/3
     assert 1 / 6 <= 2 ** 2 * (1 / 3)

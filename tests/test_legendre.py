@@ -17,6 +17,9 @@ from fuknagaev.legendre import (bercu_infimum, cgf_pieces, inverse_legendre,
                                 log_poly_check, proof_chain, psi_tail,
                                 quadratic_closed_form, rio36_check,
                                 truncation_error_bound)
+from fuknagaev.spaces import make_euclidean, smoothness_certificate
+from fuknagaev.stochastic import MomentProfile, rademacher
+from fuknagaev.verify import CampaignConfig, crossover_scan
 
 
 # ---------------------------------------------------------------- psi tail
@@ -80,9 +83,9 @@ _NAN, _INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: psi_tail(_NAN, 1.0), "^q must be positive and finite, got nan",
+    pytest.param(lambda: psi_tail(_NAN, 1.0), "^q must be finite and > 0, got nan",
                  id="psi_tail-q-nan"),
-    pytest.param(lambda: psi_tail(_INF, 1.0), "^q must be positive and finite, got inf",
+    pytest.param(lambda: psi_tail(_INF, 1.0), "^q must be finite and > 0, got inf",
                  id="psi_tail-q-inf"),
     pytest.param(lambda: psi_tail(4.0, _NAN), "^t must be >= 0, got nan", id="psi_tail-t-nan"),
     pytest.param(lambda: psi_tail(4.0, np.array([1.0, _NAN])), "^t must be >= 0, got nan",
@@ -109,8 +112,29 @@ _NAN, _INF = math.nan, math.inf
                  id="log_poly_check-x-nan"),
     pytest.param(lambda: log_poly_check(_INF, 3.0), "^x must be finite and > 0, got inf",
                  id="log_poly_check-x-inf"),
-    pytest.param(lambda: log_poly_check(2.0, _NAN), "^q must be > 0, got nan",
-                 id="log_poly_check-q-nan")])
+    pytest.param(lambda: log_poly_check(2.0, _NAN), "^q must be finite and > 0, got nan",
+                 id="log_poly_check-q-nan"),
+    pytest.param(lambda: log_poly_check(2.0, _INF), "^q must be finite and > 0, got inf",
+                 id="log_poly_check-q-inf"),
+    pytest.param(lambda: quadratic_closed_form(_NAN, 1.0, 1.0),
+                 "^sigma must be finite and >= 0, got nan", id="quadratic_closed_form-sigma-nan"),
+    pytest.param(lambda: quadratic_closed_form(1.0, _NAN, 1.0),
+                 "^D must be finite and >= 1, got nan", id="quadratic_closed_form-D-nan"),
+    pytest.param(lambda: quadratic_closed_form(1.0, 1.0, _NAN),
+                 "^x must be finite and >= 0, got nan", id="quadratic_closed_form-x-nan"),
+    pytest.param(lambda: bercu_infimum(_NAN, 1.0, 1.0), "^c must be finite and > 0, got nan",
+                 id="bercu_infimum-c-nan"),
+    pytest.param(lambda: inverse_legendre(lambda t: t * t, _NAN),
+                 "^x must be finite and >= 0, got nan", id="inverse_legendre-x-nan"),
+    pytest.param(lambda: smoothness_certificate(make_euclidean(2), 10, 0, check_D=_NAN),
+                 r"^check_D must lie in \[0, 1e\+150\), got nan",
+                 id="smoothness_certificate-D-nan"),
+    pytest.param(lambda: CampaignConfig(dist=rademacher(make_euclidean(1), 1.0), n=5,
+                                        trials=100, q=4.0, D=_INF, u_grid=(0.1,), seed=0),
+                 "^D must be finite and >= the smoothness constant 1 of the space, got inf",
+                 id="CampaignConfig-D-inf"),
+    pytest.param(lambda: crossover_scan(MomentProfile(100.0, 1.0, 4.0), 1.0, (1.0, _INF)),
+                 "^t_hi must be finite and > t_lo = 1.0, got inf", id="crossover_scan-t_hi-inf")])
 def test_legendre_inputs_out_of_range_raise_naming_the_parameter(call, match):
     # each gave nan, a FAIL with nan sides, a warning or an error naming no parameter
     with warnings.catch_warnings():
@@ -306,6 +330,13 @@ def test_rio36_point_and_sweep():
     for q in (2.5, 3.0, 4.0, 6.0, 10.0):
         for x in np.geomspace(1e-3, 50.0, 60):
             assert rio36_check(q, float(x)).passed
+
+
+def test_rio36_verdict_where_exp_overflows():
+    # math.exp(800) raised OverflowError; e^x cancels from the verdict
+    r = rio36_check(4.0, 800.0)
+    assert r.passed and r.lhs == r.rhs == math.inf
+    assert rio36_check(4.0, 700.0).passed
 
 
 def test_truncation_error_bound_values():

@@ -215,3 +215,19 @@ def test_crossover_found_for_large_sigma():
 def test_crossover_vanishing_sigma():
     prof = MomentProfile(sigma_sq=0.0, cq_to_q=1.0, q=4.0)
     assert crossover_scan(prof, 1.0, (1.0, 100.0)) is None
+
+
+def test_crossover_ignores_brackets_where_both_terms_underflow():
+    # both terms read 0 past t ~ 1e4, which counted as a crossover: 6.4e99, 2.5e307
+    prof = MomentProfile(sigma_sq=100.0, cq_to_q=1.0, q=4.0)
+    t_star = crossover_scan(prof, 1.0, (1.0, 1e4))
+    assert 96.27 < t_star < 96.28
+    for t_hi in (1e100, 1e308):
+        assert crossover_scan(prof, 1.0, (1.0, t_hi)) == pytest.approx(t_star, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma_sq", [0.0, 100.0])
+def test_crossover_absent_without_a_polynomial_term(sigma_sq):
+    # C_q = 0 returned 9821.37, where the Gaussian term underflows
+    prof = MomentProfile(sigma_sq=sigma_sq, cq_to_q=0.0, q=4.0)
+    assert crossover_scan(prof, 1.0, (1.0, 1e4)) is None
