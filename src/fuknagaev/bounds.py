@@ -75,14 +75,20 @@ def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
     max_k || (1/n) sum_{i<=k} xi_i || of n iid centered increments with
     per-increment moments (sigma_1^2, C_{q,1}^q):
 
-    D sigma_1 sqrt(2 log(2/u) / n) + c(q, D) C_{q,1} (2 / (u n^(q-1)))^(1/q).
+    D sigma_1 sqrt(2 log(2/u) / n) + c(q, D) C_{q,1} (2/u)^(1/q) n^(-(q-1)/q).
     """
     checked_real(u, "u", above=0, below=1, error=InvalidLevelError)
     n = checked_count(n, "n")
+    try:
+        n_real = float(n)
+    except OverflowError:
+        raise ValueError(f"n must be below 2^1024, got an integer of {n.bit_length()} bits") \
+            from None
     q = per_increment.q
     c = constant_c(q, D)
-    value = D * per_increment.sigma * math.sqrt(2.0 * math.log(2.0 / u) / n) \
-        + c * per_increment.cq * (2.0 / (u * float(n) ** (q - 1.0))) ** (1.0 / q)
+    # n^(-(q-1)/q) <= 1, where n^(q-1) alone overflows for a large n
+    value = D * per_increment.sigma * math.sqrt(2.0 * math.log(2.0 / u) / n_real) \
+        + c * per_increment.cq * (2.0 / u) ** (1.0 / q) * n_real ** (-(q - 1.0) / q)
     if not value < math.inf:
         raise InvalidLevelError(f"the threshold overflows at D = {D}, u = {u}")
     return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD,

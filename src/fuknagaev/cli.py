@@ -25,7 +25,7 @@ import sys
 from . import bounds, legendre, quantile, spaces, stochastic, verify
 from .errors import InternalInconsistencyError, UnsupportedFunctionError, checked_q, checked_real
 
-_USER_ERRORS = (ValueError, UnsupportedFunctionError, OSError)
+_USER_ERRORS = (ValueError, UnsupportedFunctionError, OSError, configparser.Error)
 
 SEED_ENV = "FUKNAGAEV_SEED"
 
@@ -94,65 +94,48 @@ def emit_report(report: dict, fmt: str, path: str):
 
 
 def _load_config(path, section):
+    """The [section] entries of an INI file as --key=value tokens, which the
+    parser reads as it reads flags."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive flag names
     with open(path, encoding="utf-8") as handle:
         parser.read_file(handle)
     if not parser.has_section(section):
-        return {}
-    return dict(parser.items(section))
+        return []
+    return [f"--{key}={value}" for key, value in parser.items(section)]
 
 
-def _merged(args, keys):
-    """Config-file values with flag overrides; flags win."""
-    cfg = {}
-    if args.config:
-        cfg = _load_config(args.config, args.subcommand)
-    out = {}
-    for key in keys:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in cfg:
-            out[key] = cfg[key]
-    return out
-
-
-def _need(params, key, conv=float):
-    if key not in params:
+def _need(args, key):
+    value = getattr(args, key)
+    if value is None:
         raise ValueError(f"missing required parameter --{key}")
-    return conv(params[key])
+    return value
 
 
-def _default_seed(params):
-    if "seed" in params:
-        return int(params["seed"])
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+def _env_seed():
+    text = os.environ.get(SEED_ENV)
+    try:
+        return int(text) if text else 0
+    except ValueError:
+        raise ValueError(f"${SEED_ENV} must be an integer, got {text!r}") from None
 
 
-def _parse_u_grid(text):
-    grid = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+def _u_grid(text):
+    """--u of verify and quantile: comma-separated levels."""
+    try:
+        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        grid = ()
     if not grid:
-        raise ValueError("empty u grid")
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
     return grid
 
 
-def _build_dist(params):
-    dim = int(params.get("dim", 1))
-    p = params.get("p")
-    space = spaces.make_lp(dim, float(p)) if p is not None else spaces.make_euclidean(dim)
-    name = params.get("dist", "rademacher")
-    if name not in _KINDS:
-        raise ValueError(f"unknown distribution {name!r}, choose from {tuple(_KINDS)}")
-    return stochastic.IncrementDistribution(_KINDS[name], space, float(params.get("alpha", 1.0)))
-
-
-def _moment_inputs(params):
+def _moment_inputs(args):
     """(MomentProfile, D, report config) from --q, --D, --sigma and --cq.
     sigma and C_q are checked before a power could hide their sign or overflow."""
-    q, D = _need(params, "q"), _need(params, "D")
-    sigma, cq = _need(params, "sigma"), _need(params, "cq")
+    q, D = _need(args, "q"), _need(args, "D")
+    sigma, cq = _need(args, "sigma"), _need(args, "cq")
     checked_q(q)  # before math.pow, which raises ValueError for q < 0 at C_q = 0
     checked_real(sigma, "--sigma", least=0, below=1.3e154)  # sigma^2 stays finite
     checked_real(cq, "--cq", least=0)
@@ -164,49 +147,43 @@ def _moment_inputs(params):
     return profile, D, {"q": q, "D": D, "sigma": sigma, "cq": cq}
 
 
-def _maybe_emit(args, params, config, rows, seed=None):
-    out = params.get("out")
-    if out:
+def _maybe_emit(args, config, rows, seed=None):
+    if args.out:
         emit_report({"config": config, "rows": rows,
                      "meta": {"tool": "fuknagaev", "subcommand": args.subcommand,
                               "seed": seed}},
-                    params.get("format", "json"), out)
+                    args.format, args.out)
 
 
 def _cmd_bound(args):
-    params = _merged(args, ("q", "D", "sigma", "cq", "u", "t", "out", "format"))
-    profile, D, config = _moment_inputs(params)
+    profile, D, config = _moment_inputs(args)
     rows = []
-    for key, evaluate, line in (
-            ("u", bounds.confidence_bound, "confidence threshold B({}) = {}"),
-            ("t", bounds.tail_bound, "tail probability at t = {}: {}")):
-        if params.get(key) is not None:
-            level = float(params[key])
+    for level, evaluate, line in (
+            (args.u, bounds.confidence_bound, "confidence threshold B({}) = {}"),
+            (args.t, bounds.tail_bound, "tail probability at t = {}: {}")):
+        if level is not None:
             res = evaluate(profile, D, level)
             print(line.format(_fmt_human(level), _fmt_human(res.value)))
             rows.append({"level": level, "kind": res.kind, "value": res.value})
     if not rows:
         raise ValueError("bound needs --u (confidence) or --t (tail threshold)")
-    _maybe_emit(args, params, config, rows)
+    _maybe_emit(args, config, rows)
     return 0
 
 
 def _cmd_mcdiarmid(args):
-    params = _merged(args, ("q", "D", "sigma", "cq", "u", "out", "format"))
-    profile, D, config = _moment_inputs(params)
-    u = _need(params, "u")
+    profile, D, config = _moment_inputs(args)
+    u = _need(args, "u")
     res = bounds.mcdiarmid_bound(profile.sigma_sq, profile.cq_to_q, profile.q, D, u)
     print(f"||f(Z) - E f(Z)|| <= {_fmt_human(res.value)} with probability >= "
           f"{_fmt_human(1 - u)}")
-    _maybe_emit(args, params, {**config, "u": u},
-                [{"level": u, "kind": res.kind, "value": res.value}])
+    _maybe_emit(args, {**config, "u": u}, [{"level": u, "kind": res.kind, "value": res.value}])
     return 0
 
 
 def _cmd_proofcheck(args):
-    params = _merged(args, ("q", "D", "sigma", "u", "out", "format"))
-    report = legendre.proof_chain(_need(params, "q"), _need(params, "D"),
-                                  _need(params, "sigma"), _need(params, "u"))
+    report = legendre.proof_chain(_need(args, "q"), _need(args, "D"),
+                                  _need(args, "sigma"), _need(args, "u"))
     print(f"x_hat = {_fmt_human(report.x_hat)}  L = {_fmt_human(report.trunc_L)}  "
           f"alpha = {_fmt_human(report.alpha_qD)}")
     print(f"{'step':<12} {'lhs':>14} {'rhs':>14}  verdict")
@@ -214,25 +191,24 @@ def _cmd_proofcheck(args):
         print(f"{s.name:<12} {_fmt_human(s.lhs):>14} {_fmt_human(s.rhs):>14}  "
               f"{'pass' if s.passed else 'FAIL'}")
     print(f"final coefficient c = {_fmt_human(report.final_coefficient)}")
-    _maybe_emit(args, params,
-                {"q": report.q, "D": report.D, "sigma": report.sigma, "u": report.u},
+    _maybe_emit(args, {"q": report.q, "D": report.D, "sigma": report.sigma, "u": report.u},
                 [{"step": s.name, "lhs": s.lhs, "rhs": s.rhs, "verdict": s.passed}
                  for s in report.steps])
     return 0 if report.all_passed else 1
 
 
 def _cmd_verify(args):
-    params = _merged(args, ("dist", "alpha", "dim", "p", "n", "trials", "q", "D",
-                            "u", "seed", "out", "format"))
-    dist = _build_dist(params)
+    space = spaces.make_lp(args.dim, args.p) if args.p is not None \
+        else spaces.make_euclidean(args.dim)
+    dist = stochastic.IncrementDistribution(_KINDS[args.dist], space, args.alpha)
     config = verify.CampaignConfig(
         dist=dist,
-        n=_need(params, "n", int),
-        trials=_need(params, "trials", int),
-        q=_need(params, "q"),
-        D=float(params.get("D", dist.space.smoothness_D)),
-        u_grid=_parse_u_grid(_need(params, "u", str)),
-        seed=_default_seed(params),
+        n=_need(args, "n"),
+        trials=_need(args, "trials"),
+        q=_need(args, "q"),
+        D=space.smoothness_D if args.D is None else args.D,
+        u_grid=_need(args, "u"),
+        seed=_env_seed() if args.seed is None else args.seed,
     )
     report = verify.verify_confidence(config)
     print(f"{'level':>8} {'bound':>12} {'exceed':>8} {'rate':>10} "
@@ -241,7 +217,7 @@ def _cmd_verify(args):
         print(f"{_fmt_human(r.level):>8} {_fmt_human(r.bound):>12} {r.exceed:>8} "
               f"{_fmt_human(r.rate):>10} {_fmt_human(r.cp_upper):>10}  "
               f"{'pass' if r.passed else 'FAIL'}")
-    _maybe_emit(args, params,
+    _maybe_emit(args,
                 {"dist": dist.kind, "param": dist.param,
                  "dim": dist.space.dimension, "norm": dist.space.norm_kind,
                  "n": config.n, "trials": config.trials, "q": config.q,
@@ -251,18 +227,15 @@ def _cmd_verify(args):
 
 
 def _cmd_quantile(args):
-    params = _merged(args, ("u", "out", "format"))
     sample = quantile.load_sample(args.sample_file)
-    grid = _parse_u_grid(_need(params, "u", str))
     rows = []
     print(f"{'level':>8} {'Q':>12} {'Q1':>12} {'Qinf':>12}")
-    for u in grid:
+    for u in _need(args, "u"):
         trip = quantile.quantile_triple(sample, u)
         print(f"{_fmt_human(u):>8} {_fmt_human(trip.q):>12} "
               f"{_fmt_human(trip.q1):>12} {_fmt_human(trip.qinf):>12}")
         rows.append({"level": u, "q": trip.q, "q1": trip.q1, "qinf": trip.qinf})
-    _maybe_emit(args, params, {"sample_file": str(args.sample_file), "size": len(sample)},
-                rows)
+    _maybe_emit(args, {"sample_file": str(args.sample_file), "size": len(sample)}, rows)
     return 0
 
 
@@ -273,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks, and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *names):
+    def common(p, *names, u_type=float):
         if "q" in names:
             p.add_argument("--q", type=float, help="moment order, must exceed 2")
         if "D" in names:
@@ -284,11 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
         if "cq" in names:
             p.add_argument("--cq", type=float, help="moment proxy C_q (not C_q^q), >= 0")
         if "u" in names:
-            p.add_argument("--u", type=str,
+            p.add_argument("--u", type=u_type,
                            help="confidence level(s) in (0,1), comma separated where a grid is accepted")
         if "out" in names:
             p.add_argument("--out", type=str, help="write a machine-readable report here")
-            p.add_argument("--format", type=str, choices=("csv", "json"),
+            p.add_argument("--format", type=str, choices=("csv", "json"), default="json",
                            help="report format, default json")
         p.add_argument("--config", type=str,
                        help="INI file with a [subcommand] section of key=value defaults; flags override")
@@ -298,15 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--t", type=float, help="tail threshold, > 0")
 
     p_verify = sub.add_parser("verify", help="run a Monte Carlo coverage campaign")
-    common(p_verify, "q", "u", "out")
+    common(p_verify, "q", "u", "out", u_type=_u_grid)
     p_verify.add_argument("--D", type=float,
                           help="smoothness constant, at least and by default the space's "
                                "own: 1 for euclidean, sqrt(p - 1) for l^p")
-    p_verify.add_argument("--dist", type=str, choices=tuple(_KINDS), help="increment law")
-    p_verify.add_argument("--alpha", type=float,
+    p_verify.add_argument("--dist", type=str, choices=tuple(_KINDS), default="rademacher",
+                          help="increment law")
+    p_verify.add_argument("--alpha", type=float, default=1.0,
                           help="law parameter: " + ", ".join(
                               f"{law.param} ({law.flag})" for law in stochastic._LAWS.values()))
-    p_verify.add_argument("--dim", type=int, help="space dimension, >= 1")
+    p_verify.add_argument("--dim", type=int, default=1, help="space dimension, >= 1")
     p_verify.add_argument("--p", type=float,
                           help="l^p norm exponent >= 2; omit for euclidean")
     p_verify.add_argument("--n", type=int, help="increments per trial, >= 1")
@@ -322,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="Q, Q1, Qinf of a sample file (one value per "
                                   "line, '#' comments)")
     p_quant.add_argument("sample_file", type=str)
-    common(p_quant, "u", "out")
+    common(p_quant, "u", "out", u_type=_u_grid)
 
     p_mcd = sub.add_parser("mcdiarmid",
                            help="heavy-tailed McDiarmid bound from summed "
@@ -341,14 +315,18 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
+    """Parse argv, then again with the --config file's entries as flags
+    before it, so that flags given in argv override the file."""
     parser = build_parser()
+    argv = list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args([argv[0], *_load_config(args.config, argv[0]), *argv[1:]])
+        return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.subcommand](args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,9 +63,18 @@ def checked_count(value, name: str, error=ValueError, least: int = 1) -> int:
     return count
 
 
+def _real_number(value, name: str):
+    """TypeError, naming the parameter, unless value is a real number; a bool
+    is none, though Python counts it as an int."""
+    # float, int first: the ABC costs 0.4 us
+    if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def checked_q(q) -> float:
     """The moment order q as a float, if it is finite and exceeds 2; else
-    InvalidQError, naming q."""
+    InvalidQError, naming q (TypeError if q is not a real number)."""
+    _real_number(q, "q")
     if not 2 < q < math.inf:
         raise InvalidQError(f"q must exceed 2 and be finite, got {q}")
     return float(q)
@@ -77,9 +86,8 @@ def checked_real(value, name: str, *, above=None, least=None, below=None, most=N
     ends bound (> above or >= least, < below or <= most); else ``error`` whose
     message starts with the name: "must be finite", "must be finite and > lo"
     (or >= lo; lo_text words lo) or "must lie in (lo, hi)" with the interval's
-    brackets. TypeError, naming it, if value is not a real number."""
-    if not isinstance(value, (float, int, numbers.Real)):  # float, int first: the ABC costs 0.4 us
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+    brackets. TypeError, naming it, if value is not a real number or is a bool."""
+    _real_number(value, name)
     lo = least if least is not None else -math.inf if above is None else above
     hi = most if most is not None else math.inf if below is None else below
     if lo < value < hi or value == least or value == most:  # nan fails each test

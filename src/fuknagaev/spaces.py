@@ -34,9 +34,9 @@ class SmoothSpace:
     def __post_init__(self):
         object.__setattr__(self, "dimension",
                            checked_count(self.dimension, "dimension", InvalidDimensionError))
-        if not 2 <= self.p < math.inf or self.norm_kind == EUCLIDEAN and self.p != 2:
-            raise UnsupportedExponentError(f"smoothness constant requires finite p >= 2 "
-                                           f"(2 for the euclidean norm), got {self.p}")
+        checked_real(self.p, "p", least=2, error=UnsupportedExponentError)
+        if self.norm_kind == EUCLIDEAN and self.p != 2:
+            raise UnsupportedExponentError(f"p must be 2 for the euclidean norm, got {self.p}")
 
     @property
     def smoothness_D(self) -> float:

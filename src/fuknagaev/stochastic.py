@@ -362,8 +362,11 @@ def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfi
     """Profile (sigma^2, C_q^q, q) of the iid-sum martingale of length n."""
     checked_q(q)
     n = checked_count(n, "n")
-    return MomentProfile(sigma_sq=n * norm_moment(dist, 2.0),
-                         cq_to_q=n * norm_moment(dist, q), q=float(q))
+    sigma_sq, cq_to_q = n * norm_moment(dist, 2.0), n * norm_moment(dist, q)
+    if math.inf in (sigma_sq, cq_to_q):
+        raise ValueError(f"{_LAWS[dist.kind].param} = {dist.param} overflows n E||xi||^2 "
+                         f"or n E||xi||^q at q = {q}, n = {n}")
+    return MomentProfile(sigma_sq=sigma_sq, cq_to_q=cq_to_q, q=float(q))
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,15 @@ def test_independent_sum_rejects_overflowing_threshold():
         independent_sum_bound(MomentProfile(1, 1, 4), 1, 1.0, 1e-320)
 
 
+def test_independent_sum_of_a_huge_count():
+    # n^(q-1) = 1e320 would overflow; n^(-(q-1)/q) does not
+    value = independent_sum_bound(MomentProfile(1, 1, 5), 10**80, 1.0, 0.1).value
+    assert value == pytest.approx(constant_c(5, 1.0) * 20 ** 0.2 * 1e-64
+                                  + math.sqrt(2 * math.log(20) / 1e80), rel=1e-12)
+    with pytest.raises(ValueError, match="n must be below 2\\^1024"):
+        independent_sum_bound(MomentProfile(1, 1, 5), 2**1024, 1.0, 0.1)
+
+
 def test_independent_sum_decay_exponents():
     prof_gauss = MomentProfile(1.0, 0.0, 4.0)   # isolates the sqrt term
     prof_poly = MomentProfile(0.0, 1.0, 4.0)    # isolates the polynomial term

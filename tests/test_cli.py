@@ -193,3 +193,54 @@ def test_json_reports_quote_any_string(tmp_path):
     assert "\\t" in text and "é" in text
     every = "".join(map(chr, range(32))) + '"\\ \x7f'
     assert json.loads(cli._json_dump({every: [every]})) == {every: [every]}
+
+
+_BOUND_INI = "[bound]\nq = 4\nD = 1\nsigma = 1\ncq = 1\nu = 0.1\n"
+
+
+@pytest.mark.parametrize("text, named", [
+    ("q = 4\n", "no section headers"),
+    (_BOUND_INI + "q = 5\n", "option 'q' in section 'bound' already exists"),
+    (_BOUND_INI.replace("sigma = 1", "sigma = abc"), "argument --sigma: invalid float value: 'abc'"),
+    (_BOUND_INI + "dimm = 5\n", "unrecognized arguments: --dimm=5"),
+    (_BOUND_INI + "seed = 5\n", "unrecognized arguments: --seed=5"),  # a flag of verify only
+    ("[verify]\ndist = paretto\nn = 5\ntrials = 100\nq = 4\nu = 0.5\n",
+     "argument --dist: invalid choice: 'paretto'"),
+])
+def test_a_bad_config_file_exits_2_and_names_what_is_wrong(tmp_path, capsys, text, named):
+    # config entries are parsed as the flags are: a malformed file, a bad value
+    # or a key that is no flag of the subcommand is a usage error
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert run(["verify" if "[verify]" in text else "bound", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_values_and_flags_give_the_same_report(tmp_path):
+    flags = ["--dist", "pareto", "--alpha", "4.5", "--dim", "2", "--p", "3", "--n", "10",
+             "--trials", "200", "--q", "4", "--u", "0.5,0.1", "--seed", "4"]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[verify]\n" + "".join(f"{key[2:]} = {value}\n"
+                                          for key, value in zip(flags[::2], flags[1::2])),
+                   encoding="utf-8")
+    from_flags, from_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+    assert run(["verify", *flags, "--out", str(from_flags), "--format", "csv"]) == 0
+    assert run(["verify", "--config", str(cfg), "--out", str(from_file), "--format", "csv"]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+
+
+def test_seed_env_that_is_no_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FUKNAGAEV_SEED", "abc")
+    assert run(["verify", "--n", "5", "--trials", "100", "--q", "4", "--u", "0.5"]) == 2
+    assert "$FUKNAGAEV_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    # a --seed flag does not read it
+    assert run(["verify", "--n", "5", "--trials", "100", "--q", "4", "--u", "0.5",
+                "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("grid", ["", ",", "0.5,abc"])
+def test_u_grid_that_is_no_list_of_numbers_exits_2(tmp_path, capsys, grid):
+    path = tmp_path / "s.txt"
+    path.write_text("1\n2\n3\n", encoding="utf-8")
+    assert run(["quantile", str(path), "--u", grid]) == 2
+    assert "argument --u: not a comma-separated list of numbers" in capsys.readouterr().err

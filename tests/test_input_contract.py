@@ -3,13 +3,17 @@ either returns finite numbers (or the inf its docstring documents), or
 raises a ValueError or TypeError whose message starts with the parameter's
 name; a refusal that relates it to other inputs (an overflow, a
 precondition) names it as "name = value". nan, the infinities, 0,
-negatives, 1e+-300, a str and None are fed to each parameter in turn, with
-every other argument valid, together with floats that hypothesis draws."""
+negatives, 1e+-300, a str, None and a bool are fed to each parameter in
+turn, with every other argument valid, together with floats that hypothesis
+draws. The CLI's flags take them on the command line and from a --config
+file; a refusal there names the flag, or the parameter as the API does."""
 
 import contextlib
 import dataclasses
 import io
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -19,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from fuknagaev import cli
 from fuknagaev.bounds import (HolderSpec, confidence_bound, constant_c, independent_sum_bound,
                               mcdiarmid_bound, tail_bound)
+from fuknagaev.errors import checked_q, checked_real
 from fuknagaev.legendre import (bercu_infimum, cgf_pieces, inverse_legendre, log_poly_check,
                                 proof_chain, psi_tail, quadratic_closed_form, rio36_check,
                                 truncation_error_bound)
@@ -29,7 +34,8 @@ from fuknagaev.stochastic import (DiscreteNormLaw, IncrementDistribution, Moment
                                   truncated_ensemble, truncated_norm_exp_moment)
 from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan
 
-_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-300, 1e-300, 1e300, -1e300, "1", None)
+_VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-300, 1e-300, 1e300, -1e300, "1", None,
+           True)
 
 _R1 = make_euclidean(1)
 _SIGN = rademacher(_R1, 1.0)
@@ -47,23 +53,59 @@ def _rio(**kw):
     return rio_moment_check([law], q=4.0, **kw)
 
 
-def _bound_cli(**flags):
-    """fuknagaev bound with these flags: None, or its exit-2 message raised as a
-    ValueError ("argument --x: ..." of argparse read as "--x: ...")."""
-    argv = ["bound", "--q", "4", "--D", "1", "--u", "0.1"]
-    argv += [f"--{key}={value}" for key, value in flags.items()]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    if code == 2:
-        message = err.getvalue().strip().splitlines()[-1]
-        raise ValueError(message.partition("error: ")[2].removeprefix("argument "))
-    assert code == 0, (argv, code)
+def _cli(*argv, config=False):
+    """fuknagaev with argv and the keyword values as flags, or as entries of a
+    --config file: the numbers it prints (exit 0, or 1 for a failed verdict), or
+    its exit-2 message raised as a ValueError ("argument --x: ..." of argparse
+    read as "--x: ..."). {sample} in argv is a file of the values 1..10."""
+    def call(**values):
+        with tempfile.TemporaryDirectory() as tmp:
+            sample, ini = os.path.join(tmp, "s.txt"), os.path.join(tmp, "run.ini")
+            with open(sample, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{v}\n" for v in range(1, 11)))
+            with open(ini, "w", encoding="utf-8") as fh:
+                fh.write(f"[{argv[0]}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+            full = [arg.format(sample=sample) for arg in argv]
+            full += ["--config", ini] if config else [f"--{k}={v}" for k, v in values.items()]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(full)
+        if code == 2:
+            message = err.getvalue().strip().splitlines()[-1]
+            raise ValueError(message.partition("error: ")[2].removeprefix("argument "))
+        assert code in (0, 1), (full, values, code)
+        return tuple(float(tok) for tok in out.getvalue().split() if _is_number(tok))
+    return call
 
 
-# name: (call, valid keyword arguments, {parameter: its name in messages}, documented inf)
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+# argv, suffix of the entry's name, valid flag values, {flag: its names in refusals,
+# as a flag (argparse) and as the API names the parameter}
+_CLI_RUNS = (
+    (("bound", "--q", "4", "--D", "1", "--u", "0.1"), "", dict(sigma=1.0, cq=1.0),
+     {"sigma": "--sigma", "cq": "--cq"}),
+    (("verify", "--n", "5", "--trials", "100", "--seed", "0"), "",
+     dict(q=4.0, D=1.0, alpha=1.0, dim=1, u=0.1),
+     {"q": ("--q", "q"), "D": ("--D", "D"), "alpha": ("--alpha", "scale"),
+      "dim": ("--dim", "dimension"), "u": ("--u", "u_grid level")}),
+    (("verify", "--dim", "2", "--q", "4", "--u", "0.1"), " l^p",
+     dict(p=3.0, n=5, trials=100, seed=0),
+     {"p": ("--p", "p"), "n": ("--n", "n"), "trials": ("--trials", "trials"),
+      "seed": ("--seed", "seed")}),
+    (("quantile", "{sample}"), "", dict(u=0.1), {"u": ("--u", "u")}),
+)
+
+
+# name: (call, valid keyword arguments, {parameter: its name, or names, in messages},
+#        documented inf)
 _ENTRIES = {
-    "cli bound": (_bound_cli, dict(sigma=1.0, cq=1.0), {"sigma": "--sigma", "cq": "--cq"}, False),
     "constant_c": (constant_c, dict(q=4.0, D=1.0), {"D": "D"}, True),
     "confidence_bound": (lambda **kw: confidence_bound(_UNIT, **kw).value, dict(D=1.0, u=0.1),
                          {"D": "D", "u": "u"}, False),
@@ -123,6 +165,10 @@ _ENTRIES = {
                                dict(check_D=1.0), {"check_D": "check_D"}, True),
 }
 
+_ENTRIES |= {f"cli {argv[0]}{suffix}{' --config' * config}": (_cli(*argv, config=config), valid,
+                                                              names, False)
+             for argv, suffix, valid, names in _CLI_RUNS for config in (False, True)}
+
 _CASES = [(entry, param) for entry, spec in _ENTRIES.items() for param in spec[2]]
 
 
@@ -146,7 +192,8 @@ def _keeps_the_contract(entry, param, value):
             result = call(**(valid | {param: value}))
         except (ValueError, TypeError) as exc:
             message = str(exc)
-            assert message.startswith(names[param]) or f"{names[param]} = " in message, \
+            aliases = (names[param],) if isinstance(names[param], str) else names[param]
+            assert any(message.startswith(name) or f"{name} = " in message for name in aliases), \
                 (entry, param, value, message)
             return
     for x in _numbers(result):
@@ -160,3 +207,16 @@ def _keeps_the_contract(entry, param, value):
 def test_every_real_parameter_refuses_with_its_name(entry, param, drawn):
     for value in _VALUES + (drawn,):
         _keeps_the_contract(entry, param, value)
+
+
+@pytest.mark.parametrize("check, name, value", [
+    (lambda v: checked_real(v, "x", least=0), "x", True),
+    (lambda v: checked_real(v, "x", least=0), "x", np.True_),
+    (checked_q, "q", True),
+    (checked_q, "q", "a"),
+    (checked_q, "q", None),
+])
+def test_a_bool_or_a_str_is_no_real_number(check, name, value):
+    with pytest.raises(TypeError) as exc:
+        check(value)
+    assert str(exc.value) == f"{name} must be a real number, got {value!r}"
