@@ -9,8 +9,8 @@ floats are printed with 17 significant digits; human summaries round to 6.
 Exit codes: 0 success, 1 a verification verdict failed, 2 validation or
 usage error, 3 internal error (two computations of one quantity disagree).
 
-A campaign's --D must be at least the smoothness constant of its space,
-1 for euclidean and sqrt(p - 1) for l^p, and defaults to it. Its moments are
+A campaign's --D must be at least the smoothness constant sqrt(p - 1) of
+its l^p space (1 at the default p = 2), and defaults to it. Its moments are
 exact, with no sampling; for Gaussian and cube increments without a closed
 form they are computed for q <= 64, p <= 32 and dim <= 1e4, else exit 2.
 """
@@ -96,7 +96,7 @@ def emit_report(report: dict, fmt: str, path: str):
 def _load_config(path, section):
     """The [section] entries of an INI file as --key=value tokens, which the
     parser reads as it reads flags."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # a value may hold %
     parser.optionxform = str  # keys are case-sensitive flag names
     with open(path, encoding="utf-8") as handle:
         parser.read_file(handle)
@@ -198,8 +198,7 @@ def _cmd_proofcheck(args):
 
 
 def _cmd_verify(args):
-    space = spaces.make_lp(args.dim, args.p) if args.p is not None \
-        else spaces.make_euclidean(args.dim)
+    space = spaces.make_lp(args.dim, args.p)
     dist = stochastic.IncrementDistribution(_KINDS[args.dist], space, args.alpha)
     config = verify.CampaignConfig(
         dist=dist,
@@ -219,7 +218,7 @@ def _cmd_verify(args):
               f"{'pass' if r.passed else 'FAIL'}")
     _maybe_emit(args,
                 {"dist": dist.kind, "param": dist.param,
-                 "dim": dist.space.dimension, "norm": dist.space.norm_kind,
+                 "dim": dist.space.dimension, "p": dist.space.p,
                  "n": config.n, "trials": config.trials, "q": config.q,
                  "D": config.D, "confidence": config.confidence},
                 report.row_dicts(), seed=config.seed)
@@ -274,15 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify, "q", "u", "out", u_type=_u_grid)
     p_verify.add_argument("--D", type=float,
                           help="smoothness constant, at least and by default the space's "
-                               "own: 1 for euclidean, sqrt(p - 1) for l^p")
+                               "own, sqrt(p - 1)")
     p_verify.add_argument("--dist", type=str, choices=tuple(_KINDS), default="rademacher",
                           help="increment law")
     p_verify.add_argument("--alpha", type=float, default=1.0,
                           help="law parameter: " + ", ".join(
                               f"{law.param} ({law.flag})" for law in stochastic._LAWS.values()))
     p_verify.add_argument("--dim", type=int, default=1, help="space dimension, >= 1")
-    p_verify.add_argument("--p", type=float,
-                          help="l^p norm exponent >= 2; omit for euclidean")
+    p_verify.add_argument("--p", type=float, default=2.0,
+                          help="l^p norm exponent >= 2, default 2: the euclidean norm")
     p_verify.add_argument("--n", type=int, help="increments per trial, >= 1")
     p_verify.add_argument("--trials", type=int, help="number of trials, >= 100")
     p_verify.add_argument("--seed", type=int,

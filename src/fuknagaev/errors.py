@@ -1,9 +1,13 @@
-"""Exception types shared across the package, and the one check of a
-count argument, of a moment order q and of any other real parameter."""
+"""Exception types shared across the package, the one check of a count
+argument, of a moment order q and of any other real parameter, and the one
+bound of exp's float range."""
 
 import math
 import numbers
 import operator
+import sys
+
+_LOG_MAX = math.log(sys.float_info.max)  # e^x overflows above it, 709.7827...
 
 
 class InvalidDimensionError(ValueError):
@@ -82,17 +86,18 @@ def checked_q(q) -> float:
 
 def checked_real(value, name: str, *, above=None, least=None, below=None, most=None,
                  error=ValueError, lo_text=None):
-    """value, if it is a finite real number inside the interval that the given
-    ends bound (> above or >= least, < below or <= most); else ``error`` whose
-    message starts with the name: "must be finite", "must be finite and > lo"
-    (or >= lo; lo_text words lo) or "must lie in (lo, hi)" with the interval's
+    """value, if it is a real number inside the interval that the given ends
+    bound (> above or >= least, < below or <= most), finite unless it equals
+    most; else ``error`` whose message starts with the name: "must be finite",
+    "must be finite and > lo" (or >= lo; lo_text words lo) or, where hi is
+    finite or most is given, "must lie in (lo, hi]" with the interval's
     brackets. TypeError, naming it, if value is not a real number or is a bool."""
     _real_number(value, name)
     lo = least if least is not None else -math.inf if above is None else above
     hi = most if most is not None else math.inf if below is None else below
     if lo < value < hi or value == least or value == most:  # nan fails each test
         return value
-    if hi < math.inf:
+    if hi < math.inf or most is not None:
         raise error(f"{name} must lie in {'(' if least is None else '['}{lo:g}, "
                     f"{hi:g}{')' if most is None else ']'}, got {value}")
     rel = "" if lo == -math.inf else f" and {'>' if least is None else '>='} {lo_text or f'{lo:g}'}"

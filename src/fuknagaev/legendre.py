@@ -26,10 +26,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DomainError, checked_q, checked_real
+from .errors import _LOG_MAX, DomainError, checked_q, checked_real
 
 _E = math.e
-_LOG_MAX = 709.78  # e^x overflows above log(float max) = 709.7827...
 
 _LOG_T_SCAN = np.linspace(-46.0, 46.0, 185)  # t from ~1e-20 to ~1e20
 _T_SCAN = np.exp(_LOG_T_SCAN)
@@ -59,11 +58,16 @@ def psi_tail(q: float, t):
 @dataclass(frozen=True)
 class CgfPieces:
     """Closures l0, l1, l2 for given (q, sigma, L), on a scalar or an array
-    of t; l1 is zero when no integer lies strictly between 2 and q.
-    ``cgf_pieces`` takes sigma finite and >= 0 and L finite and > 0."""
+    of t; l1 is zero when no integer lies strictly between 2 and q. Takes q
+    finite and > 2, sigma finite and >= 0 and L finite and > 0, as floats."""
     q: float
     sigma: float
     trunc_L: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", checked_q(self.q))
+        object.__setattr__(self, "sigma", float(checked_real(self.sigma, "sigma", least=0)))
+        object.__setattr__(self, "trunc_L", float(checked_real(self.trunc_L, "trunc_L", above=0)))
 
     @cached_property
     def ell1_orders(self) -> tuple:
@@ -88,11 +92,7 @@ class CgfPieces:
         return L ** (-self.q) * psi_tail(self.q, L * t)
 
 
-def cgf_pieces(q: float, sigma: float, trunc_L: float) -> CgfPieces:
-    q = checked_q(q)
-    checked_real(sigma, "sigma", least=0)
-    checked_real(trunc_L, "trunc_L", above=0)
-    return CgfPieces(q=q, sigma=float(sigma), trunc_L=float(trunc_L))
+cgf_pieces = CgfPieces  # the checked constructor, under its function name
 
 
 def _objective(psi, x: float, rows: np.ndarray, t: np.ndarray) -> np.ndarray:

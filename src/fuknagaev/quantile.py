@@ -27,12 +27,22 @@ from .errors import InternalInconsistencyError, InvalidLevelError, checked_real
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted (ascending) finite sample with uniform weights 1/N.
+    """Finite sample with uniform weights 1/N, its values kept as a sorted
+    (ascending) read-only float copy of those given; make_sample builds it.
 
     What cvar_q1 and q_infinity compute that does not depend on the level
     is computed on first use and kept, read-only, for as long as the sample
     lives: two float arrays of the sample's size and a small table."""
     values: np.ndarray
+
+    def __post_init__(self):
+        arr = np.sort(np.asarray(self.values, dtype=float))
+        if arr.size == 0:
+            raise ValueError("sample must be nonempty")
+        if not np.isfinite(arr).all():
+            raise ValueError("sample must contain only finite values")
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
 
     def __len__(self):
         return len(self.values)
@@ -54,13 +64,7 @@ class EmpiricalSample:
 
 
 def make_sample(values) -> EmpiricalSample:
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("sample must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ValueError("sample must contain only finite values")
-    arr.flags.writeable = False
-    return EmpiricalSample(values=arr)
+    return EmpiricalSample(values=values)
 
 
 _FIRST = operator.itemgetter(0)  # of str.partition's (head, sep, tail)

@@ -17,26 +17,21 @@ import numpy as np
 
 from .errors import InvalidDimensionError, UnsupportedExponentError, checked_count, checked_real
 
-EUCLIDEAN = "euclidean"
-LP = "lp"
-
-# integer exponents whose powers are multiplied out; above 12 factors the
-# multiplications cost more than one pow pass
-_MUL_POWERS = range(2, 13)
+# integer exponents above 2 whose powers are multiplied out; above 12 factors
+# the multiplications cost more than one pow pass
+_MUL_POWERS = range(3, 13)
 
 
 @dataclass(frozen=True)
 class SmoothSpace:
+    """l^p on R^dimension, p >= 2; p = 2 is the euclidean space."""
     dimension: int
-    norm_kind: str  # EUCLIDEAN or LP
     p: float
 
     def __post_init__(self):
         object.__setattr__(self, "dimension",
                            checked_count(self.dimension, "dimension", InvalidDimensionError))
         checked_real(self.p, "p", least=2, error=UnsupportedExponentError)
-        if self.norm_kind == EUCLIDEAN and self.p != 2:
-            raise UnsupportedExponentError(f"p must be 2 for the euclidean norm, got {self.p}")
 
     @property
     def smoothness_D(self) -> float:
@@ -54,9 +49,10 @@ class SmoothSpace:
 
     def norms(self, rows) -> np.ndarray:
         """Norms along the last axis of an (..., dimension) array. In
-        dimension 1 the norm is |x| for every p, taken as such. Otherwise,
-        for p in _MUL_POWERS, |x|^p is a product of p factors |x| (the same
-        bits as pow at p = 2, a few ulp off above); other p call pow in place.
+        dimension 1 the norm is |x| for every p, taken as such. Otherwise it
+        is sqrt(sum of x^2) at p = 2 (the bits of pow and ** 0.5); for p in
+        _MUL_POWERS |x|^p is a product of p factors |x|, a few ulp off pow;
+        other p call pow in place.
         The sums call np.add.reduce, the ufunc behind ndarray.sum, so the bits
         are the same without the method's Python wrapper."""
         return self._norms(np.asarray(rows, dtype=float))
@@ -67,7 +63,7 @@ class SmoothSpace:
         1, else x^2 or |x|, and |x|^p for p in _MUL_POWERS."""
         if self.dimension == 1:
             return 0
-        return 2 if self.norm_kind == LP and self.p in _MUL_POWERS else 1
+        return 2 if self.p in _MUL_POWERS else 1
 
     def _norms(self, rows: np.ndarray, scratch=()) -> np.ndarray:
         """``norms`` of a float array, with its temporaries written into the
@@ -75,7 +71,7 @@ class SmoothSpace:
         owns, at most _norm_temporaries of them) and fresh arrays for the
         rest. The same ufuncs in the same order either way.
 
-        In dimension 1 this is a fresh |x|. The euclidean sqrt(x^2) has the
+        In dimension 1 this is a fresh |x|. The sqrt(x^2) of p = 2 has the
         same bits for 2^-511 <= |x| < 2^512, where x^2 neither underflows
         nor overflows; the l^p (|x|^p)^(1/p) was a few ulp off for p != 2.
         In higher dimensions a row whose sum of powers overflows or
@@ -100,7 +96,7 @@ class SmoothSpace:
 
     def _power_sum_norms(self, rows: np.ndarray, scratch) -> np.ndarray:
         first, second = (*scratch, None, None)[:2]
-        if self.norm_kind == EUCLIDEAN:
+        if self.p == 2:
             sums = np.add.reduce(np.multiply(rows, rows, out=first), axis=-1)
             return np.sqrt(sums, out=sums if sums.ndim else None)  # a scalar for one row
         a = np.abs(rows, out=first)
@@ -112,7 +108,7 @@ class SmoothSpace:
             power = np.power(a, self.p, out=a)
         del a  # no more temporaries of rows' size than with pow
         sums = np.add.reduce(power, axis=-1)
-        sums **= 1.0 / self.p  # as sums ** (1 / p), which takes sqrt at p = 2
+        sums **= 1.0 / self.p  # as sums ** (1 / p)
         return sums
 
     def _unit(self, rows: np.ndarray, scratch=()) -> np.ndarray:
@@ -129,12 +125,13 @@ class SmoothSpace:
 
 def make_euclidean(d: int) -> SmoothSpace:
     """Euclidean R^d, smooth with D = 1."""
-    return SmoothSpace(dimension=d, norm_kind=EUCLIDEAN, p=2.0)
+    return SmoothSpace(dimension=d, p=2.0)
 
 
 def make_lp(d: int, p: float) -> SmoothSpace:
-    """l^p on R^d for p >= 2, smooth with D = sqrt(p - 1)."""
-    return SmoothSpace(dimension=d, norm_kind=LP, p=float(p))
+    """l^p on R^d for p >= 2, smooth with D = sqrt(p - 1); make_lp(d, 2) is
+    make_euclidean(d)."""
+    return SmoothSpace(dimension=d, p=float(p))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import functools
 import math
 import operator
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,12 +21,11 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.special import (betainc, gammainc, gammaincc, gammainccinv, gammaln, hyp1f1, logsumexp,
                            poch, stdtr, stdtrit)
 
-from .errors import (InfiniteMomentError, PreconditionError, UnsupportedFunctionError,
-                     checked_count, checked_q, checked_real)
+from .errors import (_LOG_MAX, InfiniteMomentError, PreconditionError,
+                     UnsupportedFunctionError, checked_count, checked_q, checked_real)
 from .spaces import SmoothSpace, make_euclidean
 
 _BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
-_LOG_MAX = math.log(sys.float_info.max)  # e^x overflows above it
 
 
 @dataclass(frozen=True)
@@ -122,11 +120,11 @@ class MomentProfile:
 
 @dataclass(frozen=True)
 class TruncationLevel:
-    trunc_L: float
+    trunc_L: float  # in (0, inf]; inf truncates nothing
 
     def __post_init__(self):
-        if not self.trunc_L > 0:
-            raise ValueError(f"truncation level must be positive, got {self.trunc_L}")
+        object.__setattr__(self, "trunc_L", float(
+            checked_real(self.trunc_L, "trunc_L", above=0, most=math.inf)))
 
 
 _TABLE_TRIALS = 512  # trial seeds per seed table: 512 Philox blocks of 32 bytes, 16 KB
@@ -614,7 +612,8 @@ def _scalar_norm_law(dist: IncrementDistribution):
 # exponential-moment (Pinelis) check
 
 def _truncation_level(trunc_L) -> float:
-    level = trunc_L if isinstance(trunc_L, TruncationLevel) else TruncationLevel(float(trunc_L))
+    """The level of a TruncationLevel, or of a number that TruncationLevel checks."""
+    level = trunc_L if isinstance(trunc_L, TruncationLevel) else TruncationLevel(trunc_L)
     return level.trunc_L
 
 

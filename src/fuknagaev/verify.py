@@ -10,7 +10,7 @@ case, where normal approximations are useless).
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import betaincinv
@@ -80,6 +80,8 @@ class LevelRow:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The rows of a campaign, one per level: LevelRow for verify_confidence,
+    TightnessRow for tightness."""
     rows: tuple
     profile: MomentProfile
     config: CampaignConfig
@@ -90,11 +92,23 @@ class VerificationReport:
         return all(r.passed for r in self.rows)
 
     def row_dicts(self) -> list:
-        """Rows in the fixed serialization order
-        level, bound, exceed, trials, rate, cp_upper, verdict."""
-        return [{"level": r.level, "bound": r.bound, "exceed": r.exceed,
-                 "trials": r.trials, "rate": r.rate, "cp_upper": r.cp_upper,
-                 "verdict": r.passed} for r in self.rows]
+        """Rows as dicts of their fields in declaration order, with passed
+        written as verdict."""
+        return [{"verdict" if f.name == "passed" else f.name: getattr(r, f.name)
+                 for f in fields(r)} for r in self.rows]
+
+
+def _campaign(config: CampaignConfig, level_rows) -> VerificationReport:
+    """The report of level_rows(maxima, bounds), given the running maxima of
+    the campaign's paths and B(u) at each level. moment_profile and
+    running_max_ensemble are looked up as module globals at call time, the
+    profile first, so an infinite moment is rejected before any simulation."""
+    start = time.perf_counter()
+    profile = moment_profile(config.dist, config.q, config.n)
+    rm = running_max_ensemble(config.dist, config.n, config.trials, config.seed)
+    bounds = [confidence_bound(profile, config.D, u).value for u in config.u_grid]
+    return VerificationReport(rows=tuple(level_rows(rm, bounds)), profile=profile,
+                              config=config, runtime_s=time.perf_counter() - start)
 
 
 def verify_confidence(config: CampaignConfig) -> VerificationReport:
@@ -104,20 +118,13 @@ def verify_confidence(config: CampaignConfig) -> VerificationReport:
     rate stays at or below u. Infinite-moment profiles are rejected before
     any simulation runs.
     """
-    start = time.perf_counter()
-    profile = moment_profile(config.dist, config.q, config.n)
-    rm = running_max_ensemble(config.dist, config.n, config.trials, config.seed)
-    rows = []
-    for u in config.u_grid:
-        b = confidence_bound(profile, config.D, u).value
-        exceed = int((rm > b).sum())
-        cp = clopper_pearson_upper(exceed, config.trials, config.confidence)
-        rows.append(LevelRow(level=float(u), bound=b, exceed=exceed,
-                             trials=config.trials,
-                             rate=exceed / config.trials, cp_upper=cp,
-                             passed=bool(cp <= u)))
-    return VerificationReport(rows=tuple(rows), profile=profile, config=config,
-                              runtime_s=time.perf_counter() - start)
+    def level_rows(rm, bounds):
+        for u, b in zip(config.u_grid, bounds):
+            exceed = int((rm > b).sum())
+            cp = clopper_pearson_upper(exceed, config.trials, config.confidence)
+            yield LevelRow(level=float(u), bound=b, exceed=exceed, trials=config.trials,
+                           rate=exceed / config.trials, cp_upper=cp, passed=bool(cp <= u))
+    return _campaign(config, level_rows)
 
 
 @dataclass(frozen=True)
@@ -128,59 +135,36 @@ class TightnessRow:
     ratio: float | None
     bootstrap_se: float
     applicable: bool
-    passed: bool
+    passed: bool  # True where not applicable
 
 
-@dataclass(frozen=True)
-class TightnessReport:
-    rows: tuple
-    profile: MomentProfile
-    config: CampaignConfig
-    runtime_s: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.rows if r.applicable)
-
-    def row_dicts(self) -> list:
-        return [{"level": r.level, "bound": r.bound, "empirical_q": r.empirical_q,
-                 "ratio": r.ratio, "bootstrap_se": r.bootstrap_se,
-                 "applicable": r.applicable, "verdict": r.passed}
-                for r in self.rows]
-
-
-def tightness(config: CampaignConfig, n_boot: int = 200) -> TightnessReport:
+def tightness(config: CampaignConfig, n_boot: int = 200) -> VerificationReport:
     """Ratio of the bound to the empirical running-max quantile per level.
 
     The bound dominates the true quantile, so each ratio should be >= 1 up
     to the sampling error of the empirical quantile (bootstrapped SE, three
     sigma). A degenerate zero martingale yields ratio None (not applicable).
     """
-    start = time.perf_counter()
-    profile = moment_profile(config.dist, config.q, config.n)
-    rm = running_max_ensemble(config.dist, config.n, config.trials, config.seed)
-    sample = make_sample(rm)
-    boot_rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=config.seed, spawn_key=(0xB007,)))
-    boot_q = np.empty((len(config.u_grid), n_boot))  # row i: level i
-    for k in range(n_boot):
-        # one index row per resample, drawn as the rows of one (n_boot, trials)
-        # call would be; one sort serves every level
-        resample = make_sample(rm[boot_rng.integers(0, len(rm), size=len(rm))])
-        boot_q[:, k] = [quantile_q(resample, u) for u in config.u_grid]
-    rows = []
-    for u, level_q in zip(config.u_grid, boot_q):
-        b = confidence_bound(profile, config.D, u).value
-        emp = quantile_q(sample, u)
-        se_q = float(level_q.std(ddof=1))
-        applicable = emp > 0.0
-        ratio = b / emp if applicable else None
-        se = b * se_q / (emp * emp) if applicable else se_q
-        rows.append(TightnessRow(level=float(u), bound=b, empirical_q=emp,
-                                 ratio=ratio, bootstrap_se=se, applicable=applicable,
-                                 passed=not applicable or bool(ratio >= 1.0 - 3.0 * se)))
-    return TightnessReport(rows=tuple(rows), profile=profile, config=config,
-                           runtime_s=time.perf_counter() - start)
+    def level_rows(rm, bounds):
+        sample = make_sample(rm)
+        boot_rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=config.seed, spawn_key=(0xB007,)))
+        boot_q = np.empty((len(config.u_grid), n_boot))  # row i: level i
+        for k in range(n_boot):
+            # one index row per resample, drawn as the rows of one (n_boot, trials)
+            # call would be; one sort serves every level
+            resample = make_sample(rm[boot_rng.integers(0, len(rm), size=len(rm))])
+            boot_q[:, k] = [quantile_q(resample, u) for u in config.u_grid]
+        for u, b, level_q in zip(config.u_grid, bounds, boot_q):
+            emp = quantile_q(sample, u)
+            se_q = float(level_q.std(ddof=1))
+            applicable = emp > 0.0
+            ratio = b / emp if applicable else None
+            se = b * se_q / (emp * emp) if applicable else se_q
+            yield TightnessRow(level=float(u), bound=b, empirical_q=emp, ratio=ratio,
+                               bootstrap_se=se, applicable=applicable,
+                               passed=not applicable or bool(ratio >= 1.0 - 3.0 * se))
+    return _campaign(config, level_rows)
 
 
 def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,

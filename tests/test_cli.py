@@ -143,6 +143,22 @@ def test_verify_small_campaign_and_reports(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_verify_p_defaults_to_2_and_the_config_names_p(tmp_path):
+    # a space is its dimension and p: l^2 is the euclidean space, and two
+    # l^p reports with the same --D differ in "p"
+    args = ["verify", "--dist", "pareto", "--alpha", "4.5", "--dim", "3", "--n", "10",
+            "--trials", "200", "--q", "4", "--D", "2", "--u", "0.5", "--seed", "2"]
+    reports = {}
+    for p in (None, "2", "3", "4"):
+        path = tmp_path / f"p{p}.json"
+        assert run(args + ([] if p is None else ["--p", p]) + ["--out", str(path)]) == 0
+        reports[p] = path.read_bytes()
+    assert reports[None] == reports["2"]
+    configs = {p: json.loads(text)["config"] for p, text in reports.items()}
+    assert [configs[p]["p"] for p in ("2", "3", "4")] == [2, 3, 4]
+    assert "norm" not in configs["2"]
+
+
 def test_emitted_reports_are_byte_stable(tmp_path):
     args = ["verify", "--dist", "pareto", "--alpha", "4.5", "--dim", "2",
             "--n", "10", "--trials", "300", "--q", "4", "--D", "1",
@@ -163,6 +179,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
     assert run(["bound", "--config", str(cfg), "--u", "0.2"]) == 0
     assert "8.06944" not in capsys.readouterr().out  # flag overrides the file
+
+
+def test_config_values_may_hold_a_percent_sign(tmp_path, monkeypatch):
+    # configparser read "%" as the start of an interpolation: exit 2
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_BOUND_INI + "out = x%.json\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(["bound", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "x%.json").read_text())["rows"][0]["level"] == 0.1
 
 
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):

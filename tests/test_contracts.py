@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -1001,13 +1002,14 @@ def test_verify_default_law_names_its_parameter(capsys):
 @pytest.mark.parametrize("dist", [gaussian(R3, 1.0), symmetric_pareto(R1, 4.5), student_t(R1, 5.0),
                                   rademacher(R1, 1.0), uniform_cube(R1, 1.0)])
 def test_invalid_truncation_levels_rejected(dist, L):
-    with pytest.raises(ValueError, match="truncation level must be positive"):
+    message = f"^{re.escape(f'trunc_L must lie in (0, inf], got {L}')}$"
+    with pytest.raises(ValueError, match=message):
         truncated_norm_mean(dist, L)
-    with pytest.raises(ValueError, match="truncation level must be positive"):
+    with pytest.raises(ValueError, match=message):
         truncated_norm_exp_moment(dist, 0.5, L)
     ens = truncated_ensemble(dist, 3, 20, seed=1, trunc_L=2.0)
     for check in (pinelis_check, pinelis_supermartingale_profile):
-        with pytest.raises(ValueError, match="truncation level must be positive"):
+        with pytest.raises(ValueError, match=message):
             check(ens, t=0.5, D=1.0, dist=dist, trunc_L=L)
 
 
@@ -1025,7 +1027,7 @@ def _count_calls(bad):
     dist, f = gaussian(R3, 1.0), SeparableFunction(terms=(CoordinateTerm(g=lambda z: z, mean=0.5),) * 3)
     config = dict(dist=dist, n=5, trials=100, q=4.0, D=1.0, u_grid=(0.1,), seed=1)
     return {
-        "SmoothSpace": (lambda: SmoothSpace(bad, "lp", 3.0), "dimension", InvalidDimensionError),
+        "SmoothSpace": (lambda: SmoothSpace(bad, 3.0), "dimension", InvalidDimensionError),
         "make_lp": (lambda: make_lp(bad, 3), "dimension", InvalidDimensionError),
         "make_euclidean": (lambda: make_euclidean(bad), "dimension", InvalidDimensionError),
         "sample_increments n": (lambda: sample_increments(dist, bad, 0), "n", ValueError),
@@ -1059,7 +1061,7 @@ def test_counts_are_integers_at_least_one(case, bad):
 def test_count_checks_take_numpy_integers_and_keep_their_other_rules():
     # a numpy count becomes a Python int, whose arithmetic cannot wrap
     space = make_lp(np.uint8(16), 3.0)
-    assert space == SmoothSpace(16, "lp", 3.0) and type(space.dimension) is int
+    assert space == SmoothSpace(16, 3.0) and type(space.dimension) is int
     dist = gaussian(space, 1.0)
     assert sample_increments(dist, np.int32(4), 0).increments.shape == (4, 16)
     maxima = stochastic.running_max_ensemble(dist, np.uint16(5000), np.uint8(7), 1)
@@ -1206,7 +1208,7 @@ def test_campaign_rejects_D_below_smoothness_constant(capsys):
         CampaignConfig(D=math.nan, **base)
     CampaignConfig(D=math.sqrt(3.0), **base)
     # a space built directly carries the same constant: it has no D of its own
-    direct = dict(base, dist=rademacher(SmoothSpace(3, "lp", 4.0), 1.0))
+    direct = dict(base, dist=rademacher(SmoothSpace(3, 4.0), 1.0))
     with pytest.raises(ValueError, match="smoothness constant"):
         CampaignConfig(D=1.0, **direct)
     assert cli.run(["verify", "--dist", "rademacher", "--alpha", "1", "--dim", "3",

@@ -30,8 +30,10 @@ from fuknagaev.legendre import (bercu_infimum, cgf_pieces, inverse_legendre, log
 from fuknagaev.quantile import cvar_q1, make_sample, q_infinity, quantile_q
 from fuknagaev.spaces import make_euclidean, smoothness_certificate
 from fuknagaev.stochastic import (DiscreteNormLaw, IncrementDistribution, MomentProfile,
-                                  norm_moment, pinelis_check, rademacher, rio_moment_check,
-                                  truncated_ensemble, truncated_norm_exp_moment)
+                                  TruncationLevel, norm_moment, pinelis_check, rademacher,
+                                  rio_moment_check, running_max_ensemble, sample_increments,
+                                  truncate, truncated_ensemble, truncated_norm_exp_moment,
+                                  truncated_norm_mean)
 from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan
 
 _VALUES = (math.nan, math.inf, -math.inf, 0.0, -1.0, -1e-300, 1e-300, 1e300, -1e300, "1", None,
@@ -145,6 +147,15 @@ _ENTRIES = {
                                   {"t": "t"}, True),
     "pinelis_check": (lambda **kw: pinelis_check(_ENSEMBLE, dist=_SIGN, **kw), dict(t=0.5, D=1.0),
                       {"t": "t", "D": "D"}, True),
+    "TruncationLevel": (lambda trunc_L: TruncationLevel(trunc_L), dict(trunc_L=1.0),
+                        {"trunc_L": "trunc_L"}, True),
+    "truncate": (lambda trunc_L: float(truncate(sample_increments(_SIGN, 3, 0), trunc_L)
+                                       .norms().max()), dict(trunc_L=1.0),
+                 {"trunc_L": "trunc_L"}, False),
+    "truncated_norm_mean": (lambda trunc_L: truncated_norm_mean(_SIGN, trunc_L),
+                            dict(trunc_L=1.0), {"trunc_L": "trunc_L"}, False),
+    "running_max_ensemble": (lambda trunc_L: float(running_max_ensemble(
+        _SIGN, 3, 5, 1, trunc_L=trunc_L).max()), dict(trunc_L=1.0), {"trunc_L": "trunc_L"}, False),
     "rio_moment_check": (_rio, dict(k=3.0, sigma=1.0, trunc_L=1.0),
                          {"k": "k", "sigma": "sigma", "trunc_L": "trunc_L"}, False),
     "quantile_q": (lambda u: quantile_q(_SAMPLE, u), dict(u=0.1), {"u": "u"}, False),

@@ -13,7 +13,7 @@ from scipy.special import gammainc
 from fuknagaev import cli
 from fuknagaev.bounds import constant_c
 from fuknagaev.errors import DomainError, InvalidQError
-from fuknagaev.legendre import (bercu_infimum, cgf_pieces, inverse_legendre,
+from fuknagaev.legendre import (CgfPieces, bercu_infimum, cgf_pieces, inverse_legendre,
                                 log_poly_check, proof_chain, psi_tail,
                                 quadratic_closed_form, rio36_check,
                                 truncation_error_bound)
@@ -170,6 +170,19 @@ def test_cgf_pieces_on_arrays():
             assert values.shape == ts.shape
             assert values == pytest.approx([piece(float(t)) for t in ts], rel=1e-15)
     assert np.array_equal(cgf_pieces(3.0, 0.7, 1.3).ell1(ts), np.zeros_like(ts))
+
+
+def test_cgf_pieces_built_directly_are_checked():
+    # CgfPieces(4.0, nan, 1.0).ell0(1.0) was nan: the checks ran in cgf_pieces only
+    with pytest.raises(ValueError, match="^sigma must be finite and >= 0, got nan$"):
+        CgfPieces(4.0, math.nan, 1.0)
+    with pytest.raises(ValueError, match="^trunc_L must be finite and > 0, got 0$"):
+        CgfPieces(4.0, 1.0, 0)
+    with pytest.raises(InvalidQError):
+        CgfPieces(2.0, 1.0, 1.0)
+    pieces = CgfPieces(4, 1, 2)
+    assert pieces == cgf_pieces(4.0, 1.0, 2.0)
+    assert [type(v) for v in (pieces.q, pieces.sigma, pieces.trunc_L)] == [float] * 3
 
 
 def test_cgf_pieces_nonnegative_nondecreasing():
@@ -337,6 +350,15 @@ def test_rio36_verdict_where_exp_overflows():
     r = rio36_check(4.0, 800.0)
     assert r.passed and r.lhs == r.rhs == math.inf
     assert rio36_check(4.0, 700.0).passed
+
+
+def test_sides_just_below_the_overflow_of_exp_are_finite():
+    # e^x is finite up to log(float max) = 709.7827; a limit of 709.78 read these as inf
+    x = 709.781
+    r = rio36_check(4.0, x)
+    assert math.isfinite(r.lhs) and r.rhs == pytest.approx(math.exp(x) / 5.0, rel=1e-15)
+    poly = log_poly_check(math.exp(x), 1.0)
+    assert poly.passed and poly.rhs == pytest.approx(math.exp(x - 1.0), rel=1e-14)
 
 
 def test_truncation_error_bound_values():

@@ -132,17 +132,34 @@ def test_cvar_dominates_quantile(values, u):
     assert cvar_q1(s, u) >= quantile_q(s, u) - 1e-12
 
 
+def test_a_sample_built_directly_is_sorted_and_checked(monkeypatch):
+    # EmpiricalSample(values=[3, 1, 2]) read Q(0.4) = 1.0, where it is 2.0
+    s = EmpiricalSample(values=np.array([3.0, 1.0, 2.0]))
+    assert s.values.tolist() == [1.0, 2.0, 3.0] and not s.values.flags.writeable
+    assert quantile_q(s, 0.4) == 2.0
+    for bad, match in (([], "nonempty"), ([1.0, math.inf], "finite")):
+        with pytest.raises(ValueError, match=match):
+            EmpiricalSample(values=np.array(bad))
+    sorts, sort = [], np.sort
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorts.append(1) or sort(a, *args, **kw))
+    make_sample([3.0, 1.0, 2.0])
+    assert len(sorts) == 1
+
+
 def test_cvar_cross_check_scales_with_the_data():
     # the two CVaR forms of values near 1e9 agree to rounding, about 1e-16
     # of the scale, which is more than 1e-9 absolute
     x = np.random.default_rng(1).standard_normal(205) * 1e9
     s = make_sample(x)
     assert cvar_q1(s, 0.1) == pytest.approx(riemann_cvar(x, 0.1), rel=1e-6)
-    # top values out of order make the integral form wrong by their gap
+    # top values out of order, put in past the sorting constructor, make the
+    # integral form wrong by their gap
     wrong = s.values.copy()
     wrong[-2:] = wrong[-2:][::-1]
+    unsorted = make_sample(x)
+    object.__setattr__(unsorted, "values", wrong)
     with pytest.raises(InternalInconsistencyError, match="CVaR forms disagree"):
-        cvar_q1(EmpiricalSample(values=wrong), 0.004)
+        cvar_q1(unsorted, 0.004)
 
 
 # ---------------------------------------------------------------- Qinf

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuknagaev.errors import InvalidDimensionError, UnsupportedExponentError
-from fuknagaev.spaces import (EUCLIDEAN, LP, SmoothSpace, make_euclidean, make_lp,
-                              smoothness_certificate)
+from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp, smoothness_certificate
 
 
 def test_euclidean_constructor():
@@ -34,22 +33,21 @@ def test_lp_constructor():
 
 
 def test_smoothness_constant_is_derived_from_p():
-    # three fields; D is sqrt(p - 1), never stored beside p
-    assert [f.name for f in dataclasses.fields(SmoothSpace)] == ["dimension", "norm_kind", "p"]
-    assert SmoothSpace(3, LP, 4.0).smoothness_D == math.sqrt(3.0)
-    assert SmoothSpace(3, EUCLIDEAN, 2.0) == make_euclidean(3)
+    # two fields; D is sqrt(p - 1), never stored beside p, and l^2 is the euclidean space
+    assert [f.name for f in dataclasses.fields(SmoothSpace)] == ["dimension", "p"]
+    assert SmoothSpace(3, 4.0).smoothness_D == math.sqrt(3.0)
+    assert SmoothSpace(3, 2.0) == make_euclidean(3) == make_lp(3, 2)
     with pytest.raises(TypeError):
-        SmoothSpace(3, LP, 4.0, 1.0)
+        SmoothSpace(3, 4.0, 1.0)
     with pytest.raises(TypeError):
-        SmoothSpace(3, LP, 4.0, smoothness_D=1.0)
+        SmoothSpace(3, 4.0, smoothness_D=1.0)
     with pytest.raises(AttributeError):
         make_lp(3, 4.0).smoothness_D = 1.0
     with pytest.raises(InvalidDimensionError):
-        SmoothSpace(0, LP, 4.0)
-    for kind, p in ((LP, 1.5), (LP, math.nan), (LP, math.inf), (EUCLIDEAN, 4.0),
-                    (EUCLIDEAN, math.nan)):
+        SmoothSpace(0, 4.0)
+    for p in (1.5, math.nan, math.inf):
         with pytest.raises(UnsupportedExponentError):
-            SmoothSpace(3, kind, p)
+            SmoothSpace(3, p)
 
 
 def test_lp_norm_value():
