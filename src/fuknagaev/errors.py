@@ -56,10 +56,11 @@ class InvalidCountError(ValueError):
 
 def checked_count(value, name: str, error=ValueError, least: int = 1) -> int:
     """value as a Python int, if it is an integer >= least (a Python or numpy
-    integer: a float, even a whole one, is no count); else ``error``, naming
-    the parameter. Arithmetic on the int cannot wrap as a numpy integer's can."""
+    integer: a float, even a whole one, is no count, nor is a bool, though
+    operator.index(True) is 1); else ``error``, naming the parameter.
+    Arithmetic on the int cannot wrap as a numpy integer's can."""
     try:
-        count = operator.index(value)
+        count = least - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = least - 1
     if count < least:

@@ -219,8 +219,11 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
     if law.radius is None:
         return law.coords(rng, full, dist.param, out)
     xi = rng.standard_normal(full, out=out)
-    dist.space._unit(xi, scratch)  # uniform on the unit sphere
-    xi *= law.radius(rng, shape, dist.param)
+    radius = law.radius(rng, shape, dist.param)
+    if not law.signed_radius:  # the radius times a direction uniform on the unit sphere
+        return dist.space._unit(xi, radius, *scratch)
+    dist.space._unit(xi, None, *scratch)  # _unit's copysign in R^1 would drop the radius's sign
+    xi *= radius
     return xi
 
 
@@ -553,9 +556,10 @@ class _IncrementLaw:
 
     flag, param: the --dist name and the name of the parameter, which must
     be finite and above ``bound``, or equal to it where ``at_bound``.
-    radius(rng, shape, a): the radii of a radial law, drawn after all its
-    unit directions and broadcast against them; a law without radii fills
-    its coordinates with coords(rng, shape + (d,), a, out).
+    radius(rng, shape, a): the radii of a radial law, drawn after all the
+    normal draws of its directions and broadcast against them, >= 0 unless
+    ``signed_radius``; a law without radii fills its coordinates with
+    coords(rng, shape + (d,), a, out).
     norm_law(space, a): the law of ||xi||: a float for a point mass, a
     _NormLaw, or None. moment(space, a, p): E ||xi||^p in closed form where
     there is no norm law, else None.
@@ -568,6 +572,7 @@ class _IncrementLaw:
     norm_law: object
     at_bound: bool = False
     radius: object = None
+    signed_radius: bool = False
     coords: object = None
     moment: object = lambda space, a, p: None
     coordinate: tuple = None
@@ -584,7 +589,8 @@ _LAWS = {  # kind: its row, in the order of the --dist choices
         radius=lambda rng, shape, a: ((1.0 - rng.random(shape)) ** (-1.0 / a))[..., None]),
     "student_t": _IncrementLaw(
         "student_t", "degrees of freedom", 2.0, norm_law=lambda space, a: _folded_t_law(a),
-        radius=lambda rng, shape, a: rng.standard_t(a, size=shape)[..., None]),
+        radius=lambda rng, shape, a: rng.standard_t(a, size=shape)[..., None],
+        signed_radius=True),
     "uniform_cube": _IncrementLaw(
         "uniform_cube", "half width", 0.0,
         norm_law=lambda space, a: _uniform_law(a) if space.dimension == 1 else None,
@@ -594,7 +600,8 @@ _LAWS = {  # kind: its row, in the order of the --dist choices
     "gaussian": _IncrementLaw(
         "gaussian", "scale", 0.0, at_bound=True,  # scale 0: the zero martingale
         norm_law=_gaussian_norm_law, coords=_gaussian_coords,
-        coordinate=(lambda o: _log_chi_moment(1, o), _normal_powers)),
+        coordinate=(lambda o: _log_chi_moment(1, o), _normal_powers),
+        sup=lambda space, a: math.inf if a else 0.0),
 }
 
 
@@ -791,10 +798,13 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     checked_real(t, "t", above=0)
     dist.space._checked_D(D)
     if trunc_L is None:
-        trunc_L = _LAWS[dist.kind].sup(dist.space, dist.param)  # truncation there changes nothing
-        if trunc_L == math.inf:
+        sup = _LAWS[dist.kind].sup(dist.space, dist.param)
+        if sup == math.inf:
             raise PreconditionError(f"{dist.kind} increments are unbounded; truncate "
                                     "first and pass the truncation level")
+        # truncation at sup changes nothing; the point mass 0 keeps all at
+        # every level, and 0 is none
+        trunc_L = sup or math.inf
     level = _truncation_level(trunc_L)
     if isinstance(ensemble, np.ndarray):
         xi = np.asarray(ensemble, dtype=float)

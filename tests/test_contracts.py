@@ -1050,7 +1050,7 @@ def _count_calls(bad):
                                              "num_pairs", ValueError)}
 
 
-@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), 0, -3, "3", None])
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2.0), 0, -3, "3", None, True])
 @pytest.mark.parametrize("case", list(_count_calls(0)))
 def test_counts_are_integers_at_least_one(case, bad):
     call, name, error = _count_calls(bad)[case]

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fuknagaev.errors import InvalidDimensionError, UnsupportedExponentError
-from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp, smoothness_certificate
+from fuknagaev.spaces import (_MUL_POWERS, SmoothSpace, _row_sums, make_euclidean, make_lp,
+                              smoothness_certificate)
 
 
 def test_euclidean_constructor():
@@ -30,6 +31,15 @@ def test_lp_constructor():
             make_lp(3, p)
     with pytest.raises(InvalidDimensionError):
         make_lp(0, 3)
+
+
+def test_lp_takes_p_as_the_space_does():
+    # p goes through the space's own check, not through float()
+    for p in ("4", " 2.5 ", True):
+        with pytest.raises(TypeError, match="^p must be a real number, got "):
+            make_lp(3, p)
+    assert make_lp(3, 4) == make_lp(3, 4.0) == SmoothSpace(3, np.int64(4))
+    assert type(make_lp(3, 4).p) is float and type(make_lp(3, np.float32(2.5)).p) is float
 
 
 def test_smoothness_constant_is_derived_from_p():
@@ -185,3 +195,85 @@ def test_norms_whose_sum_of_powers_leaves_the_float_range(space):
         _pow_norms(rows[3:4], space.p)[0], rel=1e-15)
     assert norms[4] == pytest.approx(2.0 ** (1.0 / space.p) * 1e300, rel=1e-15)
     assert norms[5:].tolist() == [math.inf, math.inf]  # past the float range, and an inf
+
+
+def _reduced_norms(p, x):
+    """The norm kernel's ufuncs with each sum taken by one np.add.reduce, and
+    its redo of the rows whose sum of powers left the float range; for one
+    row a numpy scalar, whose ** is not the array ufunc's, as the kernel's."""
+    a = np.abs(x)
+    if p == 2:
+        norms = np.sqrt(np.add.reduce(x * x, axis=-1))
+    elif p in _MUL_POWERS:
+        power = a * a
+        for _ in range(int(p) - 2):
+            power *= a
+        norms = np.add.reduce(power, axis=-1) ** (1.0 / p)
+    else:
+        norms = np.add.reduce(np.power(a, p), axis=-1) ** (1.0 / p)
+    top = a.max(-1)
+    redo = ((norms == 0.0) | (norms == math.inf)) & (0.0 < top) & (top < math.inf)
+    if redo.any():
+        norms, rows = np.array(norms), x[redo]
+        top = np.abs(rows).max(-1)
+        norms[redo] = _reduced_norms(p, rows / top[:, None]) * top
+    return norms[()]
+
+
+def _norm_rows(d):
+    """(60, 3, d) rows of mixed magnitudes, zeros, subnormals, and rows whose
+    sums of powers overflow or underflow."""
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((60, 3, d)) * 10.0 ** rng.integers(-8, 9, (60, 3, d))
+    x[0, 0], x[0, 1], x[0, 2] = 0.0, 5e-324, -1e-200
+    x[1, 0], x[1, 1, 0], x[1, 2] = 1e200, 1.7e308, 1e-170
+    x[2] *= np.where(rng.random((3, d)) < 0.5, 0.0, 1.0)
+    return x
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, *map(float, _MUL_POWERS)])
+@pytest.mark.parametrize("d", range(2, 8))
+def test_column_sums_keep_the_bits_of_the_reduction(d, p):
+    # below 8 coordinates the norms sum their columns in order, as numpy's
+    # reduction does; every row, also a redone one, and every single row keep its bits
+    space, x = make_lp(d, p), _norm_rows(d)
+    with np.errstate(all="ignore"):
+        want = _reduced_norms(p, x)
+        scratch = [np.empty_like(x) for _ in range(space._norm_temporaries)]
+        for got in (space._norms(x), space._norms(x, scratch), space.norms(x.tolist())):
+            assert got.tobytes() == want.tobytes()
+        for row in x.reshape(-1, d)[::5]:
+            one, norm = space._norms(row), _reduced_norms(p, row)
+            assert type(one) is type(norm) is np.float64 and one.tobytes() == norm.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_numpy_adds_fewer_than_8_terms_in_order(d):
+    # the column sums of the norms hold numpy's reduction to this: with e = 2^-53,
+    # 1 + e rounds to 1, so a row 1, e, ..., e sums to 1 in order only
+    e, rng = 2.0 ** -53, np.random.default_rng(d)
+    rows = np.concatenate([[[1.0] + [e] * (d - 1), [e] * (d - 1) + [1.0]],
+                           rng.standard_normal((500, d)) * 10.0 ** rng.integers(-6, 7, (500, d))])
+    in_order = []
+    for row in rows.tolist():
+        total = row[0]
+        for value in row[1:]:
+            total += value
+        in_order.append(total)
+    assert np.add.reduce(rows, axis=-1).tolist() == in_order
+    assert in_order[0] == 1.0 and (d == 2 or in_order[1] > 1.0)
+    blocks = rows[2:].reshape(10, 50, d)
+    assert _row_sums(blocks).tobytes() == np.add.reduce(blocks, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("space", [make_euclidean(1), make_lp(1, 3.0), make_euclidean(3),
+                                   make_lp(4, 3.0)], ids=["R1", "l3-R1", "R3", "l3-R4"])
+def test_directions_times_a_radius_keep_the_bits_of_two_steps(space):
+    # in R^1 the radius is the magnitude that copysign gives the sign of x, also of x = +-0
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((202, space.dimension))
+    if space.dimension == 1:
+        x[:2] = [[0.0], [-0.0]]
+    for radius in (2.0, 0.0, math.inf, rng.pareto(4.5, (202, 1)) + 1.0):
+        want = space._unit(x.copy()) * radius
+        assert space._unit(x.copy(), radius).tobytes() == want.tobytes()

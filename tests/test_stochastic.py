@@ -337,6 +337,19 @@ def test_pinelis_requires_truncation_for_unbounded_laws():
         pinelis_check(ens, t=0.5, D=1.0, dist=d)
 
 
+def test_pinelis_checks_take_the_zero_law_without_truncation():
+    # the point mass 0 is bounded: e_term 0, a product of 1, and every G_i is 1
+    d = gaussian(make_euclidean(3), 0.0)
+    ens = truncated_ensemble(d, 6, 300, seed=4, trunc_L=1.0)
+    assert not ens.any()
+    rep = pinelis_check(ens, t=0.5, D=1.0, dist=d)
+    assert (rep.e_term, rep.product_bound, rep.empirical_cosh, rep.passed) == (0.0, 1.0, 1.0, True)
+    state = pinelis_supermartingale_profile(ens, t=0.5, D=1.0, dist=d)
+    assert state.passed and not state.e_terms.any() and (state.g_means == 1.0).all()
+    with pytest.raises(PreconditionError, match="gaussian increments are unbounded"):
+        pinelis_check(ens, t=0.5, D=1.0, dist=gaussian(make_euclidean(3), 1.0))
+
+
 def test_pinelis_truncated_pareto_passes():
     d = symmetric_pareto(make_euclidean(3), 4.5)
     L = 3.0
