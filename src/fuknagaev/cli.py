@@ -17,6 +17,7 @@ form they are computed for q <= 64, p <= 32 and dim <= 1e4, else exit 2.
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -240,10 +241,13 @@ def _cmd_quantile(args):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="fuknagaev",
+        prog="fuknagaev", allow_abbrev=False,
         description="Fuk-Nagaev martingale bounds: evaluation, proof-chain "
                     "checks, and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # a flag or config key must be spelt out: with abbreviations, --tri or a key
+    # "se" would set --trials or --seed
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, *names, u_type=float):
         if "q" in names:
@@ -265,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str,
                        help="INI file with a [subcommand] section of key=value defaults; flags override")
 
-    p_bound = sub.add_parser("bound", help="evaluate the confidence or tail bound")
+    p_bound = add_parser("bound", help="evaluate the confidence or tail bound")
     common(p_bound, "q", "D", "sigma", "cq", "u", "out")
     p_bound.add_argument("--t", type=float, help="tail threshold, > 0")
 
-    p_verify = sub.add_parser("verify", help="run a Monte Carlo coverage campaign")
+    p_verify = add_parser("verify", help="run a Monte Carlo coverage campaign")
     common(p_verify, "q", "u", "out", u_type=_u_grid)
     p_verify.add_argument("--D", type=float,
                           help="smoothness constant, at least and by default the space's "
@@ -287,19 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int,
                           help=f"RNG seed; falls back to ${SEED_ENV}, then 0")
 
-    p_proof = sub.add_parser("proofcheck",
-                             help="re-derive the bound constant numerically")
+    p_proof = add_parser("proofcheck",
+                         help="re-derive the bound constant numerically")
     common(p_proof, "q", "D", "sigma", "u", "out")
 
-    p_quant = sub.add_parser("quantile",
-                             help="Q, Q1, Qinf of a sample file (one value per "
-                                  "line, '#' comments)")
+    p_quant = add_parser("quantile",
+                         help="Q, Q1, Qinf of a sample file (one value per "
+                              "line, '#' comments)")
     p_quant.add_argument("sample_file", type=str)
     common(p_quant, "u", "out", u_type=_u_grid)
 
-    p_mcd = sub.add_parser("mcdiarmid",
-                           help="heavy-tailed McDiarmid bound from summed "
-                                "conditional moments")
+    p_mcd = add_parser("mcdiarmid",
+                       help="heavy-tailed McDiarmid bound from summed "
+                            "conditional moments")
     common(p_mcd, "q", "D", "sigma", "cq", "u", "out")
     return parser
 

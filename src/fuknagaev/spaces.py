@@ -58,8 +58,10 @@ class SmoothSpace:
                             lo_text=f"the smoothness constant {self.smoothness_D:.6g} of the space")
 
     def norm(self, v) -> float:
-        """Norm of a single coordinate vector."""
-        return float(self.norms(v))
+        """Norm of a single coordinate vector, as ``norms`` gives it for the
+        vector as a row of an array: a lone row's power would go through
+        the C library's pow, which may differ in the last bit."""
+        return float(self._norms(np.asarray(v, dtype=float)[None])[0])
 
     def norms(self, rows) -> np.ndarray:
         """Norms along the last axis of an (..., dimension) array. In

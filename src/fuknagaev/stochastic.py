@@ -68,7 +68,7 @@ def gaussian(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
     return IncrementDistribution("gaussian", space, float(scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferenceSequence:
     """Martingale differences xi_1..xi_n as rows of an (n, d) array."""
     increments: np.ndarray
@@ -142,6 +142,14 @@ def _seed_table(seed: int, chunk: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _seed_keys(seed: int, chunk: int) -> list:
+    """The Philox keys of _seed_table(seed, chunk): its rows' first two
+    words, as pairs of Python ints, which the Philox state setter takes as
+    they are (numpy scalars it converts one at a time); about 70 KB."""
+    return _seed_table(seed, chunk)[:, :2].tolist()
+
+
 class _TrialSeed(ISeedSequence):
     """The seed of one trial: its 32 bytes are a row of a seed table."""
 
@@ -190,8 +198,8 @@ def _philox_rng(seed) -> np.random.Generator:
     they return and hand it to no one, as the next call re-keys it. Each
     thread also keeps the state it sets, in which a call writes only the
     key; the setter copies the values out of it."""
-    if isinstance(seed, _TrialSeed):  # its table row, without a copy
-        key = seed._row()[:2]
+    if isinstance(seed, _TrialSeed):
+        key = _seed_keys(seed.seed, seed.trial // _TABLE_TRIALS)[seed.trial % _TABLE_TRIALS]
     else:  # as BitGenerator.__init__ takes a seed
         key = (seed if isinstance(seed, ISeedSequence)
                else np.random.SeedSequence(seed)).generate_state(2, np.uint64)
@@ -230,8 +238,7 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
 def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSequence:
     """n iid mean-zero increments, drawn as from Generator(Philox(seed));
     identical (dist, n, seed) gives bit-identical output."""
-    n = checked_count(n, "n")
-    return DifferenceSequence(increments=_draw(dist, (n,), _philox_rng(seed)), space=dist.space)
+    return DifferenceSequence(_draw(dist, (checked_count(n, "n"),), _philox_rng(seed)), dist.space)
 
 
 def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
@@ -789,12 +796,31 @@ class PinelisState:
     passed: bool
 
 
+def _exp_excess(y: float) -> float:
+    """phi(y) = e^y - 1 - y for y >= 0, inf where e^y overflows. Up to
+    y = 1e-2 it is the series y^2/2! + ... + y^8/8!, cut off below 1e-19
+    relative: the difference cancels there, and at y = 1e-10 reads 8.27e-18
+    for phi(y) = 5.0e-21."""
+    if y <= 1e-2:
+        return y * y * (1 / 2 + y * (1 / 6 + y * (1 / 24 + y * (1 / 120 + y * (
+            1 / 720 + y * (1 / 5040 + y / 40320))))))
+    try:
+        return math.exp(y) - 1.0 - y
+    except OverflowError:
+        return math.inf
+
+
 def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
                    trunc_L):
     """Input checks shared by both Pinelis checks, whose ensemble is a (trials,
     n, d) array, left unmodified, or a sequence of DifferenceSequence. Returns
     e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
-    ||M~_i|| of the partial sums."""
+    ||M~_i|| of the partial sums.
+
+    e is D^2 phi(t a) (see _exp_excess) for a point mass at a, and else the
+    difference of the truncated moments, read as 0 where it rounds below:
+    phi >= 0, so only rounding makes it negative. At small t that
+    difference is still rounding noise."""
     checked_real(t, "t", above=0)
     dist.space._checked_D(D)
     if trunc_L is None:
@@ -806,17 +832,18 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         # every level, and 0 is none
         trunc_L = sup or math.inf
     level = _truncation_level(trunc_L)
-    if isinstance(ensemble, np.ndarray):
-        xi = np.asarray(ensemble, dtype=float)
-    else:
+    owned = not isinstance(ensemble, np.ndarray)  # a stack of the sequences is ours to overwrite
+    if owned:
         ensemble = list(ensemble)
         increments = [diffs.increments for diffs in ensemble
                       if diffs.space is dist.space or diffs.space == dist.space]
         if len(increments) < len(ensemble):
             raise ValueError(f"ensemble holds a sequence not on dist's space, {dist.space}")
-        if len({len(x) for x in increments}) != 1:
+        if len(set(map(len, increments))) != 1:
             raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
         xi = np.concatenate(increments, dtype=float).reshape(len(ensemble), *increments[0].shape)
+    else:
+        xi = np.asarray(ensemble, dtype=float)
     if xi.ndim != 3 or not len(xi) or xi.shape[2] != dist.space.dimension:
         raise ValueError(f"ensemble must be a nonempty (trials, n, {dist.space.dimension}) "
                          f"array, got shape {xi.shape}")
@@ -824,11 +851,16 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     if not (_kept(top, level) and top < math.inf):
         raise ValueError(f"ensemble holds an increment that is not finite or of norm above "
                          f"the truncation level {level:.6g}")
-    norms = _paths(xi.copy() if xi is ensemble else xi, dist.space)[1]  # _paths overwrites it
+    norms = dist.space._norms(np.cumsum(xi, axis=1, out=xi if owned else None))
     if not t * norms.max(initial=0.0) <= _LOG_MAX:
         raise ValueError(f"cosh(t ||M_i||) overflows at t = {t}")
-    return D * D * (truncated_norm_exp_moment(dist, t, level) - 1.0
-                    - t * truncated_norm_mean(dist, level)), norms
+    law = _scalar_norm_law(dist)
+    if isinstance(law, float):
+        e_term = _exp_excess(t * (law if law <= level else 0.0))
+    else:
+        e_term = max(truncated_norm_exp_moment(dist, t, level) - 1.0
+                     - t * truncated_norm_mean(dist, level), 0.0)
+    return D * D * e_term, norms
 
 
 def _standard_errors(values: np.ndarray) -> np.ndarray:

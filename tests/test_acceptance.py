@@ -122,9 +122,9 @@ def test_criterion_6_exponential_moment_bound():
     ok &= exact <= (math.e - 1.0) ** 2
     dist = rademacher(R1, 1.0)
     for n in (5, 20):
+        ens = [sample_increments(dist, n, trial_seed(20240506 + n, j))
+               for j in range(20_000)]
         for t in (0.1, 0.5, 1.0):
-            ens = [sample_increments(dist, n, trial_seed(20240506 + n, j))
-                   for j in range(20_000)]
             rep = pinelis_check(ens, t=t, D=1.0, dist=dist)
             ok &= rep.passed
             # closed form E cosh(t S_n) = cosh(t)^n for sign increments

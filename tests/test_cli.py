@@ -231,6 +231,8 @@ _BOUND_INI = "[bound]\nq = 4\nD = 1\nsigma = 1\ncq = 1\nu = 0.1\n"
     (_BOUND_INI + "seed = 5\n", "unrecognized arguments: --seed=5"),  # a flag of verify only
     ("[verify]\ndist = paretto\nn = 5\ntrials = 100\nq = 4\nu = 0.5\n",
      "argument --dist: invalid choice: 'paretto'"),
+    # a key that is a prefix of a flag is no flag: "se" would have set the seed
+    ("[verify]\nn = 5\ntrials = 100\nq = 4\nu = 0.5\nse = 5\n", "unrecognized arguments: --se=5"),
 ])
 def test_a_bad_config_file_exits_2_and_names_what_is_wrong(tmp_path, capsys, text, named):
     # config entries are parsed as the flags are: a malformed file, a bad value
@@ -239,6 +241,18 @@ def test_a_bad_config_file_exits_2_and_names_what_is_wrong(tmp_path, capsys, tex
     cfg.write_text(text, encoding="utf-8")
     assert run(["verify" if "[verify]" in text else "bound", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--n", "5", "--tri", "100", "--q", "4", "--u", "0.5"], "--tri"),
+    (["verify", "--n", "5", "--trials", "100", "--q", "4", "--u", "0.5", "--se", "3"], "--se"),
+    (["bound", "--q", "4", "--D", "1", "--sig", "1", "--cq", "1", "--u", "0.1"], "--sig"),
+    (["quantile", "sample.txt", "--u", "0.5", "--form", "csv"], "--form"),
+])
+def test_an_abbreviated_flag_exits_2_and_is_named(capsys, argv, named):
+    # flags must be spelt out: argparse would take a unique prefix as the flag
+    assert run(argv) == 2
+    assert f"unrecognized arguments: {named}" in capsys.readouterr().err
 
 
 def test_config_values_and_flags_give_the_same_report(tmp_path):

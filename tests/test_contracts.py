@@ -193,6 +193,38 @@ def test_per_trial_ensemble_equals_philox_block_ensemble(n):
     assert np.array_equal(ours, theirs)
 
 
+def test_per_trial_keys_of_interleaved_seeds_across_tables():
+    # two seeds take turns over 11 tables each, more than the 8 key lists kept,
+    # at both edges of every table; then the first tables again, long evicted
+    seeds, dist = (20240511, 2**64 + 3), rademacher(R1, 1.0)
+    trials = [j for k in range(11) for j in (512 * k - 1, 512 * k, 512 * k + 1, 512 * k + 511)
+              if j >= 0]
+    trials += [0, 511, 512, 1023]
+    stochastic._seed_keys.cache_clear()
+    stochastic._seed_table.cache_clear()
+    for j in trials:
+        for seed in seeds:
+            got = sample_increments(dist, 7, trial_seed(seed, j)).increments
+            assert got.tobytes() == _fresh(dist, 7, _reference(seed, j)).tobytes(), (seed, j)
+    assert stochastic._seed_keys.cache_info().currsize == 8
+
+
+def test_per_trial_sampling_memory_is_bounded():
+    # 1e5 trials of 40 seeds, 200 tables: the key lists kept are 8 of about 70 KB
+    sign = rademacher(R1, 1.0)
+    stochastic._seed_keys.cache_clear()
+    stochastic._seed_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for seed in range(40):
+            for j in range(2500):
+                sample_increments(sign, 5, trial_seed(seed, j))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("n_words", [1, 2, 4, 4096, 4097, 10000])
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
 def test_trial_seed_words_across_table_edges(n_words, dtype):
@@ -578,6 +610,11 @@ def test_pinelis_checks_agree_on_the_array_and_its_sequences(dist, L):
     for field in ("e_terms", "g_means", "g_standard_errors"):
         assert getattr(state, field).tobytes() == getattr(from_seqs, field).tobytes()
     assert ens.tobytes() == before
+    # np.asarray of a subclass is a new view of the caller's memory, which stays as it was
+    for view in (ens.view(np.recarray), np.ma.masked_array(ens)):
+        assert pinelis_check(view, 0.5, D, dist, L) == pinelis_check(seqs, 0.5, D, dist, L)
+        pinelis_supermartingale_profile(view, 0.5, D, dist, L)
+        assert ens.tobytes() == before
 
 
 # ---------------------------------------------------------------- (d) truncated moments

@@ -277,3 +277,16 @@ def test_directions_times_a_radius_keep_the_bits_of_two_steps(space):
     for radius in (2.0, 0.0, math.inf, rng.pareto(4.5, (202, 1)) + 1.0):
         want = space._unit(x.copy()) * radius
         assert space._unit(x.copy(), radius).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_norm_of_a_vector_is_its_norm_as_a_row(d, p):
+    # a lone row's sum of powers is a numpy scalar, whose power would call the
+    # C library's pow; norm takes the vector as a (1, d) row, as norms does
+    space = make_lp(d, p)
+    x = np.random.default_rng(25).standard_normal((2000, d))
+    norms = space.norms(x)
+    got = np.array([space.norm(row) for row in x])
+    assert got.tobytes() == norms.tobytes()
+    assert np.array([space.norm(row.tolist()) for row in x[:50]]).tobytes() == norms[:50].tobytes()

@@ -321,6 +321,33 @@ def test_pinelis_small_t_both_sides_near_one():
     assert rep.passed
 
 
+def test_pinelis_e_term_of_a_point_mass_at_small_t():
+    # D^2 phi(t a), phi(y) = e^y - 1 - y, by its series where the difference cancels
+    d = rademacher(R1, 1.0)
+    ens = [sample_increments(d, 5, trial_seed(1, j)) for j in range(500)]
+    for t in (1e-300, 1e-10, 1e-3, 1e-2):
+        phi = math.fsum(t ** k / math.factorial(k) for k in range(2, 20))
+        for D in (1.0, 2.0):
+            rep = pinelis_check(ens, t=t, D=D, dist=d)
+            assert rep.e_term == pytest.approx(D * D * phi, rel=1e-15, abs=0.0) and rep.passed
+            state = pinelis_supermartingale_profile(ens, t=t, D=D, dist=d)
+            assert np.all(state.e_terms == rep.e_term) and state.passed
+    # above y = 1e-2 the difference keeps its bits
+    for t in (0.1, 0.5, 1.0):
+        assert pinelis_check(ens, t=t, D=1.0, dist=d).e_term == math.exp(t) - 1.0 - t
+
+
+def test_pinelis_e_term_is_never_negative():
+    # the truncated moments' difference rounds to -1.1e-16 here; phi >= 0 reads it as 0
+    d = symmetric_pareto(make_euclidean(5), 4.5)
+    ens = truncated_ensemble(d, 20, 2000, seed=11, trunc_L=3.0)
+    for t in (1e-300, 1e-100, 1e-20):
+        assert truncated_norm_exp_moment(d, t, 3.0) - 1.0 - t * truncated_norm_mean(d, 3.0) < 0
+        rep = pinelis_check(ens, t=t, D=1.0, dist=d, trunc_L=3.0)
+        assert (rep.e_term, rep.product_bound, rep.passed) == (0.0, 1.0, True)
+        assert pinelis_supermartingale_profile(ens, t=t, D=1.0, dist=d, trunc_L=3.0).passed
+
+
 def test_pinelis_empty_path_trivial_bound():
     d = rademacher(R1, 1.0)
     ens = [DifferenceSequence(np.empty((0, 1)), R1) for _ in range(200)]
