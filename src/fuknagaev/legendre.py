@@ -36,6 +36,7 @@ _LOG_T_LIMIT = 700.0  # how far an edge argmin extends the scan: e^700 ~ 1e304
 # a zoom shrinks the bracket 64-fold; 8 take it below 4e-15, past float resolution
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 129)
 _MAX_ZOOMS = 8
+_REL_TOL = 1e-10  # a zoom stops at a bracket this narrow relative to its midpoint
 
 
 def psi_tail(q: float, t):
@@ -106,7 +107,7 @@ def _objective(psi, x: float, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(v), (v + x) / t, np.inf)
 
 
-def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
+def _search(psi, x: float, lanes: int) -> list:
     """inf over t > 0 of (psi_i(t) + x) / t for each lane i, in lock-step.
 
     psi(t, rows) receives a (len(rows), k) array whose row j holds values of
@@ -117,7 +118,7 @@ def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
     the scan's width, up to |log t| = 700. Each zoom then calls psi once on
     129 evenly spaced log t in the bracket of every lane still zooming, and
     narrows each bracket to the neighbours of its best point. A lane stops
-    when its bracket's width is at most rel_tol times the midpoint
+    when its bracket's width is at most _REL_TOL = 1e-10 times the midpoint
     magnitude, so it ends with the bits a one-lane search gives. The best
     value each lane saw is returned. A lane finite nowhere on the scan extends
     it toward t = 0, and raises a DomainError if finite nowhere up to e^-700.
@@ -146,7 +147,7 @@ def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
     last = _ZOOM_STEPS.size - 1
     for _ in range(_MAX_ZOOMS):
         live = [k for k in range(lanes)
-                if not b[k] - a[k] <= rel_tol * (abs(a[k]) + abs(b[k])) / 2 + 1e-300]
+                if not b[k] - a[k] <= _REL_TOL * (abs(a[k]) + abs(b[k])) / 2 + 1e-300]
         if not live:
             break
         lo = np.array([a[k] for k in live])[:, None]
@@ -161,7 +162,7 @@ def _search(psi, x: float, lanes: int, rel_tol: float = 1e-10) -> list:
     return best
 
 
-def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
+def inverse_legendre(psi, x: float) -> float:
     """inf over t > 0 of (psi(t) + x) / t. Monotone in x and subadditive in psi.
 
     psi receives a 1-D ndarray of t and returns an array of its shape or a
@@ -170,13 +171,13 @@ def inverse_legendre(psi, x: float, rel_tol: float = 1e-10) -> float:
     the scan, so one more call extends it outward by the scan's width, up
     to |log t| = 700. Each zoom then calls psi on 129 evenly spaced log t
     in the bracket and narrows it to the neighbours of the best one, until
-    its width is at most rel_tol times the midpoint magnitude. The best
+    its width is at most 1e-10 times the midpoint magnitude. The best
     value seen is returned, so boundary infima (x = 0, or psi flat) come
     out as the best value at |log t| = 700. If psi is finite nowhere on the
     scan, nor toward t = 0 up to e^-700, a DomainError is raised.
     """
     checked_real(x, "x", least=0)
-    return _search(lambda t, rows: psi(t[0]), x, 1, rel_tol)[0]
+    return _search(lambda t, rows: psi(t[0]), x, 1)[0]
 
 
 def quadratic_closed_form(sigma: float, D: float, x: float) -> float:

@@ -58,6 +58,7 @@ class CampaignConfig:
         if self.trials < 100:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
         checked_count(self.n, "n")
+        checked_count(self.seed, "seed", least=0)
         checked_q(self.q)
         self.dist.space._checked_D(self.D)
         if not self.u_grid:
@@ -142,9 +143,11 @@ def tightness(config: CampaignConfig, n_boot: int = 200) -> VerificationReport:
     """Ratio of the bound to the empirical running-max quantile per level.
 
     The bound dominates the true quantile, so each ratio should be >= 1 up
-    to the sampling error of the empirical quantile (bootstrapped SE, three
-    sigma). A degenerate zero martingale yields ratio None (not applicable).
+    to the sampling error of the empirical quantile (three SEs over n_boot >= 2
+    bootstrap resamples). A zero martingale yields ratio None (not applicable).
     """
+    n_boot = checked_count(n_boot, "n_boot", least=2)
+
     def level_rows(rm, bounds):
         sample = make_sample(rm)
         boot_rng = np.random.default_rng(np.random.SeedSequence(
@@ -167,37 +170,32 @@ def tightness(config: CampaignConfig, n_boot: int = 200) -> VerificationReport:
     return _campaign(config, level_rows)
 
 
-def crossover_scan(profile: MomentProfile, D: float, bracket: tuple,
-                   grid_points: int = 512) -> float | None:
-    """Where the Gaussian and polynomial tail terms swap dominance.
-
-    Scans g(t) = 2 exp(-t^2/(8 D^2 sigma^2)) - 2 (2 c C_q / t)^q, in logs so
-    that no term underflows, for a sign change on a log grid over the bracket
-    and bisects the last one (the dominance switch deepest in the tail).
-    Returns None when the bracket contains no sign change, which is a valid
-    outcome: for small sigma the polynomial term dominates throughout, and a
-    zero sigma or C_q drops a term.
-    """
-    from scipy.optimize import brentq
-
+def crossover_scan(profile: MomentProfile, D: float, bracket: tuple) -> float | None:
+    """Where the Gaussian and polynomial tail terms swap dominance. They are equal
+    where v - log v = y, for v = t^2/(4 q D^2 sigma^2) and
+    y = log(4 q D^2 sigma^2) - 2 log(2c) - (2/q) log C_q^q: at v = -W_0(-e^-y) <= 1
+    and v = -W_-1(-e^-y) >= 1 (Lambert's W) if y >= 1, nowhere if y < 1, and the
+    Gaussian term dominates between. Returns t at the larger root if it lies in the
+    bracket, else at the smaller one if it does, else None, a valid outcome: for
+    small sigma the polynomial term dominates, and a zero sigma or C_q drops a term."""
     t_lo, t_hi = bracket
     checked_real(t_lo, "t_lo", above=0)
     checked_real(t_hi, "t_hi", above=t_lo, lo_text=f"t_lo = {t_lo}")
-    grid_points = checked_count(grid_points, "grid_points", least=2)
     c = constant_c(profile.q, D)
     if profile.sigma_sq == 0.0 or profile.cq_to_q == 0.0:
         return None
-    log_2c_cq = math.log(2.0 * c) + math.log(profile.cq_to_q) / profile.q
-
-    def g(t):  # the log of the Gaussian term minus the log of the polynomial one
-        return -(t / D) * (t / D) / (8.0 * profile.sigma_sq) - profile.q * (log_2c_cq - math.log(t))
-
-    ts = np.geomspace(t_lo, t_hi, grid_points).tolist()  # Python floats: t * t reads inf
-    signs = np.sign([g(t) for t in ts])
-    hits = np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0))
-    if not hits.size:
+    log_scale = math.log(4.0 * profile.q) + math.log(profile.sigma_sq) + 2.0 * math.log(D)
+    y = log_scale - 2.0 * math.log(2.0 * c) - 2.0 * math.log(profile.cq_to_q) / profile.q
+    if not y >= 1.0:
         return None
-    i = hits[-1]
-    if signs[i] == 0.0:
-        return ts[i]
-    return float(brentq(g, ts[i], ts[i + 1], xtol=1e-12, rtol=1e-14))
+    # Newton on expm1(u) - u = y - 1 (u = log v, from -y) and w - log1p(w) = y - 1 (w = v - 1,
+    # from 2y - 1): convex, so steps approach each root monotonically; no cancellation at v ~ 1
+    y1, u, w = y - 1.0, -y, 2.0 * y - 1.0
+    while (new := u - (math.expm1(u) - u - y1) / math.expm1(u)) > u:
+        u = new
+    while (new := w - (w - math.log1p(w) - y1) * (1.0 + w) / w) < w:
+        w = new
+    for log_t in ((log_scale + math.log1p(w)) / 2.0, (log_scale + u) / 2.0):  # larger first
+        if log_t <= math.log(t_hi) and t_lo <= (t := math.exp(log_t)) <= t_hi:  # e^log_t finite
+            return t
+    return None

@@ -41,7 +41,7 @@ from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence, IncrementD
                                   symmetric_pareto, trial_seed,
                                   truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean, uniform_cube)
-from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan
+from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan, tightness
 
 R1 = make_euclidean(1)
 R3 = make_euclidean(3)
@@ -1095,6 +1095,21 @@ def test_counts_are_integers_at_least_one(case, bad):
         call()
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0), "3", None, -1])
+def test_campaign_seed_is_an_integer_at_least_zero(bad):
+    config = dict(dist=gaussian(R3, 1.0), n=5, trials=100, q=4.0, D=1.0, u_grid=(0.1,), seed=bad)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, got "):
+        CampaignConfig(**config)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, np.float64(3.0), "3", None, -1, 0, 1])
+def test_tightness_n_boot_is_an_integer_at_least_two(bad):
+    config = CampaignConfig(dist=gaussian(R3, 1.0), n=5, trials=100, q=4.0, D=1.0,
+                            u_grid=(0.1,), seed=0)
+    with pytest.raises(ValueError, match="^n_boot must be an integer >= 2, got "):
+        tightness(config, n_boot=bad)
+
+
 def test_count_checks_take_numpy_integers_and_keep_their_other_rules():
     # a numpy count becomes a Python int, whose arithmetic cannot wrap
     space = make_lp(np.uint8(16), 3.0)
@@ -1184,14 +1199,6 @@ def test_clopper_pearson_counts_are_integers(k, trials, match):
     with pytest.raises(InvalidCountError, match=match):
         clopper_pearson_upper(k, trials, 0.9)
     assert clopper_pearson_upper(np.int64(1), np.int64(10), 0.9) == clopper_pearson_upper(1, 10, 0.9)
-
-
-@pytest.mark.parametrize("grid_points", [0, 1, 2.5, 512.0, -3])
-def test_crossover_scan_needs_two_grid_points(grid_points):
-    prof = MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0)
-    with pytest.raises(ValueError, match="^grid_points must be an integer >= 2, got "):
-        crossover_scan(prof, 1.0, (1.0, 1e4), grid_points=grid_points)
-    assert crossover_scan(prof, 1.0, (1.0, 1e4), grid_points=2) is None
 
 
 def test_pinelis_checks_on_one_trial_give_zero_errors_without_warnings():
@@ -1379,18 +1386,14 @@ for dist in (symmetric_pareto(make_euclidean(3), 4.5), student_t(make_euclidean(
              gaussian(make_euclidean(3), 1.0), uniform_cube(make_euclidean(1), 1.0)):
     ens = truncated_ensemble(dist, 5, 500, seed=21, trunc_L=2.0)
     assert pinelis_check(ens, t=0.5, D=1.0, dist=dist, trunc_L=2.0).passed, dist
+t = crossover_scan(MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0), 1.0, (1.0, 1e4))
+assert t is not None and 1.0 <= t <= 1e4
 loaded = [name for name in lazy if name in sys.modules]
 assert not loaded, f"loaded without a caller that needs them: {loaded}"
 # scipy's subpackages are the public names below it; scipy.version holds its version strings
 others = sorted({name.split(".")[1] for name in sys.modules if name.startswith("scipy.")}
                 - {"special", "version"})
 assert all(name.startswith("_") for name in others), f"scipy subpackages loaded: {others}"
-
-# crossover_scan, the one caller of scipy.optimize, still works and loads neither of the others
-t = crossover_scan(MomentProfile(sigma_sq=150.0, cq_to_q=1.0, q=4.0), 1.0, (1.0, 1e4))
-assert t is not None and 1.0 <= t <= 1e4
-loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
-assert not loaded, f"crossover_scan loaded {loaded}"
 print("ok")
 """
 

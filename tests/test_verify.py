@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import beta, binom
@@ -8,7 +9,7 @@ from scipy.stats import beta, binom
 from fuknagaev.errors import (InfiniteMomentError, InvalidCountError,
                               InvalidLevelError)
 from fuknagaev import verify
-from fuknagaev.bounds import confidence_bound
+from fuknagaev.bounds import confidence_bound, constant_c
 from fuknagaev.quantile import make_sample, quantile_q
 from fuknagaev.spaces import make_euclidean
 from fuknagaev.stochastic import (MomentProfile, gaussian, moment_profile,
@@ -231,3 +232,71 @@ def test_crossover_absent_without_a_polynomial_term(sigma_sq):
     # C_q = 0 returned 9821.37, where the Gaussian term underflows
     prof = MomentProfile(sigma_sq=sigma_sq, cq_to_q=0.0, q=4.0)
     assert crossover_scan(prof, 1.0, (1.0, 1e4)) is None
+
+
+@pytest.mark.parametrize("sigma_sq, lower, upper", [
+    (4.802825347858628, 8.7042269737969395, 8.8281985662275258),
+    (4.802349891684656, 8.7595082460397068, 8.7719048257262846)])
+def test_crossover_inside_one_cell_of_a_log_grid(sigma_sq, lower, upper):
+    # the Gaussian term dominates only between the two crossings (mpmath's values), a
+    # window narrower than one cell of a 512-point log grid over (1, 1e4): a scan of
+    # that grid for a sign change found none
+    prof = MomentProfile(sigma_sq=sigma_sq, cq_to_q=1.0, q=4.0)
+    assert crossover_scan(prof, 1.0, (1.0, 1e4)) == pytest.approx(upper, rel=1e-12)
+    assert crossover_scan(prof, 1.0, (1.0, (lower + upper) / 2)) == pytest.approx(lower, rel=1e-12)
+    assert crossover_scan(prof, 1.0, (1.0, lower * 0.999)) is None
+    assert crossover_scan(prof, 1.0, (upper * 1.001, 1e4)) is None
+
+
+def _oracle_crossings(prof, D):
+    """t at the two roots of v - log v = y (mpmath's findroot, 40 digits), lower
+    first, with the package's c(q, D); () where y < 1."""
+    with mpmath.workdps(40):
+        q, scale = mpmath.mpf(prof.q), 4 * prof.q * mpmath.mpf(D) ** 2 * mpmath.mpf(prof.sigma_sq)
+        y = mpmath.log(scale) - 2 * mpmath.log(2 * mpmath.mpf(constant_c(prof.q, D))) \
+            - 2 * mpmath.log(mpmath.mpf(prof.cq_to_q)) / q
+        if y < 1:
+            return ()
+        # the lower root in u = log v, on [-y, 0]; the upper in v, on [1, 2y]
+        u = mpmath.findroot(lambda u: mpmath.exp(u) - u - y, (-y, mpmath.mpf(0)), solver="anderson")
+        v = mpmath.findroot(lambda v: v - mpmath.log(v) - y, (mpmath.mpf(1), 2 * y), solver="anderson")
+        return tuple(float(mpmath.sqrt(scale) * root) for root in (mpmath.exp(u / 2), mpmath.sqrt(v)))
+
+
+def _tail_term_residual(prof, D, t):
+    """|G - P| / max(G, P) for the Gaussian and polynomial tail terms at t, in mpmath."""
+    with mpmath.workdps(40):
+        t, q, c = mpmath.mpf(t), mpmath.mpf(prof.q), mpmath.mpf(constant_c(prof.q, D))
+        gauss = 2 * mpmath.exp(-t * t / (8 * mpmath.mpf(D) ** 2 * mpmath.mpf(prof.sigma_sq)))
+        poly = 2 * (2 * c * mpmath.mpf(prof.cq_to_q) ** (1 / q) / t) ** q
+        return float(abs(gauss - poly) / max(gauss, poly))
+
+
+def test_crossover_matches_an_mpmath_oracle():
+    rng = np.random.default_rng(20261020)
+    found = {"upper": 0, "lower": 0, "none": 0}
+    for _ in range(300):
+        prof = MomentProfile(sigma_sq=float(10 ** rng.uniform(-2, 4)),
+                             cq_to_q=float(10 ** rng.uniform(-3, 2)), q=float(rng.uniform(2.05, 10)))
+        D = float(rng.choice([1.0, math.sqrt(3.0), rng.uniform(1.0, 3.0)]))
+        t_lo = float(10 ** rng.uniform(-2, 2))
+        t_hi = t_lo * float(10 ** rng.uniform(0.01, 4))
+        roots = _oracle_crossings(prof, D)
+        inside = [t for t in roots if t_lo <= t <= t_hi]
+        t = crossover_scan(prof, D, (t_lo, t_hi))
+        if not inside:
+            assert t is None, (prof, D, t_lo, t_hi)
+            found["none"] += 1
+            continue
+        assert t == pytest.approx(inside[-1], rel=1e-12), (prof, D, t_lo, t_hi)
+        assert _tail_term_residual(prof, D, t) <= 1e-12, (prof, D, t)
+        found["upper" if inside[-1] == roots[-1] else "lower"] += 1
+    assert min(found.values()) >= 30, found
+    # y in the thousands: e^-y underflows, and the upper crossing lies at 1.3e152 or,
+    # past the float range, at about 1e452
+    for prof, D in ((MomentProfile(sigma_sq=1e300, cq_to_q=1e-300, q=2.5), 1e300),
+                    (MomentProfile(sigma_sq=1e300, cq_to_q=1e-300, q=4.0), 1.0)):
+        lower, upper = _oracle_crossings(prof, D)
+        assert crossover_scan(prof, D, (1e-300, lower * 2)) == pytest.approx(lower, rel=1e-12)
+        assert crossover_scan(prof, D, (1e-300, 1e300)) == pytest.approx(
+            upper if upper < 1e300 else lower, rel=1e-12)
