@@ -20,9 +20,8 @@ from .spaces import (SmoothSpace, make_euclidean, make_lp,
                      smoothness_certificate)
 from .stochastic import (CoordinateTerm, DifferenceSequence, DiscreteNormLaw,
                          IncrementDistribution, MartingalePath, MomentProfile,
-                         SeparableFunction, TruncationLevel, build_martingale,
-                         doob_martingale, gaussian, moment_profile,
-                         norm_moment, pinelis_check,
+                         SeparableFunction, build_martingale, doob_martingale,
+                         gaussian, moment_profile, norm_moment, pinelis_check,
                          pinelis_supermartingale_profile, rademacher,
                          rio_moment_check, running_max_ensemble,
                          sample_increments, student_t, symmetric_pareto,

@@ -24,7 +24,6 @@ TAIL_PROBABILITY = "tail_probability"
 class BoundResult:
     value: float
     kind: str
-    inputs: dict
 
 
 def constant_c(q: float, D: float) -> float:
@@ -47,9 +46,7 @@ def confidence_bound(profile: MomentProfile, D: float, u: float) -> BoundResult:
         + c * profile.cq * (2.0 / u) ** (1.0 / profile.q)
     if not value < math.inf:
         raise InvalidLevelError(f"the threshold B(u) overflows at D = {D}, u = {u}")
-    return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD,
-                       inputs={"q": profile.q, "D": D, "sigma_sq": profile.sigma_sq,
-                               "cq_to_q": profile.cq_to_q, "u": u})
+    return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD)
 
 
 def tail_bound(profile: MomentProfile, D: float, t: float) -> BoundResult:
@@ -64,9 +61,7 @@ def tail_bound(profile: MomentProfile, D: float, t: float) -> BoundResult:
         poly = math.inf
     gauss = 0.0 if profile.sigma_sq == 0.0 else \
         2.0 * math.exp(-x * x / (8.0 * D * D * profile.sigma_sq))
-    return BoundResult(value=min(1.0, poly + gauss), kind=TAIL_PROBABILITY,
-                       inputs={"q": profile.q, "D": D, "sigma_sq": profile.sigma_sq,
-                               "cq_to_q": profile.cq_to_q, "t": t})
+    return BoundResult(value=min(1.0, poly + gauss), kind=TAIL_PROBABILITY)
 
 
 def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
@@ -91,9 +86,7 @@ def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
         + c * per_increment.cq * (2.0 / u) ** (1.0 / q) * n_real ** (-(q - 1.0) / q)
     if not value < math.inf:
         raise InvalidLevelError(f"the threshold overflows at D = {D}, u = {u}")
-    return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD,
-                       inputs={"q": q, "D": D, "sigma1_sq": per_increment.sigma_sq,
-                               "cq1_to_q": per_increment.cq_to_q, "u": u, "n": n})
+    return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -110,6 +103,7 @@ class HolderSpec:
     coordinate_moments: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "coordinate_moments", tuple(self.coordinate_moments))
         checked_real(self.holder_L, "holder_L", least=0)
         checked_real(self.alpha, "alpha", above=0, most=1)
         for m in (m for pair in self.coordinate_moments for m in pair):

@@ -221,7 +221,7 @@ def _cmd_verify(args):
                 {"dist": dist.kind, "param": dist.param,
                  "dim": dist.space.dimension, "p": dist.space.p,
                  "n": config.n, "trials": config.trials, "q": config.q,
-                 "D": config.D, "confidence": config.confidence},
+                 "D": config.D, "confidence": verify.CONFIDENCE},
                 report.row_dicts(), seed=config.seed)
     return 0 if report.passed else 1
 

@@ -118,15 +118,6 @@ class MomentProfile:
         return None
 
 
-@dataclass(frozen=True)
-class TruncationLevel:
-    trunc_L: float  # in (0, inf]; inf truncates nothing
-
-    def __post_init__(self):
-        object.__setattr__(self, "trunc_L", float(
-            checked_real(self.trunc_L, "trunc_L", above=0, most=math.inf)))
-
-
 _TABLE_TRIALS = 512  # trial seeds per seed table: 512 Philox blocks of 32 bytes, 16 KB
 _TRIAL_LIMIT = 1 << 247  # 2^256 / 512: far inside the 256-bit counter, which advance() wraps
 
@@ -264,6 +255,11 @@ def _kept(norms: np.ndarray, level: float) -> np.ndarray:
     relative 1e-12: the computed norm of a unit direction may round a few
     ulp above 1, and a law of norm L must keep all its increments at L."""
     return norms <= level * (1.0 + 1e-12)
+
+
+def _truncation_level(trunc_L) -> float:
+    """A truncation level L in (0, inf] as a float; inf truncates nothing."""
+    return float(checked_real(trunc_L, "trunc_L", above=0, most=math.inf))
 
 
 def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
@@ -624,12 +620,6 @@ def _scalar_norm_law(dist: IncrementDistribution):
 
 # ---------------------------------------------------------------------------
 # exponential-moment (Pinelis) check
-
-def _truncation_level(trunc_L) -> float:
-    """The level of a TruncationLevel, or of a number that TruncationLevel checks."""
-    level = trunc_L if isinstance(trunc_L, TruncationLevel) else TruncationLevel(trunc_L)
-    return level.trunc_L
-
 
 # QUADPACK's qk15 rule (Piessens et al., 1983) on [-1, 1]: the Kronrod nodes
 # from the left end to the middle and their weights, and the weights of the

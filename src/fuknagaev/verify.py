@@ -8,7 +8,6 @@ case, where normal approximations are useless).
 """
 
 import math
-import operator
 import time
 from dataclasses import dataclass, fields
 
@@ -21,17 +20,16 @@ from .quantile import make_sample, quantile_q
 from .stochastic import (IncrementDistribution, MomentProfile, moment_profile,
                          running_max_ensemble)
 
+CONFIDENCE = 0.99  # of every campaign's Clopper-Pearson limit
+
 
 def clopper_pearson_upper(k: int, trials: int, confidence: float) -> float:
     """Exact one-sided upper confidence limit for a binomial proportion:
     the confidence quantile of Beta(k + 1, trials - k), from Boost's
     inverse regularised incomplete beta function (as scipy.stats.beta.ppf)."""
     trials = checked_count(trials, "trials", InvalidCountError)
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvalidCountError(f"k must be an integer, got {k!r}") from None
-    if not 0 <= k <= trials:
+    k = checked_count(k, "k", InvalidCountError, least=0)
+    if k > trials:
         raise InvalidCountError(f"need 0 <= k <= trials, got k={k}, trials={trials}")
     checked_real(confidence, "confidence", above=0, below=1)
     if k == trials:
@@ -51,9 +49,9 @@ class CampaignConfig:
     D: float
     u_grid: tuple
     seed: int
-    confidence: float = 0.99
 
     def __post_init__(self):
+        object.__setattr__(self, "u_grid", tuple(self.u_grid))
         checked_count(self.trials, "trials")
         if self.trials < 100:
             raise ValueError(f"trials must be >= 100, got {self.trials}")
@@ -65,7 +63,6 @@ class CampaignConfig:
             raise ValueError("u grid must be nonempty")
         for u in self.u_grid:
             checked_real(u, "u_grid level", least=1e-6, most=0.99, error=InvalidLevelError)
-        checked_real(self.confidence, "confidence", above=0, below=1)
 
 
 @dataclass(frozen=True)
@@ -116,13 +113,13 @@ def verify_confidence(config: CampaignConfig) -> VerificationReport:
     """Exceedance rates of running maxima against B(u) at every level.
 
     A level passes when the Clopper-Pearson upper limit of the exceedance
-    rate stays at or below u. Infinite-moment profiles are rejected before
-    any simulation runs.
+    rate, at confidence CONFIDENCE, stays at or below u. Infinite-moment
+    profiles are rejected before any simulation runs.
     """
     def level_rows(rm, bounds):
         for u, b in zip(config.u_grid, bounds):
             exceed = int((rm > b).sum())
-            cp = clopper_pearson_upper(exceed, config.trials, config.confidence)
+            cp = clopper_pearson_upper(exceed, config.trials, CONFIDENCE)
             yield LevelRow(level=float(u), bound=b, exceed=exceed, trials=config.trials,
                            rate=exceed / config.trials, cp_upper=cp, passed=bool(cp <= u))
     return _campaign(config, level_rows)

@@ -49,7 +49,7 @@ def test_criterion_2_coverage():
     for dist, seed in ((rademacher(R1, 1.0), 20240501),
                        (symmetric_pareto(make_euclidean(5), 4.5), 20240502)):
         config = CampaignConfig(dist=dist, n=50, trials=100_000, q=4.0, D=1.0,
-                                u_grid=levels, seed=seed, confidence=0.99)
+                                u_grid=levels, seed=seed)
         report = verify_confidence(config)
         for row in report.rows:
             ok &= row.cp_upper <= row.level

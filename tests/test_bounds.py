@@ -185,6 +185,18 @@ def test_holder_constants_uniform_inputs():
     assert cq_to_q == pytest.approx(10 / 15, rel=1e-10)
 
 
+def test_holder_moments_are_read_once_whatever_iterable_holds_them():
+    # the checks must not use up a generator: that gave (0, 0), and a McDiarmid bound of 0
+    pairs = ((1 / 6, 1 / 15),) * 10
+    expected = holder_constants(HolderSpec(1.0, 1.0, pairs), 4.0)
+    for moments in (((1 / 6, 1 / 15) for _ in range(10)), list(pairs), np.array(pairs)):
+        spec = HolderSpec(holder_L=1.0, alpha=1.0, coordinate_moments=moments)
+        assert len(spec.coordinate_moments) == 10
+        assert holder_constants(spec, 4.0) == pytest.approx(expected, rel=1e-15)
+        assert mcdiarmid_bound(*holder_constants(spec, 4.0), 4.0, 1.0, 0.1).value \
+            == pytest.approx(mcdiarmid_bound(*expected, 4.0, 1.0, 0.1).value, rel=1e-15)
+
+
 def test_holder_zero_constant():
     spec = HolderSpec(holder_L=0.0, alpha=1.0, coordinate_moments=((1.0, 1.0),))
     assert holder_constants(spec, 4.0) == (0.0, 0.0)

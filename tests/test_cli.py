@@ -157,6 +157,7 @@ def test_verify_p_defaults_to_2_and_the_config_names_p(tmp_path):
     configs = {p: json.loads(text)["config"] for p, text in reports.items()}
     assert [configs[p]["p"] for p in ("2", "3", "4")] == [2, 3, 4]
     assert "norm" not in configs["2"]
+    assert {c["confidence"] for c in configs.values()} == {0.99}  # verify.CONFIDENCE
 
 
 def test_emitted_reports_are_byte_stable(tmp_path):
@@ -179,6 +180,35 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
     assert run(["bound", "--config", str(cfg), "--u", "0.2"]) == 0
     assert "8.06944" not in capsys.readouterr().out  # flag overrides the file
+
+
+_REQUIRED = {
+    "bound": dict(q="4", D="1", sigma="1", cq="1", u="0.1"),
+    "verify": dict(n="10", trials="200", q="4", u="0.5"),
+    "proofcheck": dict(q="4", D="1", sigma="1", u="0.1"),
+    "mcdiarmid": dict(q="4", D="1", sigma="1", cq="1", u="0.1"),
+}
+
+
+# bound takes --u or --t, and names both where neither is given
+@pytest.mark.parametrize("command, flag",
+                         [(command, flag) for command, flags in _REQUIRED.items()
+                          for flag in flags if (command, flag) != ("bound", "u")])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_a_missing_required_flag_exits_2_and_names_it(command, flag, from_config, tmp_path,
+                                                      capsys):
+    given = {key: value for key, value in _REQUIRED[command].items() if key != flag}
+    if from_config:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in given.items()),
+                       encoding="utf-8")
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, *(token for k, v in given.items() for token in (f"--{k}", v))]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: missing required parameter --{flag}\n"
+    assert captured.out == ""
 
 
 def test_config_values_may_hold_a_percent_sign(tmp_path, monkeypatch):

@@ -1194,7 +1194,8 @@ def test_holder_spec_rejects_invalid_constants(holder_L, moments, match):
 @pytest.mark.parametrize("k, trials, match", [
     (1.5, 10, "^k must be an integer"), (1, 10.5, "^trials must be an integer >= 1"),
     (np.float64(1.0), 10, "^k must be an integer"), (0, 0, "^trials must be an integer >= 1"),
-    ("1", 10, "^k must be an integer"), (11, 10, "^need 0 <= k <= trials")])
+    ("1", 10, "^k must be an integer"), (True, 10, "^k must be an integer"),
+    (11, 10, "^need 0 <= k <= trials")])
 def test_clopper_pearson_counts_are_integers(k, trials, match):
     with pytest.raises(InvalidCountError, match=match):
         clopper_pearson_upper(k, trials, 0.9)

@@ -30,9 +30,9 @@ from fuknagaev.legendre import (bercu_infimum, cgf_pieces, inverse_legendre, log
 from fuknagaev.quantile import cvar_q1, make_sample, q_infinity, quantile_q
 from fuknagaev.spaces import make_euclidean, smoothness_certificate
 from fuknagaev.stochastic import (DiscreteNormLaw, IncrementDistribution, MomentProfile,
-                                  TruncationLevel, norm_moment, pinelis_check, rademacher,
-                                  rio_moment_check, running_max_ensemble, sample_increments,
-                                  truncate, truncated_ensemble, truncated_norm_exp_moment,
+                                  norm_moment, pinelis_check, rademacher, rio_moment_check,
+                                  running_max_ensemble, sample_increments, truncate,
+                                  truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean)
 from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan
 
@@ -147,8 +147,6 @@ _ENTRIES = {
                                   {"t": "t"}, True),
     "pinelis_check": (lambda **kw: pinelis_check(_ENSEMBLE, dist=_SIGN, **kw), dict(t=0.5, D=1.0),
                       {"t": "t", "D": "D"}, True),
-    "TruncationLevel": (lambda trunc_L: TruncationLevel(trunc_L), dict(trunc_L=1.0),
-                        {"trunc_L": "trunc_L"}, True),
     "truncate": (lambda trunc_L: float(truncate(sample_increments(_SIGN, 3, 0), trunc_L)
                                        .norms().max()), dict(trunc_L=1.0),
                  {"trunc_L": "trunc_L"}, False),
@@ -163,8 +161,7 @@ _ENTRIES = {
     "q_infinity": (lambda u: q_infinity(_SAMPLE, u), dict(u=0.1), {"u": "u"}, False),
     "clopper_pearson_upper": (lambda confidence: clopper_pearson_upper(1, 10, confidence),
                               dict(confidence=0.9), {"confidence": "confidence"}, False),
-    "CampaignConfig": (_campaign, dict(D=1.0, confidence=0.99),
-                       {"D": "D", "confidence": "confidence"}, False),
+    "CampaignConfig": (_campaign, dict(D=1.0), {"D": "D"}, False),
     "CampaignConfig-u": (lambda u: _campaign(D=1.0, u_grid=(u,)), dict(u=0.1),
                          {"u": "u_grid level"}, False),
     "crossover_scan": (lambda **kw: crossover_scan(MomentProfile(100.0, 1.0, 4.0), 1.0,

@@ -22,8 +22,8 @@ from fuknagaev import stochastic
 from fuknagaev.spaces import make_euclidean, make_lp
 from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence,
                                   DiscreteNormLaw, SeparableFunction,
-                                  TruncationLevel, build_martingale,
-                                  doob_martingale, gaussian, moment_profile,
+                                  build_martingale, doob_martingale,
+                                  gaussian, moment_profile,
                                   norm_moment, pinelis_check,
                                   pinelis_supermartingale_profile, rademacher,
                                   rio_moment_check, running_max_ensemble,
@@ -217,7 +217,7 @@ def test_build_martingale_rejects_empty():
 
 def test_truncate_indicator_semantics():
     diffs = DifferenceSequence(np.array([[0.5], [2.0], [1.0]]), R1)
-    out = truncate(diffs, TruncationLevel(1.0))
+    out = truncate(diffs, 1.0)
     assert out.increments.ravel().tolist() == [0.5, 0.0, 1.0]  # boundary kept
 
 

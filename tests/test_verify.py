@@ -89,6 +89,7 @@ def test_verify_confidence_passes_and_is_conservative():
     assert report.passed
     for row in report.rows:
         assert row.cp_upper <= row.level
+        assert row.cp_upper == clopper_pearson_upper(row.exceed, row.trials, verify.CONFIDENCE)
         assert row.rate < row.level / 10  # the bound is far from tight here
 
 
@@ -105,6 +106,19 @@ def test_campaign_validation():
         _small_campaign(trials=50)
     with pytest.raises(ValueError):
         _small_campaign(u_grid=())
+    with pytest.raises(TypeError):  # every campaign's limits are at verify.CONFIDENCE
+        _small_campaign(confidence=0.9)
+
+
+def test_a_level_grid_is_read_once_whatever_iterable_holds_it():
+    # the checks must not use up a generator: that gave no rows, and passed True
+    rows = verify_confidence(_small_campaign()).rows
+    boot = tightness(_small_campaign(), n_boot=20).rows
+    for grid in ((u for u in (0.5, 0.1)), np.array([0.5, 0.1]), [0.5, 0.1]):
+        config = _small_campaign(u_grid=grid)
+        assert config.u_grid == (0.5, 0.1)
+        assert verify_confidence(config).rows == rows
+        assert tightness(config, n_boot=20).rows == boot
 
 
 def test_infinite_moment_rejected_before_simulation():
