@@ -133,14 +133,6 @@ def _seed_table(seed: int, chunk: int) -> np.ndarray:
     return table
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_keys(seed: int, chunk: int) -> list:
-    """The Philox keys of _seed_table(seed, chunk): its rows' first two
-    words, as pairs of Python ints, which the Philox state setter takes as
-    they are (numpy scalars it converts one at a time); about 70 KB."""
-    return _seed_table(seed, chunk)[:, :2].tolist()
-
-
 class _TrialSeed(ISeedSequence):
     """The seed of one trial: its 32 bytes are a row of a seed table."""
 
@@ -172,38 +164,11 @@ def trial_seed(seed: int, trial: int) -> ISeedSequence:
     trial are nonnegative integers, the trial below 2^247. The blocks of
     512 consecutive trials from a multiple of 512 are drawn together into a
     read-only table, cached with at most 7 others (16 KB each). Generators
-    seeded with it do not spawn."""
+    seeded with it do not spawn.
+
+    Generator(Philox(trial_seed(seed, b))) draws block b of an ensemble;
+    sample_increments(dist, n, trial_seed(seed, j)) reads trial j of it."""
     return _TrialSeed(seed, trial)
-
-
-_thread = threading.local()  # per thread: the generator that _philox_rng re-keys, and its state
-_PHILOX_ZEROS = (0, 0, 0, 0)
-
-
-def _philox_rng(seed) -> np.random.Generator:
-    """This thread's generator, set to the stream of a new
-    Generator(Philox(seed)). Philox is counter-based: its whole state is a
-    key and a counter, so the key that Philox(seed) derives, counter 0 and an
-    empty buffer give the stream a new one would, without building one.
-    Threads never share the generator; callers finish their draws before
-    they return and hand it to no one, as the next call re-keys it. Each
-    thread also keeps the state it sets, in which a call writes only the
-    key; the setter copies the values out of it."""
-    if isinstance(seed, _TrialSeed):
-        key = _seed_keys(seed.seed, seed.trial // _TABLE_TRIALS)[seed.trial % _TABLE_TRIALS]
-    else:  # as BitGenerator.__init__ takes a seed
-        key = (seed if isinstance(seed, ISeedSequence)
-               else np.random.SeedSequence(seed)).generate_state(2, np.uint64)
-    rng = getattr(_thread, "rng", None)
-    if rng is None:
-        rng = _thread.rng = np.random.Generator(np.random.Philox(0))
-        _thread.state = {
-            "bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": None},
-            "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    state = _thread.state
-    state["state"]["key"] = key
-    rng.bit_generator.state = state
-    return rng
 
 
 def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) -> np.ndarray:
@@ -226,10 +191,49 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
     return xi
 
 
+def _block_size(n: int, d: int) -> int:
+    """B = max(1, 2^16 // (n d)): the trials of one ensemble block of paths
+    of n increments in R^d."""
+    return max(1, _BLOCK_VALUES // (n * d))
+
+
+class _LastBlock(threading.local):
+    """Per thread: the block of trials that sample_increments drew last, its
+    rows read-only, and the law, n, seed and block index it was drawn for."""
+    dist = rows = key = None
+
+
+_last_block = _LastBlock()
+
+
 def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSequence:
-    """n iid mean-zero increments, drawn as from Generator(Philox(seed));
-    identical (dist, n, seed) gives bit-identical output."""
-    return DifferenceSequence(_draw(dist, (checked_count(n, "n"),), _philox_rng(seed)), dist.space)
+    """n iid mean-zero increments; identical (dist, n, seed) gives
+    bit-identical output.
+
+    For seed = trial_seed(s, j) they are trial j of the ensemble of seed s:
+    row j % B of block b = j // B, with B = max(1, 2^16 // (n d)), the rows
+    that truncated_ensemble(dist, n, J, s, math.inf)[j] holds and whose path
+    gives running_max_ensemble(dist, n, J, s)[j], for any J > j. Each thread
+    keeps the block it drew last, at most 2^16 floats (512 KB) unless one
+    trial holds more, and returns a read-only view of its row, which later
+    calls share: consecutive trials draw each block once, while a call for a
+    trial of another block draws all of that block. Any other seed, an int
+    or a SeedSequence, draws from a new Generator(Philox(seed))."""
+    n = checked_count(n, "n")
+    if not isinstance(seed, _TrialSeed):
+        return DifferenceSequence(_draw(dist, (n,), np.random.Generator(np.random.Philox(seed))),
+                                  dist.space)
+    size = _block_size(n, dist.space.dimension)
+    b, row = divmod(seed.trial, size)
+    last, key = _last_block, (n, seed.seed, b)
+    # the law by identity: Gaussian scales 0.0 and -0.0 are equal, their zeros' signs not
+    if last.dist is not dist or last.key != key:
+        last.dist = last.rows = None  # dropped before the draw, and a failed draw keeps no key
+        rng = np.random.Generator(np.random.Philox(trial_seed(seed.seed, b)))
+        rows = _draw(dist, (size, n), rng)
+        rows.flags.writeable = False
+        last.dist, last.rows, last.key = dist, rows, key
+    return DifferenceSequence(last.rows[row], dist.space)
 
 
 def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
@@ -409,7 +413,9 @@ def doob_martingale(f_spec: SeparableFunction, realization) -> MartingalePath:
 
 def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
     """The (rows, n, d) centered increments g_i(z_i) - E g_i(Z_i) of the
-    Doob paths of the realizations z[j]; g_i is called once, on z[:, i]."""
+    Doob paths of the realizations z[j]; g_i is called once, on z[:, i].
+    ValueError, naming the term, where they do not fit (rows, d) or are
+    not finite."""
     if not isinstance(f_spec, SeparableFunction):
         raise UnsupportedFunctionError(
             "doob_martingale needs a SeparableFunction; conditional "
@@ -420,7 +426,15 @@ def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
     xi = np.empty((len(z), n, f_spec.space.dimension))
     for i, term in enumerate(f_spec.terms):
         g = np.asarray(term.g(z[:, i]), dtype=float)
-        xi[:, i] = (g[:, None] if g.ndim == 1 else g) - np.asarray(term.mean, dtype=float)
+        try:
+            xi[:, i] = (g[:, None] if g.ndim == 1 else g) - np.asarray(term.mean, dtype=float)
+        except ValueError:  # shapes that do not broadcast
+            raise ValueError(f"term {i}: g(z) of shape {g.shape} minus a mean of shape "
+                             f"{np.shape(term.mean)} does not fit (rows, d) = "
+                             f"{(len(z), f_spec.space.dimension)}") from None
+    finite = np.isfinite(xi).all(axis=(0, 2))
+    if not finite.all():
+        raise ValueError(f"term {int(np.argmin(finite))}: g(z) - mean is not finite")
     return xi
 
 
@@ -803,9 +817,10 @@ def _exp_excess(y: float) -> float:
 def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
                    trunc_L):
     """Input checks shared by both Pinelis checks, whose ensemble is a (trials,
-    n, d) array, left unmodified, or a sequence of DifferenceSequence. Returns
-    e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
-    ||M~_i|| of the partial sums.
+    n, d) array, left unmodified, or a sequence of DifferenceSequence; any
+    other sequence is read as an array, and ValueError names a ragged one.
+    Returns e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n)
+    norms ||M~_i|| of the partial sums.
 
     e is D^2 phi(t a) (see _exp_excess) for a point mass at a, and else the
     difference of the truncated moments, read as 0 where it rounds below:
@@ -822,9 +837,11 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         # every level, and 0 is none
         trunc_L = sup or math.inf
     level = _truncation_level(trunc_L)
-    owned = not isinstance(ensemble, np.ndarray)  # a stack of the sequences is ours to overwrite
-    if owned:
+    owned = not isinstance(ensemble, np.ndarray)
+    if owned:  # only DifferenceSequences are stacked here, into an array that is ours to overwrite
         ensemble = list(ensemble)
+        owned = bool(ensemble) and all(isinstance(diffs, DifferenceSequence) for diffs in ensemble)
+    if owned:
         increments = [diffs.increments for diffs in ensemble
                       if diffs.space is dist.space or diffs.space == dist.space]
         if len(increments) < len(ensemble):
@@ -833,7 +850,11 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
             raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
         xi = np.concatenate(increments, dtype=float).reshape(len(ensemble), *increments[0].shape)
     else:
-        xi = np.asarray(ensemble, dtype=float)
+        try:
+            xi = np.asarray(ensemble, dtype=float)
+        except (TypeError, ValueError) as err:  # ragged, or holding what is no number
+            raise ValueError(f"ensemble must be a (trials, n, {dist.space.dimension}) float "
+                             f"array or a sequence of DifferenceSequence: {err}") from None
     if xi.ndim != 3 or not len(xi) or xi.shape[2] != dist.space.dimension:
         raise ValueError(f"ensemble must be a nonempty (trials, n, {dist.space.dimension}) "
                          f"array, got shape {xi.shape}")
@@ -979,7 +1000,7 @@ def _ensemble(kernel, n: int, trials: int, d: int, shape=(), threaded=True) -> n
     blocks are dropped and the threads joined. Else they run on the calling
     thread, in block order."""
     n, trials = checked_count(n, "n"), checked_count(trials, "trials")
-    size = max(1, _BLOCK_VALUES // (n * d))
+    size = _block_size(n, d)
     out = np.empty((trials, *shape))
     rows = [out[start:start + size] for start in range(0, trials, size)]
     workers = min(_usable_cpus(), len(rows)) if threaded else 1
@@ -996,9 +1017,10 @@ def _ensemble(kernel, n: int, trials: int, d: int, shape=(), threaded=True) -> n
 
 
 def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
-    """The iid block kernel: B paths of n increments drawn through this
-    thread's _philox_rng, truncated in place at ``trunc_L`` unless it is
-    None, fill rows of shape (n, d), else their running maxima fill the rows.
+    """The iid block kernel: B paths of n increments drawn from a new
+    Generator(Philox(trial_seed(seed, b))), truncated in place at ``trunc_L``
+    unless it is None, fill rows of shape (n, d), else their running maxima
+    fill the rows.
     Each worker thread keeps block-sized buffers for one call, so a block
     allocates none but the cube law's draw; the ufuncs and their order are
     those of the allocating path, so the bits are too."""
@@ -1009,8 +1031,8 @@ def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
         if not hasattr(local, "xi"):  # the drawn block, and scratch for its norms
             local.xi, *local.scratch = (np.empty((size, n, space.dimension))
                                         for _ in range(1 + space._norm_temporaries))
-        xi = _draw(dist, (size, n), _philox_rng(trial_seed(seed, b)), local.xi,
-                   local.scratch)[:len(rows)]
+        rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
+        xi = _draw(dist, (size, n), rng, local.xi, local.scratch)[:len(rows)]
         scratch = [buf[:len(rows)] for buf in local.scratch]
         if level is not None:  # as truncate, in place
             xi *= _kept(space._norms(xi, scratch), level)[..., None]

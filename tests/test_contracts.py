@@ -34,10 +34,10 @@ from fuknagaev.errors import (InternalInconsistencyError, InvalidCountError, Inv
 from fuknagaev.legendre import cgf_pieces, proof_chain, rio36_check, truncation_error_bound
 from fuknagaev.spaces import SmoothSpace, make_euclidean, make_lp, smoothness_certificate
 from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence, IncrementDistribution,
-                                  MomentProfile, SeparableFunction, gaussian, moment_profile,
-                                  norm_moment, pinelis_check,
+                                  MomentProfile, SeparableFunction, build_martingale, gaussian,
+                                  moment_profile, norm_moment, pinelis_check,
                                   pinelis_supermartingale_profile, rademacher,
-                                  sample_increments, student_t,
+                                  running_max_ensemble, sample_increments, student_t,
                                   symmetric_pareto, trial_seed,
                                   truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean, uniform_cube)
@@ -79,11 +79,12 @@ def test_sampler_draw_order(space):
     for dist, expected in rebuilt.items():
         got = sample_increments(dist, n, seed).increments
         assert np.array_equal(got, expected), dist.kind
-    # a per-trial seed sequence feeds the same construction
-    ss = trial_seed(seed, 3)
-    rng = np.random.Generator(np.random.Philox(trial_seed(seed, 3)))
-    assert np.array_equal(sample_increments(gaussian(space, 1.0), n, ss).increments,
-                          rng.standard_normal((n, space.dimension)))
+    # a trial seed reads its row of a block that the same construction draws
+    dist = gaussian(space, 1.0)
+    B = _block(dist, n)
+    rng = np.random.Generator(np.random.Philox(trial_seed(seed, 1)))
+    assert np.array_equal(sample_increments(dist, n, trial_seed(seed, B + 3)).increments,
+                          rng.standard_normal((B, n, space.dimension))[3])
 
 
 # ---------------------------------------------------------------- per-trial seeds
@@ -186,33 +187,38 @@ def test_trial_generators_do_not_spawn():
 
 @pytest.mark.parametrize("n", [5, 20])
 def test_per_trial_ensemble_equals_philox_block_ensemble(n):
-    # criterion 6's construction, at a tenth of its trials
+    # criterion 6's construction, at a tenth of its trials: the rows of the
+    # block ensemble, and the paths behind its running maxima
     dist, seed = rademacher(R1, 1.0), 20240506 + n
-    ours = [sample_increments(dist, n, trial_seed(seed, j)).increments for j in range(2000)]
-    theirs = [_fresh(dist, n, _reference(seed, j)) for j in range(2000)]
-    assert np.array_equal(ours, theirs)
+    ours = [sample_increments(dist, n, trial_seed(seed, j)) for j in range(2000)]
+    assert np.array_equal([diffs.increments for diffs in ours],
+                          truncated_ensemble(dist, n, 2000, seed, math.inf))
+    assert np.array_equal([_row(dist, n, seed, j) for j in range(0, 2000, 97)],
+                          [ours[j].increments for j in range(0, 2000, 97)])
+    assert np.array_equal([build_martingale(diffs).running_max for diffs in ours],
+                          running_max_ensemble(dist, n, 2000, seed))
 
 
 def test_per_trial_keys_of_interleaved_seeds_across_tables():
-    # two seeds take turns over 11 tables each, more than the 8 key lists kept,
-    # at both edges of every table; then the first tables again, long evicted
-    seeds, dist = (20240511, 2**64 + 3), rademacher(R1, 1.0)
-    trials = [j for k in range(11) for j in (512 * k - 1, 512 * k, 512 * k + 1, 512 * k + 511)
-              if j >= 0]
-    trials += [0, 511, 512, 1023]
-    stochastic._seed_keys.cache_clear()
+    # two seeds take turns over blocks at both edges of 11 seed tables each,
+    # more than the 8 tables kept, at both edges of every block; then the
+    # first tables again, long evicted
+    seeds, dist, n = (20240511, 2**64 + 3), rademacher(R1, 1.0), 7
+    B = 2**16 // n
+    blocks = [b for k in range(11) for b in (512 * k - 1, 512 * k, 512 * k + 1, 512 * k + 511)
+              if b >= 0]
+    blocks += [0, 511, 512, 1023]
     stochastic._seed_table.cache_clear()
-    for j in trials:
+    for j in (B * b + r for b in blocks for r in (0, B - 1)):
         for seed in seeds:
-            got = sample_increments(dist, 7, trial_seed(seed, j)).increments
-            assert got.tobytes() == _fresh(dist, 7, _reference(seed, j)).tobytes(), (seed, j)
-    assert stochastic._seed_keys.cache_info().currsize == 8
+            got = sample_increments(dist, n, trial_seed(seed, j)).increments
+            assert got.tobytes() == _row(dist, n, seed, j).tobytes(), (seed, j)
 
 
 def test_per_trial_sampling_memory_is_bounded():
-    # 1e5 trials of 40 seeds, 200 tables: the key lists kept are 8 of about 70 KB
+    # 1e5 trials of 40 seeds: one block of 2^16 values a seed, 512 KB, and
+    # each thread keeps only its last block
     sign = rademacher(R1, 1.0)
-    stochastic._seed_keys.cache_clear()
     stochastic._seed_table.cache_clear()
     tracemalloc.start()
     try:
@@ -343,7 +349,7 @@ def test_trial_seed_words_on_four_threads_at_once():
         assert np.array_equal(got, _want_words(13, j, n_words, dtype))
 
 
-# ---------------------------------------------------------------- one generator per thread
+# ---------------------------------------------------------------- trials as block rows
 
 _SAMPLED = (gaussian(R3, 1.5), uniform_cube(R3, 0.5), rademacher(R1, 1.0),
             symmetric_pareto(make_lp(4, 3.0), 4.5), student_t(R3, 5.0))
@@ -355,25 +361,80 @@ def _fresh(dist, n, bits):
     return stochastic._draw(dist, (n,), np.random.Generator(bits))
 
 
-def _seeds(seed):
-    """An int, a SeedSequence and the trial seeds of ``seed``, each with a
-    maker of the new Philox that draws the same stream."""
-    cases = [(seed, lambda: np.random.Philox(seed)),
-             (np.random.SeedSequence(seed), lambda: np.random.Philox(np.random.SeedSequence(seed)))]
-    return cases + [(trial_seed(seed, j), lambda j=j: _reference(seed, j)) for j in _TRIALS]
+def _block(dist, n):
+    """B, the trials of one block: max(1, 2^16 // (n d))."""
+    return max(1, 2**16 // (n * dist.space.dimension))
+
+
+def _row(dist, n, seed, j):
+    """Trial j of seed's ensemble: row j % B of the B paths that a new
+    Generator on Philox keyed as Philox(trial_seed(seed, j // B)) is draws."""
+    B = _block(dist, n)
+    rows = stochastic._draw(dist, (B, n), np.random.Generator(_reference(seed, j // B)))
+    return rows[j % B]
+
+
+def _seeds(seed, dist, n):
+    """An int, a SeedSequence and the trial seeds of ``seed``, each with the
+    n increments that sample_increments draws for it: a new generator's for
+    the first two, the rows of trial seeds' blocks for the rest."""
+    cases = [(seed, _fresh(dist, n, np.random.Philox(seed))),
+             (np.random.SeedSequence(seed),
+              _fresh(dist, n, np.random.Philox(np.random.SeedSequence(seed))))]
+    return cases + [(trial_seed(seed, j), _row(dist, n, seed, j)) for j in _TRIALS]
 
 
 @pytest.mark.parametrize("dist", _SAMPLED, ids=lambda d: d.kind)
 @pytest.mark.parametrize("n", [1, 5, 20])
 def test_sample_increments_equal_a_new_philox_generator(dist, n):
-    for seed, make in _seeds(2**40 + 9):
+    for seed, want in _seeds(2**40 + 9, dist, n):
         got = sample_increments(dist, n, seed).increments
-        assert got.tobytes() == _fresh(dist, n, make()).tobytes()
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dist", _SAMPLED, ids=lambda d: d.kind)
+@pytest.mark.parametrize("n", [1, 7, 20])
+def test_trial_rows_at_block_edges_equal_ensemble_rows(dist, n):
+    seed, B = 2**40 + 9, _block(dist, n)
+    ens = truncated_ensemble(dist, n, B + 2, seed, math.inf)
+    maxima = running_max_ensemble(dist, n, B + 2, seed)
+    for j in (B + 1, 0, B - 1, B):  # from the second block back to the first, and again
+        diffs = sample_increments(dist, n, trial_seed(seed, j))
+        assert diffs.increments.tobytes() == ens[j].tobytes(), j
+        assert build_martingale(diffs).running_max == maxima[j]
+    last = sample_increments(dist, n, trial_seed(seed, _LAST_TRIAL)).increments
+    assert last.tobytes() == _row(dist, n, seed, _LAST_TRIAL).tobytes()
+
+
+def test_trial_rows_are_read_only():
+    # a later call returns a view of the same block: no caller may write it
+    dist, seed = gaussian(R3, 1.5), 6
+    diffs = sample_increments(dist, 4, trial_seed(seed, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        diffs.increments[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        diffs.increments *= 2.0
+    assert sample_increments(dist, 4, trial_seed(seed, 3)).increments.flags.writeable is False
+    assert diffs.increments.tobytes() == _row(dist, 4, seed, 2).tobytes()
+    owned = sample_increments(dist, 4, seed).increments  # an int seed: a new array, the caller's
+    owned *= 2.0
+    assert owned.tobytes() == (2.0 * _fresh(dist, 4, np.random.Philox(seed))).tobytes()
+
+
+def test_trial_rows_of_equal_laws_keep_their_own_bits():
+    # scales 0.0 and -0.0 make equal laws whose zeros differ in sign: the
+    # block a thread keeps is not handed from one to the other
+    plus, minus = gaussian(R1, 0.0), gaussian(R1, -0.0)
+    assert plus == minus
+    for dist in (plus, minus, plus):
+        got = sample_increments(dist, 4, trial_seed(1, 1)).increments
+        assert got.tobytes() == truncated_ensemble(dist, 4, 2, 1, math.inf)[1].tobytes()
 
 
 def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch):
-    cases = [(dist, n, seed, _fresh(dist, n, make())) for dist in _SAMPLED for n in (1, 7)
-             for seed, make in _seeds(31)]
+    # laws, n and seeds interleaved at random, so that most trial seeds draw a new block
+    cases = [(dist, n, seed, want) for dist in _SAMPLED for n in (1, 7)
+             for seed, want in _seeds(31, dist, n)]
     order = np.random.default_rng(4).permutation(len(cases) * 2) % len(cases)
     for i in order:
         dist, n, seed, want = cases[i]
@@ -383,20 +444,23 @@ def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch)
         for dist, n, seed, want in cases[::5]:
             assert sample_increments(dist, n, seed).increments.tobytes() == want.tobytes()
 
-    with pytest.raises(ValueError):  # a bad seed, before the generator is keyed
+    with pytest.raises(ValueError):  # a bad seed, before any draw
         sample_increments(_SAMPLED[0], 5, -1)
     later_calls_unchanged()
 
     def fails(self, rows, scratch=()):
         raise RuntimeError("the step after the normal draws failed")
 
-    # a radial law fails after its normal draws, in the middle of a stream: the
+    # a radial law fails after its normal draws, in the middle of a block: the
     # sign law in R^1 where its draws go onto the unit sphere {-1, 1}, the
-    # Pareto law on l^3 R^4 where their norms are taken
+    # Pareto law on l^3 R^4 where their norms are taken. Then the same trial
+    # again, unpatched: the failed draw left no block behind under its key
     for step, dist in (("_unit", _SAMPLED[2]), ("_norms", _SAMPLED[3])):
         with monkeypatch.context() as patch, pytest.raises(RuntimeError, match="draws failed"):
             patch.setattr(SmoothSpace, step, fails)
             sample_increments(dist, 20, trial_seed(31, 5))
+        got = sample_increments(dist, 20, trial_seed(31, 5)).increments
+        assert got.tobytes() == _row(dist, 20, 31, 5).tobytes()
         later_calls_unchanged()
 
 
@@ -406,34 +470,34 @@ def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch)
 def test_one_coordinate_draws_are_signs_times_radii(space, law, param):
     # the unit sphere of R^1 is {-1, 1}: a direction is the sign of its normal draw
     dist = law(space, param)
+    B = _block(dist, 20)
     for j in _TRIALS:
-        rng = np.random.Generator(_reference(2**40 + 9, j))
-        z = rng.standard_normal((20, 1))
+        rng = np.random.Generator(_reference(2**40 + 9, j // B))
+        z = rng.standard_normal((B, 20, 1))
         if law is rademacher:
             radius = param
         elif law is symmetric_pareto:
-            radius = ((1.0 - rng.random(20)) ** (-1.0 / param))[:, None]
+            radius = ((1.0 - rng.random((B, 20))) ** (-1.0 / param))[..., None]
         else:
-            radius = rng.standard_t(param, size=20)[:, None]
+            radius = rng.standard_t(param, size=(B, 20))[..., None]
         got = sample_increments(dist, 20, trial_seed(2**40 + 9, j)).increments
-        assert got.tobytes() == (np.sign(z) * radius).tobytes()
+        assert got.tobytes() == (np.sign(z) * radius)[j % B].tobytes()
 
 
 def test_sample_increments_on_four_threads_at_once():
     cases = [(dist, 5, j) for dist in _SAMPLED for j in range(0, 2048, 2)]
-    want = [_fresh(dist, n, _reference(77, j)).tobytes() for dist, n, j in cases]
+    want = {dist: truncated_ensemble(dist, 5, 2048, 77, math.inf) for dist in _SAMPLED}
 
     def draws(worker):
-        rng = stochastic._philox_rng(0)
         got = [(i, sample_increments(dist, n, trial_seed(77, j)).increments.tobytes())
                for i, (dist, n, j) in enumerate(cases) if i % 4 == worker]
-        return rng, got
+        return stochastic._last_block.rows, got
 
     results = _on_four_threads(draws)
     got = dict(row for _, rows in results for row in rows)
     assert sorted(got) == list(range(len(cases)))
-    assert all(got[i] == want[i] for i in got)
-    assert len({id(rng) for rng, _ in results}) == 4  # one generator per thread
+    assert all(got[i] == want[dist][j].tobytes() for i, (dist, _, j) in enumerate(cases))
+    assert len({id(block) for block, _ in results}) == 4  # one last block per thread
 
 
 def test_doob_generator_kept_by_sample_inputs_is_its_own():
@@ -449,11 +513,10 @@ def test_doob_generator_kept_by_sample_inputs_is_its_own():
     ref = np.random.Generator(_reference(12, 0))
     ref.random((3, 4))  # the three trials' inputs
     for j, dist in enumerate(_SAMPLED):
-        want = _fresh(dist, 5, _reference(8, j)).tobytes()
+        want = _row(dist, 5, 8, j).tobytes()
         assert sample_increments(dist, 5, trial_seed(8, j)).increments.tobytes() == want
         assert rng.random(3).tobytes() == ref.random(3).tobytes()  # its own stream goes on
         assert sample_increments(dist, 5, trial_seed(8, j)).increments.tobytes() == want
-    assert rng is not stochastic._philox_rng(0)
 
 
 # ---------------------------------------------------------------- (b) no draw
@@ -572,11 +635,15 @@ def _pinelis_inputs_that_do_not_match_dist():
         "nan sequences": ([DifferenceSequence(xi, R2) for xi in nan], signs2, None),
         "inf": (np.where(nan == nan, ens, math.inf), gaussian(R2, 1.0), math.inf),
         "above L": (truncated_ensemble(pareto, 4, 400, seed=5, trunc_L=10.0), pareto, 1.5),
+        "ragged": ([ens[0], ens[1][:3]], signs2, None),
+        "mixed": ([seqs[0], ens[1]], signs2, None),
+        "no sequences": ([], signs2, None),
     }
 
 
 @pytest.mark.parametrize("case", ["l4 space", "R3 space", "R3 axis", "2-D", "no trials", "nan",
-                                  "nan sequences", "inf", "above L"])
+                                  "nan sequences", "inf", "above L", "ragged", "mixed",
+                                  "no sequences"])
 def test_pinelis_checks_reject_an_ensemble_that_does_not_match_dist(case):
     ensemble, dist, L = _pinelis_inputs_that_do_not_match_dist()[case]
     D = dist.space.smoothness_D
@@ -585,6 +652,18 @@ def test_pinelis_checks_reject_an_ensemble_that_does_not_match_dist(case):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="ensemble"):
                 check(ensemble, t=0.5, D=D, dist=dist, trunc_L=L)
+
+
+@pytest.mark.parametrize("check", [pinelis_check, pinelis_supermartingale_profile])
+def test_pinelis_checks_read_a_list_of_arrays_as_their_stack(check):
+    def same(ensemble, array):
+        got, want = vars(check(ensemble, 0.5, 1.0, sign)), vars(check(array, 0.5, 1.0, sign))
+        return got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in got)
+
+    sign = rademacher(R1, 1.0)
+    assert same([np.ones((5, 1))] * 3, np.ones((3, 5, 1)))
+    ens = truncated_ensemble(sign, 6, 40, seed=2, trunc_L=1.0)
+    assert same(list(ens), ens) and same(ens.tolist(), ens)
 
 
 def test_pinelis_checks_take_unit_directions_at_their_scale():

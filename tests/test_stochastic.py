@@ -291,6 +291,22 @@ def test_doob_rejects_non_separable():
         doob_martingale(lambda z: z.sum() ** 2, np.zeros(3))
 
 
+@pytest.mark.parametrize("term, match", [
+    (CoordinateTerm(g=lambda z: z * np.nan, mean=0.0), "term 1: .*not finite"),
+    (CoordinateTerm(g=lambda z: z, mean=math.inf), "term 1: .*not finite"),
+    (CoordinateTerm(g=lambda z: z, mean=np.zeros(2)), r"term 1: .*does not fit \(rows, d\)"),
+    (CoordinateTerm(g=lambda z: np.stack([z, z, z], axis=-1), mean=0.0), "term 1: .*does not fit"),
+], ids=["nan g", "inf mean", "mean of length 2", "g in R^3"])
+def test_doob_increments_that_are_not_finite_or_do_not_fit_name_their_term(term, match):
+    # a nan maximum counts as no exceedance: a campaign on it would pass
+    f = SeparableFunction(terms=(CoordinateTerm(g=lambda z: z, mean=0.5), term,
+                                 CoordinateTerm(g=lambda z: z, mean=0.5)))
+    with pytest.raises(ValueError, match=match):
+        stochastic.doob_running_max_ensemble(f, _uniform_inputs, 10, 3)
+    with pytest.raises(ValueError, match=match):
+        doob_martingale(f, np.full(3, 0.25))
+
+
 # ---------------------------------------------------------------- Pinelis
 
 def test_pinelis_exact_enumeration_rademacher_n2():
