@@ -13,10 +13,9 @@ Q1(u) is a weighted average of the top order statistics, and Qinf is a
 one-dimensional convex minimization.
 """
 
-import itertools
 import math
-import operator
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,13 +31,17 @@ class EmpiricalSample:
 
     What cvar_q1 and q_infinity compute that does not depend on the level
     is computed on first use and kept, read-only, for as long as the sample
-    lives: two float arrays of the sample's size and a small table."""
+    lives: two float arrays of the sample's size (three for values so large
+    that cvar_q1 sums them scaled) and a small table."""
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.sort(np.asarray(self.values, dtype=float))
+        arr = np.asarray(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError(f"sample must be one-dimensional, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("sample must be nonempty")
+        arr = np.sort(arr)
         if not np.isfinite(arr).all():
             raise ValueError("sample must contain only finite values")
         arr.flags.writeable = False
@@ -48,13 +51,35 @@ class EmpiricalSample:
         return len(self.values)
 
     @cached_property
+    def _scaled(self) -> tuple:
+        """(s, s * values): s = 1 and the values themselves, unless 2 N max|X|,
+        which bounds every sum and difference of sums that cvar_q1 forms,
+        overflows; then s is the power of two that brings it below 2^1023.
+        A power of two scales without rounding, so the sums of s * values
+        are s times those of exact-exponent arithmetic."""
+        x = self.values
+        top = max(-float(x[0]), float(x[-1]))
+        if 2.0 * len(x) * top <= sys.float_info.max:
+            return 1.0, x
+        s = math.ldexp(1.0, 1022 - math.frexp(top)[1] - len(x).bit_length())
+        scaled = x * s
+        scaled.flags.writeable = False
+        return s, scaled
+
+    @cached_property
+    def _mean(self) -> float:
+        """The sample mean: cvar_q1 and q_infinity at u = 1 both return it."""
+        s, xs = self._scaled
+        return float(xs.mean()) / s
+
+    @cached_property
     def _cvar_terms(self) -> tuple:
-        """(desc, excess): the values in descending order, and at t = desc[j]
-        the sum of (X - t)_+ over the sample, (sum of top j) - j * t."""
-        desc = self.values[::-1]
+        """(desc, excess) in the units of _scaled: the values in descending
+        order, and at t = desc[j] the sum of (X - t)_+ over the sample,
+        (sum of top j) - j * t."""
+        desc = self._scaled[1][::-1]
         suffix = np.concatenate(([0.0], np.cumsum(desc)))  # sums of top-j values
         excess = suffix[:-1] - np.arange(len(desc), dtype=float) * desc
-        desc.flags.writeable = False
         excess.flags.writeable = False
         return desc, excess
 
@@ -67,35 +92,41 @@ def make_sample(values) -> EmpiricalSample:
     return EmpiricalSample(values=values)
 
 
-_FIRST = operator.itemgetter(0)  # of str.partition's (head, sep, tail)
-
-
 def load_sample(path) -> EmpiricalSample:
     """Read a newline-delimited numeric file; '#' starts a comment.
 
     A line holds what float() accepts and maps to a finite value, once the
     comment and surrounding whitespace are removed; empty lines are
-    skipped. The file is parsed line by line as it is read, by C-level
-    iterators into one array; a bad line is named by path and number."""
+    skipped. numpy's C reader parses the file first: it accepts a subset
+    of those lines (no underscores, non-ASCII digits or whitespace-only
+    lines) and converts each with the function at the core of float(), so
+    the bits are float()'s. Where it refuses the file, or reads more than
+    one column or a value that is not finite, the file is read again line
+    by line with float(), which names a bad line by path and number."""
     with open(path, encoding="utf-8") as handle:
-        # line.partition("#")[0].strip(), kept when nonempty, then float()
-        texts = filter(None, map(str.strip, map(
-            _FIRST, map(str.partition, handle, itertools.repeat("#")))))
         try:
-            values = np.fromiter(map(float, texts), dtype=float)
+            with warnings.catch_warnings():
+                # an empty or comment-only file: make_sample words the refusal
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                values = np.loadtxt(handle, dtype=float, comments="#",
+                                    delimiter=",", ndmin=2)
         except ValueError:
+            values = None
+        # ndmin=2, since loadtxt squeezes a one-line file "1,2" to shape (2,)
+        if values is not None and values.shape[1] == 1 and np.isfinite(values).all():
+            values = values[:, 0]
+        else:
             handle.seek(0)
-            _raise_bad_line(handle, path)
-            raise
-        if not np.isfinite(values).all():
-            handle.seek(0)
-            _raise_bad_line(handle, path)
+            values = _parse_lines(handle, path)
     return make_sample(values)
 
 
-def _raise_bad_line(handle, path):
-    """Raise a ValueError that names the first line float() rejects or
-    reads as nan or an infinity."""
+def _parse_lines(handle, path) -> np.ndarray:
+    """The values of a sample file, parsed line by line with float(); a
+    ValueError names the first line float() rejects or reads as nan or an
+    infinity."""
+    values = []
     for lineno, line in enumerate(handle, start=1):
         text = line.partition("#")[0].strip()
         if not text:
@@ -106,6 +137,8 @@ def _raise_bad_line(handle, path):
             raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"{path}:{lineno}: not a finite number: {text!r}")
+        values.append(value)
+    return np.array(values, dtype=float)
 
 
 def quantile_q(sample: EmpiricalSample, u: float) -> float:
@@ -131,25 +164,27 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
     """
     checked_real(u, "u", above=0, most=1, error=InvalidLevelError)
     x = sample.values
+    s, xs = sample._scaled
     n = len(x)
     m = math.ceil(n * u)
     m = min(max(m, 1), n)
     if u == 1.0:
-        # same expression as the u = 1 limit of the Chernoff quantile, so
+        # the u = 1 limit of the Chernoff quantile is the same number, so
         # the ordering Q1 <= Qinf holds bitwise there
-        value = max(float(x.mean()), float(x[0]))
+        value = max(sample._mean, float(x[0]))
     else:
         # full blocks of width 1/N for the top m-1 values, then a partial block
-        top_full = x[n - m + 1:] if m > 1 else x[:0]
-        integral = top_full.sum() / n + (u - (m - 1) / n) * x[n - m]
+        top_full = xs[n - m + 1:] if m > 1 else xs[:0]
+        integral = top_full.sum() / n + (u - (m - 1) / n) * xs[n - m]
         # Q1 >= Q exactly; Q is pure indexing, so clamping only removes
         # the terminal rounding of the multiply-divide above
-        value = max(float(integral / u), float(x[n - m]))
+        value = max(float(integral / u) / s, float(x[n - m]))
 
     # variational cross-check, candidates are the data points
     desc, excess = sample._cvar_terms
-    phi = desc + excess / (n * u)
-    variational = float(phi.min())
+    with np.errstate(over="ignore"):  # phi[0] = max is finite, and an inf is no minimum
+        phi = desc + excess / (n * u)
+    variational = float(phi.min()) / s
     if abs(value - variational) > 1e-9 * max(1.0, -float(x[0]), float(x[-1])):
         raise InternalInconsistencyError(
             f"CVaR forms disagree: integral {value} vs variational {variational}")
@@ -206,7 +241,7 @@ def q_infinity(sample: EmpiricalSample, u: float) -> QInfinityResult:
                                t_star=1.0 if u == 1.0 else None)
     if u == 1.0:
         # objective decreases to the mean as t -> 0+
-        return QInfinityResult(value=float(x.mean()), attained=False, t_star=None)
+        return QInfinityResult(value=sample._mean, attained=False, t_star=None)
     table = sample._chernoff
     if u <= table.p_max:
         # objective decreases to xmax as t -> infinity

@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from fuknagaev import cli, quantile
@@ -144,6 +146,45 @@ def test_a_sample_built_directly_is_sorted_and_checked(monkeypatch):
     monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorts.append(1) or sort(a, *args, **kw))
     make_sample([3.0, 1.0, 2.0])
     assert len(sorts) == 1
+
+
+
+@pytest.mark.parametrize("values, shape", [([[3.0, 1.0], [2.0, 5.0]], "(2, 2)"), (5.0, "()")])
+def test_a_sample_must_be_one_dimensional(values, shape):
+    # a 2x2 input was sorted row by row and counted as 2 values; a scalar
+    # raised numpy's AxisError
+    with pytest.raises(ValueError, match=re.escape(f"one-dimensional, got shape {shape}")):
+        make_sample(values)
+
+
+def test_cvar_near_the_float_maximum(tmp_path):
+    # the sums of the top values overflowed, and the CLI exited 3 with
+    # "CVaR forms disagree: integral inf vs variational 1.7e+308"
+    texts = ["1.7e308", "1.7e308", "-1.7e308", "0"]
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    src = str(Path(quantile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fuknagaev.cli",
+                           "quantile", str(path), "--u", "0.1,0.5,0.9,1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    exact = sorted(Fraction(t) for t in texts)
+    s = load_sample(path)
+    with np.errstate(over="raise"):
+        for u in (0.1, 0.5, 0.6, 0.9, 1.0):
+            k = math.ceil(len(exact) * Fraction(u))
+            # (1/u) * integral_0^u Q: top k-1 values at weight 1/N, then the rest of u
+            want = (sum(exact[len(exact) - k + 1:]) / len(exact)
+                    + (Fraction(u) - Fraction(k - 1, len(exact))) * exact[len(exact) - k]) / Fraction(u)
+            assert abs(Fraction(cvar_q1(s, u)) - want) <= abs(want) * Fraction(1, 10**15), u
+            trip = quantile_triple(s, u)
+            assert trip.q <= trip.q1 <= trip.qinf
+    assert cvar_q1(s, 1.0) == q_infinity(s, 1.0).value == float(sum(exact) / 4)
+    # at a small level, excess / (N u) of the variational form may overflow
+    # where it is no minimum
+    with np.errstate(over="raise"):
+        assert cvar_q1(make_sample([1e307, -1e307]), 0.01) == 1e307
 
 
 def test_cvar_cross_check_scales_with_the_data():
@@ -457,3 +498,62 @@ def test_load_sample_reads_the_bits_float_reads(tmp_path):
     path.write_text("\n".join(texts) + "\n", encoding="utf-8")
     want = np.sort(np.array([float(t) for t in texts]))
     assert load_sample(path).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "# comment only\n", "\n  \n# c\n"])
+def test_load_sample_of_no_values_names_the_sample_and_warns_nothing(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^sample must be nonempty$"):
+            load_sample(path)
+
+
+def _reference_load(path):
+    """The values load_sample reads, or the message it raises: the
+    line-by-line float() parse, an oracle independent of numpy's reader."""
+    with open(path, encoding="utf-8") as handle:
+        values = []
+        for lineno, line in enumerate(handle, start=1):
+            text = line.partition("#")[0].strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                return f"{path}:{lineno}: not a number: {text!r}"
+            if not math.isfinite(value):
+                return f"{path}:{lineno}: not a finite number: {text!r}"
+            values.append(value)
+    if not values:
+        return "sample must be nonempty"
+    return np.sort(np.array(values)).tobytes()
+
+
+_PLAIN_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+.5", "5.", "1E5", "00012", "-0.0", "5e-324", "", "# comment",
+                     "2.5 # trailing", "  -7.25e+2\t"]))
+_OTHER_LINES = st.sampled_from([
+    "   ", "\t", "  # indented comment", "1_000", "\u0661\u0662", "\xa03.5\xa0", "\t4\t",
+    "1 2", "1,2", "1\t2", "nan", "inf", "-inf", "1e999", "a,b", "\ufeff1"])
+
+
+@given(st.one_of(st.lists(_PLAIN_LINES, max_size=30),
+                 st.lists(st.one_of(_PLAIN_LINES, _OTHER_LINES), max_size=30)),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+@example([], "\n", True)
+@example(["# a", "# b"], "\n", True)
+@example(["a,b"] * 3, "\n", True)
+@example(["1,2"], "\n", True)  # loadtxt(ndmin=1) squeezes its one row to two values
+@settings(max_examples=300, deadline=None)
+def test_load_sample_matches_the_float_parse(tmp_path_factory, lines, end, last_end):
+    path = tmp_path_factory.mktemp("ingest") / "sample.txt"
+    path.write_bytes((end.join(lines) + (end if last_end and lines else "")).encode())
+    want = _reference_load(path)
+    try:
+        got = load_sample(path).values.tobytes()
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want
