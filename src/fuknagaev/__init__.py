@@ -18,14 +18,13 @@ The package splits into:
 
 from .spaces import (SmoothSpace, make_euclidean, make_lp,
                      smoothness_certificate)
-from .stochastic import (CoordinateTerm, DifferenceSequence, DiscreteNormLaw,
-                         IncrementDistribution, MartingalePath, MomentProfile,
-                         SeparableFunction, build_martingale, doob_martingale,
+from .stochastic import (CoordinateTerm, DiscreteNormLaw, IncrementDistribution,
+                         MomentProfile, SeparableFunction, doob_martingale,
                          gaussian, moment_profile, norm_moment, pinelis_check,
                          pinelis_supermartingale_profile, rademacher,
                          rio_moment_check, running_max_ensemble,
                          sample_increments, student_t, symmetric_pareto,
-                         truncate, uniform_cube)
+                         uniform_cube)
 from .quantile import (EmpiricalSample, cvar_q1, load_sample, make_sample,
                        q_infinity, quantile_lemma_suite, quantile_q,
                        quantile_triple)

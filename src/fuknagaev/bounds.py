@@ -35,6 +35,15 @@ def constant_c(q: float, D: float) -> float:
         + (D * D * q / 3.0 if q > 3 else 0.0)
 
 
+def _two_over(u: float, q: float) -> tuple:
+    """(log(2/u), (2/u)^(1/q)); below u = 1.1e-308, where 2/u overflows, as
+    log 2 - log u and 2^(1/q) u^(-1/q)."""
+    ratio = 2.0 / u
+    if ratio < math.inf:
+        return math.log(ratio), ratio ** (1.0 / q)
+    return math.log(2.0) - math.log(u), 2.0 ** (1.0 / q) * u ** (-1.0 / q)
+
+
 def confidence_bound(profile: MomentProfile, D: float, u: float) -> BoundResult:
     """Threshold B(u) with P[max_i ||M_i|| <= B(u)] >= 1 - u.
 
@@ -42,8 +51,8 @@ def confidence_bound(profile: MomentProfile, D: float, u: float) -> BoundResult:
     """
     checked_real(u, "u", above=0, below=1, error=InvalidLevelError)
     c = constant_c(profile.q, D)
-    value = D * profile.sigma * math.sqrt(2.0 * math.log(2.0 / u)) \
-        + c * profile.cq * (2.0 / u) ** (1.0 / profile.q)
+    log_ratio, root = _two_over(u, profile.q)
+    value = D * profile.sigma * math.sqrt(2.0 * log_ratio) + c * profile.cq * root
     if not value < math.inf:
         raise InvalidLevelError(f"the threshold B(u) overflows at D = {D}, u = {u}")
     return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD)
@@ -82,8 +91,9 @@ def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
     q = per_increment.q
     c = constant_c(q, D)
     # n^(-(q-1)/q) <= 1, where n^(q-1) alone overflows for a large n
-    value = D * per_increment.sigma * math.sqrt(2.0 * math.log(2.0 / u) / n_real) \
-        + c * per_increment.cq * (2.0 / u) ** (1.0 / q) * n_real ** (-(q - 1.0) / q)
+    log_ratio, root = _two_over(u, q)
+    value = D * per_increment.sigma * math.sqrt(2.0 * log_ratio / n_real) \
+        + c * per_increment.cq * root * n_real ** (-(q - 1.0) / q)
     if not value < math.inf:
         raise InvalidLevelError(f"the threshold overflows at D = {D}, u = {u}")
     return BoundResult(value=value, kind=CONFIDENCE_THRESHOLD)

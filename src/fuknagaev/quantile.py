@@ -172,10 +172,12 @@ def cvar_q1(sample: EmpiricalSample, u: float) -> float:
         # the u = 1 limit of the Chernoff quantile is the same number, so
         # the ordering Q1 <= Qinf holds bitwise there
         value = max(sample._mean, float(x[0]))
+    elif m == 1:
+        # Q is the maximum on (0, u]; u times it would round at a subnormal u's scale
+        value = float(x[-1])
     else:
         # full blocks of width 1/N for the top m-1 values, then a partial block
-        top_full = xs[n - m + 1:] if m > 1 else xs[:0]
-        integral = top_full.sum() / n + (u - (m - 1) / n) * xs[n - m]
+        integral = xs[n - m + 1:].sum() / n + (u - (m - 1) / n) * xs[n - m]
         # Q1 >= Q exactly; Q is pure indexing, so clamping only removes
         # the terminal rounding of the multiply-divide above
         value = max(float(integral / u) / s, float(x[n - m]))

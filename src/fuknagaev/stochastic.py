@@ -68,28 +68,6 @@ def gaussian(space: SmoothSpace, scale: float = 1.0) -> IncrementDistribution:
     return IncrementDistribution("gaussian", space, float(scale))
 
 
-@dataclass(frozen=True, slots=True)
-class DifferenceSequence:
-    """Martingale differences xi_1..xi_n as rows of an (n, d) array."""
-    increments: np.ndarray
-    space: SmoothSpace
-
-    def __len__(self):
-        return self.increments.shape[0]
-
-    def norms(self) -> np.ndarray:
-        return self.space.norms(self.increments)
-
-
-@dataclass(frozen=True)
-class MartingalePath:
-    """Partial sums M_1..M_n, their norms, and the running maximum."""
-    partial_sums: np.ndarray
-    norms: np.ndarray
-    running_max: float
-    space: SmoothSpace
-
-
 @dataclass(frozen=True)
 class MomentProfile:
     """Summed conditional moment bounds (sigma^2, C_q^q, q) of a difference
@@ -167,7 +145,8 @@ def trial_seed(seed: int, trial: int) -> ISeedSequence:
     seeded with it do not spawn.
 
     Generator(Philox(trial_seed(seed, b))) draws block b of an ensemble;
-    sample_increments(dist, n, trial_seed(seed, j)) reads trial j of it."""
+    sample_increments(dist, n, trial_seed(seed, j)) returns trial j of it,
+    a read-only row of that block."""
     return _TrialSeed(seed, trial)
 
 
@@ -206,9 +185,9 @@ class _LastBlock(threading.local):
 _last_block = _LastBlock()
 
 
-def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSequence:
-    """n iid mean-zero increments; identical (dist, n, seed) gives
-    bit-identical output.
+def sample_increments(dist: IncrementDistribution, n: int, seed) -> np.ndarray:
+    """n iid mean-zero increments as the rows of an (n, d) array; identical
+    (dist, n, seed) gives bit-identical output.
 
     For seed = trial_seed(s, j) they are trial j of the ensemble of seed s:
     row j % B of block b = j // B, with B = max(1, 2^16 // (n d)), the rows
@@ -218,11 +197,11 @@ def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSe
     trial holds more, and returns a read-only view of its row, which later
     calls share: consecutive trials draw each block once, while a call for a
     trial of another block draws all of that block. Any other seed, an int
-    or a SeedSequence, draws from a new Generator(Philox(seed))."""
+    or a SeedSequence, draws a new array, the caller's, from a new
+    Generator(Philox(seed))."""
     n = checked_count(n, "n")
     if not isinstance(seed, _TrialSeed):
-        return DifferenceSequence(_draw(dist, (n,), np.random.Generator(np.random.Philox(seed))),
-                                  dist.space)
+        return _draw(dist, (n,), np.random.Generator(np.random.Philox(seed)))
     size = _block_size(n, dist.space.dimension)
     b, row = divmod(seed.trial, size)
     last, key = _last_block, (n, seed.seed, b)
@@ -233,7 +212,7 @@ def sample_increments(dist: IncrementDistribution, n: int, seed) -> DifferenceSe
         rows = _draw(dist, (size, n), rng)
         rows.flags.writeable = False
         last.dist, last.rows, last.key = dist, rows, key
-    return DifferenceSequence(last.rows[row], dist.space)
+    return last.rows[row]
 
 
 def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
@@ -243,15 +222,6 @@ def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
     sums = np.cumsum(xi, axis=1, out=xi)
     norms = space._norms(sums, scratch)
     return sums, norms, norms.max(axis=1, initial=0.0)
-
-
-def build_martingale(diffs: DifferenceSequence) -> MartingalePath:
-    """Partial sums and running maximum max_i ||M_i||."""
-    if len(diffs) == 0:
-        raise ValueError("difference sequence must be nonempty")
-    sums, norms, top = _paths(diffs.increments[None].copy(), diffs.space)
-    return MartingalePath(partial_sums=sums[0], norms=norms[0],
-                          running_max=float(top[0]), space=diffs.space)
 
 
 def _kept(norms: np.ndarray, level: float) -> np.ndarray:
@@ -264,15 +234,6 @@ def _kept(norms: np.ndarray, level: float) -> np.ndarray:
 def _truncation_level(trunc_L) -> float:
     """A truncation level L in (0, inf] as a float; inf truncates nothing."""
     return float(checked_real(trunc_L, "trunc_L", above=0, most=math.inf))
-
-
-def truncate(diffs: DifferenceSequence, level) -> DifferenceSequence:
-    """Zero out increments with norm above the level, by _kept: ties
-    ||xi|| = L are kept, and so are norms up to L (1 + 1e-12).
-    """
-    keep = _kept(diffs.norms(), _truncation_level(level))
-    return DifferenceSequence(increments=diffs.increments * keep[..., None],
-                              space=diffs.space)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +360,16 @@ class SeparableFunction:
     space: SmoothSpace = make_euclidean(1)
 
 
-def doob_martingale(f_spec: SeparableFunction, realization) -> MartingalePath:
-    """Doob path M_i = E[f(Z) - E f(Z) | Z_1..Z_i] along a realization.
+def doob_martingale(f_spec: SeparableFunction, realization) -> np.ndarray:
+    """Doob path M_i = E[f(Z) - E f(Z) | Z_1..Z_i] along a realization, as
+    the (n, d) array of M_1..M_n.
 
     Separability makes the conditional expectations exact: unrevealed
     coordinates contribute their means, so M_i is the partial sum of the
     centered revealed terms. ``realization`` holds one sampled value per
     coordinate.
     """
-    xi = _doob_increments(f_spec, np.asarray(realization)[None])
-    return build_martingale(DifferenceSequence(increments=xi[0], space=f_spec.space))
+    return np.cumsum(_doob_increments(f_spec, np.asarray(realization)[None])[0], axis=0)
 
 
 def _doob_increments(f_spec: SeparableFunction, z: np.ndarray) -> np.ndarray:
@@ -817,10 +778,11 @@ def _exp_excess(y: float) -> float:
 def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
                    trunc_L):
     """Input checks shared by both Pinelis checks, whose ensemble is a (trials,
-    n, d) array, left unmodified, or a sequence of DifferenceSequence; any
-    other sequence is read as an array, and ValueError names a ragged one.
-    Returns e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n)
-    norms ||M~_i|| of the partial sums.
+    n, d) array, left unmodified, or any other iterable of (n, d) arrays,
+    such as a list of sample_increments rows, stacked into a new array;
+    ValueError names a ragged one. Returns
+    e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
+    ||M~_i|| of the partial sums.
 
     e is D^2 phi(t a) (see _exp_excess) for a point mass at a, and else the
     difference of the truncated moments, read as 0 where it rounds below:
@@ -837,24 +799,13 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         # every level, and 0 is none
         trunc_L = sup or math.inf
     level = _truncation_level(trunc_L)
-    owned = not isinstance(ensemble, np.ndarray)
-    if owned:  # only DifferenceSequences are stacked here, into an array that is ours to overwrite
-        ensemble = list(ensemble)
-        owned = bool(ensemble) and all(isinstance(diffs, DifferenceSequence) for diffs in ensemble)
-    if owned:
-        increments = [diffs.increments for diffs in ensemble
-                      if diffs.space is dist.space or diffs.space == dist.space]
-        if len(increments) < len(ensemble):
-            raise ValueError(f"ensemble holds a sequence not on dist's space, {dist.space}")
-        if len(set(map(len, increments))) != 1:
-            raise ValueError("the ensemble must be nonempty and all sequences in it must share n")
-        xi = np.concatenate(increments, dtype=float).reshape(len(ensemble), *increments[0].shape)
-    else:
-        try:
-            xi = np.asarray(ensemble, dtype=float)
-        except (TypeError, ValueError) as err:  # ragged, or holding what is no number
-            raise ValueError(f"ensemble must be a (trials, n, {dist.space.dimension}) float "
-                             f"array or a sequence of DifferenceSequence: {err}") from None
+    owned = not isinstance(ensemble, np.ndarray)  # then xi is a new array, ours to overwrite
+    try:
+        xi = np.asarray(list(ensemble) if owned else ensemble, dtype=float)
+    except (TypeError, ValueError) as err:  # ragged, or holding what is no number
+        raise ValueError(f"ensemble must be a (trials, n, {dist.space.dimension}) float "
+                         f"array or a sequence of (n, {dist.space.dimension}) arrays: "
+                         f"{err}") from None
     if xi.ndim != 3 or not len(xi) or xi.shape[2] != dist.space.dimension:
         raise ValueError(f"ensemble must be a nonempty (trials, n, {dist.space.dimension}) "
                          f"array, got shape {xi.shape}")
@@ -900,9 +851,11 @@ def pinelis_check(ensemble, t: float, D: float,
     """Empirical E cosh(t ||M~_n||) against the deterministic product
     prod_i (1 + e_i) with e_i = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||].
 
-    The ensemble must hold already-truncated sequences when the increment
-    law is unbounded; ``trunc_L`` is the level used so the product side can
-    be computed analytically. Verdict: empirical <= product within three
+    The ensemble holds the increments of the paths, a (trials, n, d) array
+    such as truncated_ensemble's or a list of (n, d) arrays such as
+    sample_increments's, already truncated when the increment law is
+    unbounded; ``trunc_L`` is the level used so the product side can be
+    computed analytically. Verdict: empirical <= product within three
     Monte Carlo standard errors; e_term and product_bound read inf where they
     overflow.
     """
@@ -1034,7 +987,7 @@ def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
         rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
         xi = _draw(dist, (size, n), rng, local.xi, local.scratch)[:len(rows)]
         scratch = [buf[:len(rows)] for buf in local.scratch]
-        if level is not None:  # as truncate, in place
+        if level is not None:
             xi *= _kept(space._norms(xi, scratch), level)[..., None]
         rows[...] = xi if rows.ndim > 1 else _paths(xi, space, scratch)[2]
 

@@ -145,8 +145,9 @@ def test_independent_sum_n1_equals_confidence_bound():
 
 
 def test_independent_sum_rejects_overflowing_threshold():
+    # the threshold is 5.6e312 here, past the float range
     with pytest.raises(InvalidLevelError, match="overflows"):
-        independent_sum_bound(MomentProfile(1, 1, 4), 1, 1.0, 1e-320)
+        independent_sum_bound(MomentProfile(1, 1e308, 2.01), 1, 1.0, 1e-320)
 
 
 def test_independent_sum_of_a_huge_count():
@@ -241,6 +242,42 @@ def test_mcdiarmid_reference_value_high_precision():
         c = mpmath.mpf(1) / 8 + mpmath.mpf(1) / 5 + 1 + mpmath.mpf(4) / 3
         oracle = sigma * mpmath.sqrt(2 * mpmath.log(20)) + c * cq * 20 ** mpmath.mpf("0.25")
         assert got == pytest.approx(float(oracle), rel=1e-13)
+
+
+def _threshold_oracle(sigma_sq, cq_to_q, q, D, u, n=1):
+    """D sigma sqrt(2 log(2/u) / n) + c(q, D) C_q (2/u)^(1/q) n^(-(q-1)/q) in
+    60 digits, the inputs taken as the exact values of their floats."""
+    with mpmath.workdps(60):
+        q, D, u, n = mpmath.mpf(q), mpmath.mpf(D), mpmath.mpf(u), mpmath.mpf(n)
+        c = 1 / (2 * q) + min(1 / q, mpmath.mpf(1) / 5) + 1 + (D * D * q / 3 if q > 3 else 0)
+        return float(D * mpmath.sqrt(mpmath.mpf(sigma_sq) * 2 * mpmath.log(2 / u) / n)
+                     + c * mpmath.mpf(cq_to_q) ** (1 / q) * (2 / u) ** (1 / q)
+                     * n ** (-(q - 1) / q))
+
+
+@pytest.mark.parametrize("u", [5e-324, 1e-320, 1e-310])
+@pytest.mark.parametrize("q, D", [(4.0, 1.0), (2.5, 1.5), (3.0, math.sqrt(3.0))])
+def test_thresholds_at_a_level_where_two_over_u_overflows(u, q, D):
+    # 2 / u overflows below u = 1.1e-308; the thresholds do not. The power
+    # scales the rounding of the float 1/q by |log u| < 745: rel 1e-13
+    assert 2.0 / u == math.inf
+    prof = MomentProfile(sigma_sq=2.0, cq_to_q=0.5, q=q)
+    want = _threshold_oracle(2.0, 0.5, q, D, u)
+    assert confidence_bound(prof, D, u).value == pytest.approx(want, rel=1e-13)
+    assert mcdiarmid_bound(2.0, 0.5, q, D, u).value == confidence_bound(prof, D, u).value
+    got = independent_sum_bound(prof, 7, D, u).value
+    assert got == pytest.approx(_threshold_oracle(2.0, 0.5, q, D, u, n=7), rel=1e-13)
+
+
+@pytest.mark.parametrize("u", [0.1, 1e-3, 1e-100, 1e-307, 1.2e-308])
+def test_thresholds_keep_their_bits_where_two_over_u_is_finite(u):
+    prof, D = MomentProfile(sigma_sq=2.0, cq_to_q=0.5, q=4.0), 1.5
+    c = constant_c(4.0, D)
+    assert confidence_bound(prof, D, u).value == \
+        D * prof.sigma * math.sqrt(2.0 * math.log(2.0 / u)) + c * prof.cq * (2.0 / u) ** 0.25
+    assert independent_sum_bound(prof, 7, D, u).value == \
+        D * prof.sigma * math.sqrt(2.0 * math.log(2.0 / u) / 7.0) \
+        + c * prof.cq * (2.0 / u) ** 0.25 * 7.0 ** -0.75
 
 
 def test_mcdiarmid_degenerate():

@@ -90,6 +90,35 @@ def test_module_entry_point_runs_a_subcommand():
     assert "confidence threshold B(0.1) = 8.06944" in done.stdout
 
 
+def _run_strict(*argv):
+    """``python -W error::RuntimeWarning -m fuknagaev.cli argv``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fuknagaev.cli",
+                           *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_quantile_at_the_least_subnormal_level(tmp_path):
+    # u = 5e-324 times the maximum 4.73 rounds to 5u: Q1 read 5.0 and failed
+    # the CVaR cross-check. Where N u <= 1, Q1 is the maximum itself
+    path, out = tmp_path / "s.txt", tmp_path / "q.json"
+    path.write_text("0.5\n1.0\n4.73\n", encoding="utf-8")
+    done = _run_strict("quantile", str(path), "--u", "5e-324,1e-320", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["q"], r["q1"]) for r in rows] == [(4.73, 4.73)] * 2
+
+
+def test_bound_at_the_least_subnormal_level():
+    # 2 / u overflows there, B(u) = 2.12e81 does not
+    for cmd in ("bound", "mcdiarmid"):
+        done = _run_strict(cmd, "--q", "4", "--D", "1", "--sigma", "1", "--cq", "1",
+                           "--u", "5e-324")
+        assert done.returncode == 0, done.stderr
+        assert "2.12041e+81" in done.stdout
+
+
 def test_proofcheck_all_pass(capsys):
     code = run(["proofcheck", "--q", "4", "--D", "1", "--sigma", "0.5",
                 "--u", "0.1"])

@@ -31,8 +31,7 @@ from fuknagaev.quantile import cvar_q1, make_sample, q_infinity, quantile_q
 from fuknagaev.spaces import make_euclidean, smoothness_certificate
 from fuknagaev.stochastic import (DiscreteNormLaw, IncrementDistribution, MomentProfile,
                                   norm_moment, pinelis_check, rademacher, rio_moment_check,
-                                  running_max_ensemble, sample_increments, truncate,
-                                  truncated_ensemble, truncated_norm_exp_moment,
+                                  running_max_ensemble, truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean)
 from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, crossover_scan
 
@@ -147,9 +146,8 @@ _ENTRIES = {
                                   {"t": "t"}, True),
     "pinelis_check": (lambda **kw: pinelis_check(_ENSEMBLE, dist=_SIGN, **kw), dict(t=0.5, D=1.0),
                       {"t": "t", "D": "D"}, True),
-    "truncate": (lambda trunc_L: float(truncate(sample_increments(_SIGN, 3, 0), trunc_L)
-                                       .norms().max()), dict(trunc_L=1.0),
-                 {"trunc_L": "trunc_L"}, False),
+    "truncated_ensemble": (lambda trunc_L: float(truncated_ensemble(_SIGN, 3, 5, 1, trunc_L).max()),
+                           dict(trunc_L=1.0), {"trunc_L": "trunc_L"}, False),
     "truncated_norm_mean": (lambda trunc_L: truncated_norm_mean(_SIGN, trunc_L),
                             dict(trunc_L=1.0), {"trunc_L": "trunc_L"}, False),
     "running_max_ensemble": (lambda trunc_L: float(running_max_ensemble(

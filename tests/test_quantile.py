@@ -317,9 +317,10 @@ def reference_cvar(values, u):
     m = min(max(math.ceil(n * u), 1), n)
     if u == 1.0:
         value = max(float(x.mean()), float(x[0]))
+    elif m == 1:  # Q is the maximum on (0, u]
+        value = float(x[-1])
     else:
-        top_full = x[n - m + 1:] if m > 1 else x[:0]
-        integral = top_full.sum() / n + (u - (m - 1) / n) * x[n - m]
+        integral = x[n - m + 1:].sum() / n + (u - (m - 1) / n) * x[n - m]
         value = max(float(integral / u), float(x[n - m]))
     desc = x[::-1]
     suffix = np.concatenate(([0.0], np.cumsum(desc)))

@@ -20,15 +20,14 @@ from fuknagaev.errors import (InfiniteMomentError, PreconditionError,
                               UnsupportedFunctionError)
 from fuknagaev import stochastic
 from fuknagaev.spaces import make_euclidean, make_lp
-from fuknagaev.stochastic import (CoordinateTerm, DifferenceSequence,
-                                  DiscreteNormLaw, SeparableFunction,
-                                  build_martingale, doob_martingale,
+from fuknagaev.stochastic import (CoordinateTerm, DiscreteNormLaw,
+                                  SeparableFunction, doob_martingale,
                                   gaussian, moment_profile,
                                   norm_moment, pinelis_check,
                                   pinelis_supermartingale_profile, rademacher,
                                   rio_moment_check, running_max_ensemble,
                                   sample_increments, student_t,
-                                  symmetric_pareto, trial_seed, truncate,
+                                  symmetric_pareto, trial_seed,
                                   truncated_ensemble, truncated_norm_exp_moment,
                                   truncated_norm_mean, uniform_cube)
 
@@ -36,25 +35,49 @@ R1 = make_euclidean(1)
 R2 = make_euclidean(2)
 
 
+def _running_max(xi, space):
+    """max_i ||M_i|| of the path of the (n, d) increments xi, by _paths."""
+    return float(stochastic._paths(xi[None].copy(), space)[2][0])
+
+
+def _truncate(xi, space, level):
+    """xi with the increments that _kept drops at the level zeroed, as the
+    iid kernel truncates."""
+    return xi * stochastic._kept(space.norms(xi), level)[..., None]
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_rademacher_support():
     xi = sample_increments(rademacher(R1, 1.0), 3, seed=7)
-    assert set(np.unique(xi.increments)) <= {-1.0, 1.0}
+    assert set(np.unique(xi)) <= {-1.0, 1.0}
+
+
+def test_sample_increments_is_an_array_read_only_for_a_trial_seed():
+    # a trial seed's row is a view of the block that later calls share; any
+    # other seed draws a new array, the caller's
+    dist = gaussian(R2, 1.0)
+    row = sample_increments(dist, 4, trial_seed(3, 1))
+    assert type(row) is np.ndarray and row.shape == (4, 2) and row.dtype == np.float64
+    assert not row.flags.writeable
+    for seed in (3, np.random.SeedSequence(3)):
+        own = sample_increments(dist, 4, seed)
+        assert type(own) is np.ndarray and own.shape == (4, 2) and own.dtype == np.float64
+        assert own.flags.writeable and own.flags.owndata
 
 
 def test_sampling_is_deterministic():
     d = symmetric_pareto(make_euclidean(3), 4.5)
     a = sample_increments(d, 100, seed=42)
     b = sample_increments(d, 100, seed=42)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
     c = sample_increments(d, 100, seed=43)
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(a, c)
 
 
 def test_pareto_mean_zero_clt_sanity():
     d = symmetric_pareto(R1, 4.5)
-    xi = sample_increments(d, 10_000, seed=5).increments.ravel()
+    xi = sample_increments(d, 10_000, seed=5).ravel()
     se = xi.std(ddof=1) / math.sqrt(len(xi))
     assert abs(xi.mean()) <= 4 * se
 
@@ -63,12 +86,12 @@ def test_radial_kinds_have_space_norm_equal_radius():
     # the norm of each increment follows the scalar radial law exactly
     sp = make_lp(4, 4)
     xi = sample_increments(rademacher(sp, 2.5), 50, seed=3)
-    assert np.allclose(xi.norms(), 2.5, rtol=1e-12)
+    assert np.allclose(sp.norms(xi), 2.5, rtol=1e-12)
 
 
 def test_uniform_cube_support():
     xi = sample_increments(uniform_cube(R2, 0.5), 100, seed=1)
-    assert np.abs(xi.increments).max() <= 0.5
+    assert np.abs(xi).max() <= 0.5
 
 
 # ---------------------------------------------------------------- moments
@@ -185,40 +208,34 @@ def test_monte_carlo_moment_fallback_reports_error():
 # ---------------------------------------------------------------- paths
 
 def test_build_martingale_cancellation():
-    path = build_martingale(DifferenceSequence(np.array([[1.0, 0.0], [-1.0, 0.0]]), R2))
-    assert path.norms.tolist() == [1.0, 0.0]
-    assert path.running_max == 1.0
+    # _paths builds the partial sums, their norms and the running maximum
+    xi = np.array([[[1.0, 0.0], [-1.0, 0.0]]])
+    sums, norms, top = stochastic._paths(xi, R2)
+    assert sums.tolist() == [[[1.0, 0.0], [0.0, 0.0]]] and sums is xi
+    assert norms.tolist() == [[1.0, 0.0]]
+    assert top.tolist() == [1.0]
 
 
 def test_build_martingale_single_increment():
-    path = build_martingale(DifferenceSequence(np.array([[3.0, 4.0]]), R2))
-    assert path.running_max == 5.0
+    assert _running_max(np.array([[3.0, 4.0]]), R2) == 5.0
 
 
 def test_build_martingale_monotone_sums():
-    path = build_martingale(DifferenceSequence(np.array([[1.0], [1.0], [1.0]]), R1))
-    assert path.running_max == 3.0
+    assert _running_max(np.array([[1.0], [1.0], [1.0]]), R1) == 3.0
 
 
 def test_running_max_monotone_under_appending():
     rng = np.random.default_rng(0)
     xi = rng.standard_normal((30, 2))
-    maxima = [build_martingale(DifferenceSequence(xi[:k], R2)).running_max
-              for k in range(1, 31)]
+    maxima = [_running_max(xi[:k], R2) for k in range(1, 31)]
     assert all(a <= b for a, b in zip(maxima, maxima[1:]))
-
-
-def test_build_martingale_rejects_empty():
-    with pytest.raises(ValueError):
-        build_martingale(DifferenceSequence(np.empty((0, 1)), R1))
 
 
 # ---------------------------------------------------------------- truncation
 
 def test_truncate_indicator_semantics():
-    diffs = DifferenceSequence(np.array([[0.5], [2.0], [1.0]]), R1)
-    out = truncate(diffs, 1.0)
-    assert out.increments.ravel().tolist() == [0.5, 0.0, 1.0]  # boundary kept
+    # the indicator 1{||xi|| <= L}: the boundary is kept
+    assert stochastic._kept(np.array([0.5, 2.0, 1.0]), 1.0).tolist() == [True, False, True]
 
 
 @pytest.mark.parametrize("space", [make_euclidean(5), make_lp(3, 4.0), make_lp(16, 2.5)])
@@ -226,34 +243,34 @@ def test_truncation_at_a_point_mass_keeps_every_increment(space):
     # some unit directions have a computed norm of 1 + 2^-52; a law of norm
     # 1 truncated at 1 is the law itself, in every truncating path
     dist = rademacher(space, 1.0)
-    diffs = sample_increments(dist, 2000, seed=4)
-    assert (diffs.norms() > 1.0).any()
-    assert np.array_equal(truncate(diffs, 1.0).increments, diffs.increments)
+    norms = space.norms(sample_increments(dist, 2000, seed=4))
+    assert (norms > 1.0).any() and stochastic._kept(norms, 1.0).all()
     assert np.array_equal(truncated_ensemble(dist, 20, 500, 4, 1.0),
                           truncated_ensemble(dist, 20, 500, 4, math.inf))
     assert np.array_equal(running_max_ensemble(dist, 20, 500, 4, trunc_L=1.0),
                           running_max_ensemble(dist, 20, 500, 4))
     # the allowance is a relative 1e-12, no more
-    edge = DifferenceSequence(np.array([[1.0 + 2.0 ** -52], [1.0 + 1e-9]]), R1)
-    assert truncate(edge, 1.0).increments.ravel().tolist() == [1.0 + 2.0 ** -52, 0.0]
+    edge = np.array([1.0 + 2.0 ** -52, 1.0 + 1e-9])
+    assert stochastic._kept(edge, 1.0).tolist() == [True, False]
 
 
 def test_truncate_large_level_is_identity():
-    diffs = sample_increments(symmetric_pareto(R1, 3.5), 50, seed=2)
-    out = truncate(diffs, 1e12)
-    assert np.array_equal(out.increments, diffs.increments)
+    dist = symmetric_pareto(R1, 3.5)
+    assert np.array_equal(truncated_ensemble(dist, 50, 20, 2, 1e12),
+                          truncated_ensemble(dist, 50, 20, 2, math.inf))
 
 
 def test_truncate_all_above_level():
-    diffs = DifferenceSequence(np.array([[2.0], [-3.0]]), R1)
-    assert np.all(truncate(diffs, 1.0).increments == 0.0)
+    ens = truncated_ensemble(rademacher(R1, 2.0), 5, 10, 3, 1.0)
+    assert ens.shape == (10, 5, 1) and np.all(ens == 0.0)
 
 
 def test_truncate_never_increases_norms():
-    diffs = sample_increments(student_t(make_lp(3, 4), 3.0), 200, seed=9)
-    out = truncate(diffs, 1.7)
-    assert np.all(out.norms() <= diffs.norms() + 1e-15)
-    assert np.all(out.norms() <= 1.7)
+    dist = student_t(make_lp(3, 4), 3.0)
+    full = dist.space.norms(truncated_ensemble(dist, 200, 5, 9, math.inf))
+    out = dist.space.norms(truncated_ensemble(dist, 200, 5, 9, 1.7))
+    assert np.all((out == full) | (out == 0.0)) and (out < full).any()
+    assert np.all(out <= 1.7)
 
 
 # ---------------------------------------------------------------- Doob paths
@@ -263,9 +280,7 @@ def test_doob_linear_reduces_to_partial_sums():
     z = rng.standard_normal(20)
     f = SeparableFunction(terms=tuple(CoordinateTerm(g=lambda v: v, mean=0.0)
                                       for _ in range(20)))
-    doob = doob_martingale(f, z)
-    direct = build_martingale(DifferenceSequence(z[:, None], R1))
-    assert np.array_equal(doob.partial_sums, direct.partial_sums)
+    assert np.array_equal(doob_martingale(f, z), np.cumsum(z[:, None], axis=0))
 
 
 def test_doob_quadratic_uniform_inputs():
@@ -275,7 +290,7 @@ def test_doob_quadratic_uniform_inputs():
     f = SeparableFunction(terms=tuple(CoordinateTerm(g=lambda v: v * v, mean=1.0 / 3.0)
                                       for _ in range(10)))
     path = doob_martingale(f, z)
-    assert np.allclose(path.partial_sums.ravel(), np.cumsum(z * z - 1.0 / 3.0),
+    assert np.allclose(path.ravel(), np.cumsum(z * z - 1.0 / 3.0),
                        rtol=0, atol=1e-15)
 
 
@@ -283,7 +298,7 @@ def test_doob_constant_function_vanishes():
     f = SeparableFunction(terms=tuple(CoordinateTerm(g=lambda v: 2.5, mean=2.5)
                                       for _ in range(5)))
     path = doob_martingale(f, np.zeros(5))
-    assert path.running_max == 0.0
+    assert path.shape == (5, 1) and not path.any()
 
 
 def test_doob_rejects_non_separable():
@@ -366,7 +381,7 @@ def test_pinelis_e_term_is_never_negative():
 
 def test_pinelis_empty_path_trivial_bound():
     d = rademacher(R1, 1.0)
-    ens = [DifferenceSequence(np.empty((0, 1)), R1) for _ in range(200)]
+    ens = [np.empty((0, 1)) for _ in range(200)]
     rep = pinelis_check(ens, t=1.0, D=1.0, dist=d)
     assert rep.empirical_cosh == 1.0
     assert rep.product_bound == 1.0
@@ -396,7 +411,7 @@ def test_pinelis_checks_take_the_zero_law_without_truncation():
 def test_pinelis_truncated_pareto_passes():
     d = symmetric_pareto(make_euclidean(3), 4.5)
     L = 3.0
-    ens = [truncate(sample_increments(d, 8, trial_seed(3, j)), L)
+    ens = [_truncate(sample_increments(d, 8, trial_seed(3, j)), d.space, L)
            for j in range(4000)]
     rep = pinelis_check(ens, t=0.5, D=1.0, dist=d, trunc_L=L)
     assert rep.passed
@@ -416,8 +431,7 @@ def test_pinelis_supermartingale_profile_stays_below_one():
 def test_truncated_norm_moments_match_sampling():
     d = symmetric_pareto(R1, 4.5)
     L = 2.0
-    xi = truncate(sample_increments(d, 200_000, seed=8), L)
-    norms = xi.norms()
+    norms = R1.norms(_truncate(sample_increments(d, 200_000, seed=8), R1, L))
     mgf_mc = np.exp(0.7 * norms).mean()
     assert truncated_norm_exp_moment(d, 0.7, L) == pytest.approx(mgf_mc, rel=5e-3)
     assert truncated_norm_mean(d, L) == pytest.approx(norms.mean(), rel=5e-3)
@@ -480,10 +494,10 @@ def _block_rows(dist, n, trials, seed, trunc_L=None):
     B = max(1, stochastic._BLOCK_VALUES // (n * dist.space.dimension))
     rows = [None] * trials
     for b in reversed(range(-(-trials // B))):
-        xi = sample_increments(dist, B * n, trial_seed(seed, b)).increments
+        xi = sample_increments(dist, B * n, trial_seed(seed, b))
         for j in range(b * B, min((b + 1) * B, trials)):
-            diffs = DifferenceSequence(xi[(j - b * B) * n:(j - b * B + 1) * n], dist.space)
-            rows[j] = diffs if trunc_L is None else truncate(diffs, trunc_L)
+            row = xi[(j - b * B) * n:(j - b * B + 1) * n]
+            rows[j] = row if trunc_L is None else _truncate(row, dist.space, trunc_L)
     return B, rows
 
 
@@ -493,7 +507,7 @@ def test_ensemble_order_independent():
     # recompute each block out of order from its own seed
     B, rows = _block_rows(d, n, 50, 77)
     assert B == 16
-    shuffled = np.array([build_martingale(diffs).running_max for diffs in rows])
+    shuffled = np.array([_running_max(row, d.space) for row in rows])
     assert np.array_equal(rm, shuffled)
 
 
@@ -508,15 +522,15 @@ def test_block_stream_contract(dist, trunc_L):
     rm = running_max_ensemble(dist, n, trials, seed, trunc_L=trunc_L)
     B, rows = _block_rows(dist, n, trials, seed, trunc_L)
     assert B == 46 and trials % B != 0  # three blocks, the last one partial
-    # blocks recomputed out of order give build_martingale's maxima, bit for bit
-    assert np.array_equal(rm, [build_martingale(diffs).running_max for diffs in rows])
+    # blocks recomputed out of order give their paths' maxima, bit for bit
+    assert np.array_equal(rm, [_running_max(row, dist.space) for row in rows])
     # a shorter run is a prefix, also when it ends inside a block
     for k in (1, B + 3):
         assert np.array_equal(running_max_ensemble(dist, n, k, seed, trunc_L=trunc_L),
                               rm[:k])
     if trunc_L is not None:
         ens = truncated_ensemble(dist, n, trials, seed, trunc_L)
-        assert np.array_equal(ens, [diffs.increments for diffs in rows])
+        assert np.array_equal(ens, rows)
         assert len(ens) == trials
 
 
@@ -526,12 +540,11 @@ def _serial_blocks(dist, n, trials, seed, trunc_L):
     maxima, rows = [], []
     for b in range(-(-trials // B)):
         rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
-        diffs = DifferenceSequence(stochastic._draw(dist, (B, n), rng)[:trials - b * B],
-                                   dist.space)
+        xi = stochastic._draw(dist, (B, n), rng)[:trials - b * B]
         if trunc_L is not None:
-            diffs = truncate(diffs, trunc_L)
-        rows.extend(diffs.increments.copy())
-        maxima.extend(stochastic._paths(diffs.increments, dist.space)[2])
+            xi = _truncate(xi, dist.space, trunc_L)
+        rows.extend(xi.copy())
+        maxima.extend(stochastic._paths(xi, dist.space)[2])
     return np.array(maxima), rows
 
 
@@ -652,7 +665,7 @@ def _uniform_inputs(rng, n):
 
 def test_doob_ensemble_matches_doob_martingale():
     # constant, scalar and R^2-valued terms: each g is called once per block
-    # on a column, and doob_martingale is the one-row case
+    # on a column, and doob_martingale gives the partial sums of one row
     terms = (CoordinateTerm(g=lambda z: 2.5, mean=2.5),
              CoordinateTerm(g=lambda z: z * z, mean=1.0 / 3.0),
              CoordinateTerm(g=lambda z: np.stack([z, z * z], axis=-1),
@@ -665,7 +678,7 @@ def test_doob_ensemble_matches_doob_martingale():
     for b in range(-(-trials // B)):
         rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
         for _ in range(min(B, trials - b * B)):
-            expected.append(doob_martingale(f, _uniform_inputs(rng, n)).running_max)
+            expected.append(R2.norms(doob_martingale(f, _uniform_inputs(rng, n))).max())
     maxima = stochastic.doob_running_max_ensemble(f, _uniform_inputs, trials, seed)
     assert np.array_equal(maxima, expected)
     constant = SeparableFunction(terms=terms[:1] * 4)
