@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (InvalidLevelError, InvalidThresholdError, checked_count, checked_q,
-                     checked_real)
+                     checked_real, float_count)
 from .stochastic import MomentProfile
 
 CONFIDENCE_THRESHOLD = "confidence_threshold"
@@ -82,12 +82,7 @@ def independent_sum_bound(per_increment: MomentProfile, n: int, D: float,
     D sigma_1 sqrt(2 log(2/u) / n) + c(q, D) C_{q,1} (2/u)^(1/q) n^(-(q-1)/q).
     """
     checked_real(u, "u", above=0, below=1, error=InvalidLevelError)
-    n = checked_count(n, "n")
-    try:
-        n_real = float(n)
-    except OverflowError:
-        raise ValueError(f"n must be below 2^1024, got an integer of {n.bit_length()} bits") \
-            from None
+    n_real = float_count(checked_count(n, "n"), "n")
     q = per_increment.q
     c = constant_c(q, D)
     # n^(-(q-1)/q) <= 1, where n^(q-1) alone overflows for a large n

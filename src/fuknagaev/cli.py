@@ -134,7 +134,8 @@ def _u_grid(text):
 
 def _moment_inputs(args):
     """(MomentProfile, D, report config) from --q, --D, --sigma and --cq.
-    sigma and C_q are checked before a power could hide their sign or overflow."""
+    sigma and C_q are checked before a power could hide their sign, overflow
+    or underflow."""
     q, D = _need(args, "q"), _need(args, "D")
     sigma, cq = _need(args, "sigma"), _need(args, "cq")
     checked_q(q)  # before math.pow, which raises ValueError for q < 0 at C_q = 0
@@ -144,6 +145,11 @@ def _moment_inputs(args):
         cq_to_q = math.pow(cq, q)
     except OverflowError:
         raise ValueError(f"--cq = {cq} overflows C_q^q at q = {q}") from None
+    # a positive moment below the normal floats would drop its term of the bound
+    for flag, value, name, power in (("--sigma", sigma, "sigma^2", sigma * sigma),
+                                     ("--cq", cq, f"C_q^q at q = {q}", cq_to_q)):
+        if 0 < value and power < sys.float_info.min:
+            raise ValueError(f"{flag} = {value} underflows {name} below {sys.float_info.min:.2g}")
     profile = stochastic.MomentProfile(sigma_sq=sigma * sigma, cq_to_q=cq_to_q, q=q)
     return profile, D, {"q": q, "D": D, "sigma": sigma, "cq": cq}
 

@@ -68,6 +68,16 @@ def checked_count(value, name: str, error=ValueError, least: int = 1) -> int:
     return count
 
 
+def float_count(count: int, name: str) -> float:
+    """A count that checked_count returned, as a float; ValueError, naming
+    it, where it is 2^1024 or more."""
+    try:
+        return float(count)
+    except OverflowError:
+        raise ValueError(f"{name} must be below 2^1024, got an integer of "
+                         f"{count.bit_length()} bits") from None
+
+
 def _real_number(value, name: str):
     """TypeError, naming the parameter, unless value is a real number; a bool
     is none, though Python counts it as an int."""

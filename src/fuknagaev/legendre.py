@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammainc
 
+from .bounds import _two_over
 from .errors import _LOG_MAX, DomainError, checked_q, checked_real
 
 _E = math.e
@@ -295,12 +296,11 @@ def proof_chain(q: float, D: float, sigma: float, u: float) -> ProofChainReport:
     checked_q(q)
     checked_real(D, "D", least=1)
     checked_real(sigma, "sigma", above=0)
-    checked_real(u, "u", above=1.2e-308, below=1)  # 2/u stays finite
+    checked_real(u, "u", above=0, below=1)
     DD = D * D
     if not (DD < math.inf and sigma * sigma < math.inf):
         raise ValueError(f"D^2 or sigma^2 overflows at D = {D}, sigma = {sigma}")
-    x_hat = math.log(2.0 / u)
-    L = (2.0 / u) ** (1.0 / q)
+    x_hat, L = _two_over(u, q)
     alpha = D * D * min(1.0 / q, 0.2) + 1.0
     pieces = cgf_pieces(q, sigma, L)
     if q > 3:

@@ -8,10 +8,10 @@ makes every summed conditional moment an exact analytic number and keeps
 the verification campaigns free of estimator noise.
 """
 
-import functools
 import math
 import operator
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +22,8 @@ from scipy.special import (betainc, gammainc, gammaincc, gammainccinv, gammaln, 
                            poch, stdtr, stdtrit)
 
 from .errors import (_LOG_MAX, InfiniteMomentError, PreconditionError,
-                     UnsupportedFunctionError, checked_count, checked_q, checked_real)
+                     UnsupportedFunctionError, checked_count, checked_q, checked_real,
+                     float_count)
 from .spaces import SmoothSpace, make_euclidean
 
 _BLOCK_VALUES = 1 << 16  # floats drawn per block of ensemble trials
@@ -96,23 +97,11 @@ class MomentProfile:
         return None
 
 
-_TABLE_TRIALS = 512  # trial seeds per seed table: 512 Philox blocks of 32 bytes, 16 KB
-_TRIAL_LIMIT = 1 << 247  # 2^256 / 512: far inside the 256-bit counter, which advance() wraps
-
-
-@functools.lru_cache(maxsize=8)
-def _seed_table(seed: int, chunk: int) -> np.ndarray:
-    """Blocks 512 chunk to 512 chunk + 511 of the stream of Philox(seed), as
-    the rows of a read-only (512, 4) uint64 array."""
-    bits = np.random.Philox(seed)
-    bits.advance(_TABLE_TRIALS * chunk)
-    table = bits.random_raw(4 * _TABLE_TRIALS).reshape(_TABLE_TRIALS, 4)
-    table.flags.writeable = False
-    return table
+_TRIAL_LIMIT = 1 << 247  # far inside the 256-bit counter, which advance() wraps
 
 
 class _TrialSeed(ISeedSequence):
-    """The seed of one trial: its 32 bytes are a row of a seed table."""
+    """The seed of one trial: its 32 bytes are block ``trial`` of Philox(seed)."""
 
     def __init__(self, seed: int, trial: int):
         # as SeedSequence checks them: TypeError for a float, a str or np.bool_
@@ -121,9 +110,6 @@ class _TrialSeed(ISeedSequence):
             raise ValueError(f"seed and trial must be non-negative integers, the trial below "
                              f"2^247, got seed {self.seed}, trial {self.trial}")
 
-    def _row(self) -> np.ndarray:
-        return _seed_table(self.seed, self.trial // _TABLE_TRIALS)[self.trial % _TABLE_TRIALS]
-
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         dtype = np.dtype(dtype)
         if dtype != np.uint32 and dtype != np.uint64:
@@ -131,7 +117,9 @@ class _TrialSeed(ISeedSequence):
         if not 0 <= operator.index(n_words) * dtype.itemsize <= 32:
             raise ValueError(f"a trial seed holds 32 bytes, got a request for {n_words} "
                              f"{dtype} words")
-        return self._row().view(dtype)[:n_words].copy()
+        bits = np.random.Philox(self.seed)
+        bits.advance(self.trial)
+        return bits.random_raw(4).view(dtype)[:n_words]
 
 
 def trial_seed(seed: int, trial: int) -> ISeedSequence:
@@ -139,10 +127,8 @@ def trial_seed(seed: int, trial: int) -> ISeedSequence:
     bytes, four uint64 words (or their eight uint32 views), are block
     ``trial`` of the stream of np.random.Philox(seed), that is
     np.random.Philox(seed).random_raw(4 * trial + 4)[4 * trial:]. Seed and
-    trial are nonnegative integers, the trial below 2^247. The blocks of
-    512 consecutive trials from a multiple of 512 are drawn together into a
-    read-only table, cached with at most 7 others (16 KB each). Generators
-    seeded with it do not spawn.
+    trial are nonnegative integers, the trial below 2^247. Generators seeded
+    with it do not spawn.
 
     Generator(Philox(trial_seed(seed, b))) draws block b of an ensemble;
     sample_increments(dist, n, trial_seed(seed, j)) returns trial j of it,
@@ -331,9 +317,15 @@ def moment_profile(dist: IncrementDistribution, q: float, n: int) -> MomentProfi
     """Profile (sigma^2, C_q^q, q) of the iid-sum martingale of length n."""
     checked_q(q)
     n = checked_count(n, "n")
-    sigma_sq, cq_to_q = n * norm_moment(dist, 2.0), n * norm_moment(dist, q)
+    n_real = float_count(n, "n")
+    sigma_sq, cq_to_q = n_real * norm_moment(dist, 2.0), n_real * norm_moment(dist, q)
+    law = _LAWS[dist.kind]
     if math.inf in (sigma_sq, cq_to_q):
-        raise ValueError(f"{_LAWS[dist.kind].param} = {dist.param} overflows n E||xi||^2 "
+        raise ValueError(f"{law.param} = {dist.param} overflows n E||xi||^2 "
+                         f"or n E||xi||^q at q = {q}, n = {n}")
+    # a moment lost below the normal floats would read as 0; the point mass 0's are 0
+    if min(sigma_sq, cq_to_q) < sys.float_info.min and law.sup(dist.space, dist.param):
+        raise ValueError(f"{law.param} = {dist.param} underflows n E||xi||^2 "
                          f"or n E||xi||^q at q = {q}, n = {n}")
     return MomentProfile(sigma_sq=sigma_sq, cq_to_q=cq_to_q, q=float(q))
 
@@ -982,8 +974,12 @@ def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
 
     def kernel(b, size, rows):
         if not hasattr(local, "xi"):  # the drawn block, and scratch for its norms
-            local.xi, *local.scratch = (np.empty((size, n, space.dimension))
-                                        for _ in range(1 + space._norm_temporaries))
+            try:
+                local.xi, *local.scratch = (np.empty((size, n, space.dimension))
+                                            for _ in range(1 + space._norm_temporaries))
+            except (MemoryError, ValueError):  # ValueError: past numpy's largest shape
+                raise ValueError(f"n = {n} increments in R^{space.dimension} do not fit "
+                                 f"in memory") from None
         rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
         xi = _draw(dist, (size, n), rng, local.xi, local.scratch)[:len(rows)]
         scratch = [buf[:len(rows)] for buf in local.scratch]

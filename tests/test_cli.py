@@ -119,6 +119,15 @@ def test_bound_at_the_least_subnormal_level():
         assert "2.12041e+81" in done.stdout
 
 
+def test_proofcheck_at_the_least_subnormal_level():
+    # 2 / u overflows there; the chain runs where bound does, with
+    # x_hat = log 2 - log u and L = 2^(1/q) u^(-1/q)
+    done = _run_strict("proofcheck", "--q", "4", "--D", "1", "--sigma", "1", "--u", "5e-324")
+    assert done.returncode == 0, done.stderr
+    assert "FAIL" not in done.stdout
+    assert "x_hat = 745.133  L = 7.97648e+80" in done.stdout
+
+
 def test_proofcheck_all_pass(capsys):
     code = run(["proofcheck", "--q", "4", "--D", "1", "--sigma", "0.5",
                 "--u", "0.1"])
@@ -342,3 +351,59 @@ def test_u_grid_that_is_no_list_of_numbers_exits_2(tmp_path, capsys, grid):
     path.write_text("1\n2\n3\n", encoding="utf-8")
     assert run(["quantile", str(path), "--u", grid]) == 2
     assert "argument --u: not a comma-separated list of numbers" in capsys.readouterr().err
+
+
+_TINY = ["--q", "4", "--D", "1"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bound", *_TINY, "--sigma", "1e-200", "--cq", "1e-100", "--u", "0.1"], "--sigma = 1e-200"),
+    (["bound", *_TINY, "--sigma", "1e-200", "--cq", "1e-100", "--t", "1e-100"], "--sigma = 1e-200"),
+    (["mcdiarmid", *_TINY, "--sigma", "1e-200", "--cq", "1e-100", "--u", "0.1"],
+     "--sigma = 1e-200"),
+    (["bound", *_TINY, "--sigma", "1", "--cq", "1e-100", "--u", "0.1"], "--cq = 1e-100"),
+    (["mcdiarmid", *_TINY, "--sigma", "1", "--cq", "1e-80", "--u", "0.1"], "--cq = 1e-80")])
+def test_moments_that_underflow_exit_2_and_are_named(argv, named, capsys):
+    # sigma^2 or C_q^q below the least normal float read as 0: B(0.1) = 0,
+    # where the true threshold is about 5.6e-100
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "underflows" in err
+
+
+def test_only_positive_moments_below_the_normal_floats_are_refused(capsys):
+    # sigma^2 = 1.96e-308 is subnormal, 2.25e-308 is not; zero moments are exact
+    assert run(["bound", *_TINY, "--sigma", "1.4e-154", "--cq", "1", "--u", "0.1"]) == 2
+    assert "--sigma = 1.4e-154 underflows sigma^2" in capsys.readouterr().err
+    assert run(["bound", *_TINY, "--sigma", "1.5e-154", "--cq", "1.5e-77", "--u", "0.1"]) == 0
+    assert run(["bound", *_TINY, "--sigma", "0", "--cq", "0", "--u", "0.1"]) == 0
+    assert "B(0.1) = 0" in capsys.readouterr().out
+
+
+def test_verify_of_a_law_whose_moments_underflow_exits_2(capsys):
+    # sigma^2 = n E||xi||^2 underflowed to 0: bound 0, 100 exceedances, FAIL
+    argv = ["verify", "--dist", "gaussian", "--dim", "3", "--n", "5", "--trials", "100",
+            "--q", "4", "--u", "0.1"]
+    assert run([*argv, "--alpha", "1e-300"]) == 2
+    assert "scale = 1e-300 underflows" in capsys.readouterr().err
+    assert run([*argv, "--alpha", "0"]) == 0  # the point mass 0: its moments are 0
+
+
+def test_verify_of_an_n_past_the_float_range_exits_2(capsys):
+    assert run(["verify", "--n", str(10**400), "--trials", "100", "--q", "4", "--u", "0.1"]) == 2
+    assert "n must be below 2^1024, got an integer of 1329 bits" in capsys.readouterr().err
+
+
+def test_verify_of_an_n_whose_paths_do_not_fit_in_memory_exits_2(capsys, monkeypatch):
+    # a stub stands in for numpy's refusal of the kernel's (1, n, 1) buffers
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > 10**9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    assert run(["verify", "--n", "100000000000", "--trials", "100", "--q", "4",
+                "--u", "0.1"]) == 2
+    assert "n = 100000000000 increments in R^1 do not fit in memory" in capsys.readouterr().err

@@ -204,15 +204,13 @@ def test_per_trial_ensemble_equals_philox_block_ensemble(n):
 
 
 def test_per_trial_keys_of_interleaved_seeds_across_tables():
-    # two seeds take turns over blocks at both edges of 11 seed tables each,
-    # more than the 8 tables kept, at both edges of every block; then the
-    # first tables again, long evicted
+    # two seeds take turns over blocks on both sides of every multiple of 512
+    # up to 5120, at both edges of every block; then the first blocks again
     seeds, dist, n = (20240511, 2**64 + 3), rademacher(R1, 1.0), 7
     B = 2**16 // n
     blocks = [b for k in range(11) for b in (512 * k - 1, 512 * k, 512 * k + 1, 512 * k + 511)
               if b >= 0]
     blocks += [0, 511, 512, 1023]
-    stochastic._seed_table.cache_clear()
     for j in (B * b + r for b in blocks for r in (0, B - 1)):
         for seed in seeds:
             got = sample_increments(dist, n, trial_seed(seed, j))
@@ -223,7 +221,6 @@ def test_per_trial_sampling_memory_is_bounded():
     # 1e5 trials of 40 seeds: one block of 2^16 values a seed, 512 KB, and
     # each thread keeps only its last block
     sign = rademacher(R1, 1.0)
-    stochastic._seed_table.cache_clear()
     tracemalloc.start()
     try:
         for seed in range(40):
@@ -238,7 +235,7 @@ def test_per_trial_sampling_memory_is_bounded():
 @pytest.mark.parametrize("n_words", [1, 2, 4, 4096, 4097, 10000])
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
 def test_trial_seed_words_across_table_edges(n_words, dtype):
-    # a table holds 512 trials; a request of more than 32 bytes is no row of it
+    # a trial seed holds 32 bytes; a request of more is refused
     for seed in (0, 2**64 + 3):
         for trial in (511, 512, 513, 1023, 1024, 2**32 - 1, 2**32 + 1):
             if n_words * np.dtype(dtype).itemsize > 32:
@@ -252,10 +249,9 @@ def test_trial_seed_words_across_table_edges(n_words, dtype):
 
 @pytest.mark.parametrize("n_words", [2, 4])
 def test_trial_seed_words_do_not_depend_on_visit_order(n_words):
-    trials = list(range(9 * 512 + 5))  # 10 tables: more than the cache keeps
+    trials = list(range(9 * 512 + 5))
 
     def words(order):
-        stochastic._seed_table.cache_clear()
         got = {j: trial_seed(11, j).generate_state(n_words, np.uint64) for j in order}
         return np.array([got[j] for j in trials])
 
@@ -267,34 +263,30 @@ def test_trial_seed_words_do_not_depend_on_visit_order(n_words):
 
 
 @pytest.mark.parametrize("n_words", [2, 4])
-def test_seed_table_is_read_only(n_words):
+def test_trial_seed_words_are_the_callers_own(n_words):
     want = _want_words(5, 3, n_words, np.uint64)
     got = trial_seed(5, 3).generate_state(n_words, np.uint64)
-    got[:] = 0  # a returned array is the caller's own
+    got[:] = 0
     assert np.array_equal(trial_seed(5, 3).generate_state(n_words, np.uint64), want)
-    table = stochastic._seed_table(5, 0)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 0
 
 
-def test_seed_tables_memory_is_bounded():
-    # 1e5 trials in 200 tables of 16 KB; all of them kept would reach 3 MB
-    stochastic._seed_table.cache_clear()
+def test_trial_seed_requests_keep_nothing_held():
+    # 1e4 requests of 40 seeds, every tenth trial below 2500; a cache of
+    # their words would stay held
     tracemalloc.start()
     try:
         for seed in range(40):
-            for j in range(2500):
+            for j in range(0, 2500, 10):
                 trial_seed(seed, j).generate_state(2, np.uint64)  # Philox's request
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20
+    assert held < 2 ** 12
+    assert peak < 2 ** 16
 
 
 def test_large_seed_requests_hold_no_memory():
-    # a request of more than 32 bytes is rejected before any table is built
-    stochastic._seed_table.cache_clear()
+    # a request of more than 32 bytes is rejected before any Philox is built
     tracemalloc.start()
     try:
         for n_words in (10000, 10001, 10002):
@@ -304,7 +296,6 @@ def test_large_seed_requests_hold_no_memory():
     finally:
         tracemalloc.stop()
     assert held < 2 ** 12
-    assert stochastic._seed_table.cache_info().currsize == 0
 
 
 def _on_four_threads(draws):
@@ -326,7 +317,6 @@ def _on_four_threads(draws):
 
 def test_block_rngs_built_on_four_threads_at_once():
     seeds = (3, 2**40 + 1)
-    stochastic._seed_table.cache_clear()  # the seeds' tables are built concurrently too
 
     def draws(worker):
         return [(seed, b, np.random.Generator(np.random.Philox(trial_seed(seed, b))).random(8))
@@ -340,7 +330,6 @@ def test_block_rngs_built_on_four_threads_at_once():
 
 def test_trial_seed_words_on_four_threads_at_once():
     trials = [0, 511, 512, 2**32 + 5, 2**70, _LAST_TRIAL] + list(range(1, 3000, 7))
-    stochastic._seed_table.cache_clear()
 
     def draws(worker):
         return [(j, dtype, n_words, trial_seed(13, j).generate_state(n_words, dtype))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import gammainc
 
-from fuknagaev import cli
+from fuknagaev import bounds, cli
 from fuknagaev.bounds import constant_c
 from fuknagaev.errors import DomainError, InvalidQError
 from fuknagaev.legendre import (CgfPieces, bercu_infimum, cgf_pieces, inverse_legendre,
@@ -410,6 +410,17 @@ def test_proof_chain_rejects_an_ell0_argmin_past_the_scan_limit(q, capsys):
     argv = ["proofcheck", "--q", repr(q), "--D", "1", "--sigma", "1e-305", "--u", "0.1"]
     assert cli.run(argv) == 2
     assert "ell0 minimiser" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, D, sigma, u", [(4.0, 1.0, 1.0, 5e-324), (3.0, 1.0, 1.0, 5e-324),
+                                         (2.5, 1.0, 1.0, 5e-324), (10.0, 1.5, 5.0, 5e-324),
+                                         (6.0, 2.0, 0.5, 1e-320)])
+def test_proof_chain_passes_where_two_over_u_overflows(q, D, sigma, u):
+    # the chain takes log(2/u) and (2/u)^(1/q) as the bounds do
+    rep = proof_chain(q, D, sigma, u)
+    assert rep.all_passed
+    assert (rep.x_hat, rep.trunc_L) == bounds._two_over(u, q)
+    assert rep.x_hat == pytest.approx(math.log(2.0) - math.log(u), rel=1e-15)
 
 
 def _one_lane_transforms(q, D, sigma, u):

@@ -709,3 +709,21 @@ def test_doob_callbacks_run_on_calling_thread_in_trial_order(monkeypatch):
     assert np.array_equal(maxima, np.arange(trials))
     assert threads == {threading.get_ident()}
     assert len({id(rng) for rng in calls}) == 4
+
+
+def test_moment_profile_refuses_moments_that_underflow():
+    for dist, q, named in ((gaussian(make_euclidean(3), 1e-300), 4.0, "scale = 1e-300"),
+                           (rademacher(R1, 1e-200), 4.0, "scale = 1e-200"),
+                           (uniform_cube(make_euclidean(3), 1e-160), 4.0, "half width = 1e-160"),
+                           # only E||xi||^40 = 1e-400 underflows
+                           (rademacher(R1, 1e-10), 40.0, "scale = 1e-10")):
+        with pytest.raises(ValueError, match=f"{named} underflows n E"):
+            moment_profile(dist, q, 5)
+    prof = moment_profile(gaussian(make_euclidean(3), 0.0), 4.0, 5)  # the point mass 0
+    assert prof.sigma_sq == prof.cq_to_q == 0.0
+
+
+def test_moment_profile_of_an_n_past_the_float_range_is_refused():
+    with pytest.raises(ValueError, match="n must be below 2\\^1024"):
+        moment_profile(rademacher(R1, 1.0), 4.0, 2**1024)
+    assert moment_profile(rademacher(R1, 1.0), 4.0, 2**1023).sigma_sq == 2.0**1023
