@@ -132,7 +132,7 @@ def trial_seed(seed: int, trial: int) -> ISeedSequence:
 
     Generator(Philox(trial_seed(seed, b))) draws block b of an ensemble;
     sample_increments(dist, n, trial_seed(seed, j)) returns trial j of it,
-    a read-only row of that block."""
+    a read-only row of that block, and takes no other seed."""
     return _TrialSeed(seed, trial)
 
 
@@ -141,9 +141,9 @@ def _draw(dist: IncrementDistribution, shape: tuple, rng, out=None, scratch=()) 
     its coordinates filled directly, or all normal directions first, then
     one radius per increment.
 
-    The iid block kernel passes float arrays of that shape: ``out`` for the
-    increments (None: a fresh array), ``scratch`` for the radial laws' norms.
-    The cube law draws a fresh array, as numpy's uniform takes no output."""
+    Callers may pass float arrays of that shape: ``out`` for the increments
+    (None: a fresh array), ``scratch`` for the radial laws' norms. The cube
+    law draws a fresh array, as numpy's uniform takes no output."""
     law, full = _LAWS[dist.kind], shape + (dist.space.dimension,)
     if law.radius is None:
         return law.coords(rng, full, dist.param, out)
@@ -162,43 +162,47 @@ def _block_size(n: int, d: int) -> int:
     return max(1, _BLOCK_VALUES // (n * d))
 
 
-class _LastBlock(threading.local):
-    """Per thread: the block of trials that sample_increments drew last, its
-    rows read-only, and the law, n, seed and block index it was drawn for."""
-    dist = rows = key = None
+def _empty(shape: tuple, n: int, d: int, trials=None) -> np.ndarray:
+    """np.empty(shape) for n increments in R^d, or for trials paths of them;
+    ValueError names those counts where numpy refuses it: a MemoryError, or a
+    ValueError for a shape past its largest."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):
+        paths = "" if trials is None else f"trials = {trials} paths of "
+        raise ValueError(f"{paths}n = {n} increments in R^{d} do not fit in memory") from None
 
 
-_last_block = _LastBlock()
+_last_block = None  # sample_increments's last block: (law, (n, seed, block), read-only rows)
 
 
 def sample_increments(dist: IncrementDistribution, n: int, seed) -> np.ndarray:
-    """n iid mean-zero increments as the rows of an (n, d) array; identical
-    (dist, n, seed) gives bit-identical output.
-
-    For seed = trial_seed(s, j) they are trial j of the ensemble of seed s:
-    row j % B of block b = j // B, with B = max(1, 2^16 // (n d)), the rows
+    """Trial j of the ensemble of seed s, for seed = trial_seed(s, j): n iid
+    mean-zero increments as the rows of a read-only (n, d) array, row j % B
+    of block b = j // B, with B = max(1, 2^16 // (n d)). They are the rows
     that truncated_ensemble(dist, n, J, s, math.inf)[j] holds and whose path
-    gives running_max_ensemble(dist, n, J, s)[j], for any J > j. Each thread
-    keeps the block it drew last, at most 2^16 floats (512 KB) unless one
-    trial holds more, and returns a read-only view of its row, which later
-    calls share: consecutive trials draw each block once, while a call for a
-    trial of another block draws all of that block. Any other seed, an int
-    or a SeedSequence, draws a new array, the caller's, from a new
-    Generator(Philox(seed))."""
+    gives running_max_ensemble(dist, n, J, s)[j], for any J > j; any other
+    seed raises TypeError. The process keeps the block it drew last, at most
+    2^16 floats (512 KB) unless one trial holds more, and returns a view of
+    its row, which later calls share: consecutive trials draw each block
+    once, a trial of another block draws all of its block. Threads need no
+    lock: a call reads its row from the block it found or drew."""
+    global _last_block
     n = checked_count(n, "n")
     if not isinstance(seed, _TrialSeed):
-        return _draw(dist, (n,), np.random.Generator(np.random.Philox(seed)))
-    size = _block_size(n, dist.space.dimension)
+        raise TypeError(f"seed must be a trial_seed(seed, trial), got {type(seed).__name__}")
+    d = dist.space.dimension
+    size = _block_size(n, d)
     b, row = divmod(seed.trial, size)
     last, key = _last_block, (n, seed.seed, b)
     # the law by identity: Gaussian scales 0.0 and -0.0 are equal, their zeros' signs not
-    if last.dist is not dist or last.key != key:
-        last.dist = last.rows = None  # dropped before the draw, and a failed draw keeps no key
+    if last is None or last[0] is not dist or last[1] != key:
+        last = _last_block = None  # dropped before the draw, and a failed draw keeps none
         rng = np.random.Generator(np.random.Philox(trial_seed(seed.seed, b)))
-        rows = _draw(dist, (size, n), rng)
+        rows = _draw(dist, (size, n), rng, _empty((size, n, d), n, d))
         rows.flags.writeable = False
-        last.dist, last.rows, last.key = dist, rows, key
-    return last.rows[row]
+        last = _last_block = (dist, key, rows)
+    return last[2][row]
 
 
 def _paths(xi: np.ndarray, space: SmoothSpace, scratch=()) -> tuple:
@@ -769,9 +773,9 @@ def _exp_excess(y: float) -> float:
 
 def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
                    trunc_L):
-    """Input checks shared by both Pinelis checks, whose ensemble is a (trials,
-    n, d) array, left unmodified, or any other iterable of (n, d) arrays,
-    such as a list of sample_increments rows, stacked into a new array;
+    """Input checks shared by both Pinelis checks, whose ensemble, a (trials,
+    n, d) array or a sequence of (n, d) arrays, is read once into a new
+    array that holds the partial sums; the caller's is left unmodified, and
     ValueError names a ragged one. Returns
     e = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||] and the (trials, n) norms
     ||M~_i|| of the partial sums.
@@ -791,9 +795,8 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
         # every level, and 0 is none
         trunc_L = sup or math.inf
     level = _truncation_level(trunc_L)
-    owned = not isinstance(ensemble, np.ndarray)  # then xi is a new array, ours to overwrite
     try:
-        xi = np.asarray(list(ensemble) if owned else ensemble, dtype=float)
+        xi = np.array(ensemble, dtype=float)  # a new array, ours to sum in place
     except (TypeError, ValueError) as err:  # ragged, or holding what is no number
         raise ValueError(f"ensemble must be a (trials, n, {dist.space.dimension}) float "
                          f"array or a sequence of (n, {dist.space.dimension}) arrays: "
@@ -805,7 +808,7 @@ def _pinelis_terms(ensemble, t: float, D: float, dist: IncrementDistribution,
     if not (_kept(top, level) and top < math.inf):
         raise ValueError(f"ensemble holds an increment that is not finite or of norm above "
                          f"the truncation level {level:.6g}")
-    norms = dist.space._norms(np.cumsum(xi, axis=1, out=xi if owned else None))
+    norms = dist.space._norms(np.cumsum(xi, axis=1, out=xi))
     if not t * norms.max(initial=0.0) <= _LOG_MAX:
         raise ValueError(f"cosh(t ||M_i||) overflows at t = {t}")
     law = _scalar_norm_law(dist)
@@ -844,9 +847,9 @@ def pinelis_check(ensemble, t: float, D: float,
     prod_i (1 + e_i) with e_i = D^2 E[exp(t ||xi~||) - 1 - t ||xi~||].
 
     The ensemble holds the increments of the paths, a (trials, n, d) array
-    such as truncated_ensemble's or a list of (n, d) arrays such as
-    sample_increments's, already truncated when the increment law is
-    unbounded; ``trunc_L`` is the level used so the product side can be
+    such as truncated_ensemble's or a sequence of (n, d) arrays, already
+    truncated when the increment law is unbounded, and is read into a new
+    array; ``trunc_L`` is the level used so the product side can be
     computed analytically. Verdict: empirical <= product within three
     Monte Carlo standard errors; e_term and product_bound read inf where they
     overflow.
@@ -946,7 +949,7 @@ def _ensemble(kernel, n: int, trials: int, d: int, shape=(), threaded=True) -> n
     thread, in block order."""
     n, trials = checked_count(n, "n"), checked_count(trials, "trials")
     size = _block_size(n, d)
-    out = np.empty((trials, *shape))
+    out = _empty((trials, *shape), n, d, trials)
     rows = [out[start:start + size] for start in range(0, trials, size)]
     workers = min(_usable_cpus(), len(rows)) if threaded else 1
     if workers <= 1:
@@ -974,12 +977,8 @@ def _iid_kernel(dist: IncrementDistribution, n: int, seed: int, trunc_L):
 
     def kernel(b, size, rows):
         if not hasattr(local, "xi"):  # the drawn block, and scratch for its norms
-            try:
-                local.xi, *local.scratch = (np.empty((size, n, space.dimension))
-                                            for _ in range(1 + space._norm_temporaries))
-            except (MemoryError, ValueError):  # ValueError: past numpy's largest shape
-                raise ValueError(f"n = {n} increments in R^{space.dimension} do not fit "
-                                 f"in memory") from None
+            local.xi, *local.scratch = (_empty((size, n, space.dimension), n, space.dimension)
+                                        for _ in range(1 + space._norm_temporaries))
         rng = np.random.Generator(np.random.Philox(trial_seed(seed, b)))
         xi = _draw(dist, (size, n), rng, local.xi, local.scratch)[:len(rows)]
         scratch = [buf[:len(rows)] for buf in local.scratch]

@@ -17,8 +17,8 @@ from fuknagaev.quantile import cvar_q1, make_sample, q_infinity, quantile_triple
 from fuknagaev.spaces import make_euclidean, make_lp, smoothness_certificate
 from fuknagaev.stochastic import (CoordinateTerm, MomentProfile,
                                   SeparableFunction, doob_running_max_ensemble,
-                                  pinelis_check, rademacher, sample_increments,
-                                  symmetric_pareto, trial_seed)
+                                  pinelis_check, rademacher, symmetric_pareto,
+                                  truncated_ensemble)
 from fuknagaev.verify import CampaignConfig, clopper_pearson_upper, verify_confidence
 
 R1 = make_euclidean(1)
@@ -122,8 +122,7 @@ def test_criterion_6_exponential_moment_bound():
     ok &= exact <= (math.e - 1.0) ** 2
     dist = rademacher(R1, 1.0)
     for n in (5, 20):
-        ens = [sample_increments(dist, n, trial_seed(20240506 + n, j))
-               for j in range(20_000)]
+        ens = truncated_ensemble(dist, n, 20_000, 20240506 + n, math.inf)
         for t in (0.1, 0.5, 1.0):
             rep = pinelis_check(ens, t=t, D=1.0, dist=dist)
             ok &= rep.passed

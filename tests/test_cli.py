@@ -394,8 +394,8 @@ def test_verify_of_an_n_past_the_float_range_exits_2(capsys):
     assert "n must be below 2^1024, got an integer of 1329 bits" in capsys.readouterr().err
 
 
-def test_verify_of_an_n_whose_paths_do_not_fit_in_memory_exits_2(capsys, monkeypatch):
-    # a stub stands in for numpy's refusal of the kernel's (1, n, 1) buffers
+def _refuse_large_arrays(monkeypatch):
+    """A stub np.empty that raises numpy's MemoryError past 1e9 values."""
     empty = np.empty
 
     def refusing(shape, *args, **kwargs):
@@ -404,6 +404,20 @@ def test_verify_of_an_n_whose_paths_do_not_fit_in_memory_exits_2(capsys, monkeyp
         return empty(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "empty", refusing)
+
+
+def test_verify_of_trials_that_do_not_fit_in_memory_exits_2(capsys, monkeypatch):
+    # the stub stands in for numpy's refusal of the (trials,) array of running maxima
+    _refuse_large_arrays(monkeypatch)
+    assert run(["verify", "--dist", "rademacher", "--n", "5", "--trials", "10000000000000",
+                "--q", "4", "--u", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "trials = 10000000000000 paths of n = 5 increments in R^1 do not fit in memory" in err
+
+
+def test_verify_of_an_n_whose_paths_do_not_fit_in_memory_exits_2(capsys, monkeypatch):
+    # the stub stands in for numpy's refusal of the kernel's (1, n, 1) buffers
+    _refuse_large_arrays(monkeypatch)
     assert run(["verify", "--n", "100000000000", "--trials", "100", "--q", "4",
                 "--u", "0.1"]) == 2
     assert "n = 100000000000 increments in R^1 do not fit in memory" in capsys.readouterr().err

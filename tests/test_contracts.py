@@ -82,7 +82,7 @@ def test_sampler_draw_order(space):
     rebuilt[student_t(space, a)] = rng.standard_t(a, size=n)[:, None] * theta
     assert {dist.kind for dist in rebuilt} == set(stochastic._LAWS)
     for dist, expected in rebuilt.items():
-        got = sample_increments(dist, n, seed)
+        got = _fresh(dist, n, np.random.Philox(seed))
         assert np.array_equal(got, expected), dist.kind
     # a trial seed reads its row of a block that the same construction draws
     dist = gaussian(space, 1.0)
@@ -219,7 +219,7 @@ def test_per_trial_keys_of_interleaved_seeds_across_tables():
 
 def test_per_trial_sampling_memory_is_bounded():
     # 1e5 trials of 40 seeds: one block of 2^16 values a seed, 512 KB, and
-    # each thread keeps only its last block
+    # only the last block is kept
     sign = rademacher(R1, 1.0)
     tracemalloc.start()
     try:
@@ -368,13 +368,9 @@ def _row(dist, n, seed, j):
 
 
 def _seeds(seed, dist, n):
-    """An int, a SeedSequence and the trial seeds of ``seed``, each with the
-    n increments that sample_increments draws for it: a new generator's for
-    the first two, the rows of trial seeds' blocks for the rest."""
-    cases = [(seed, _fresh(dist, n, np.random.Philox(seed))),
-             (np.random.SeedSequence(seed),
-              _fresh(dist, n, np.random.Philox(np.random.SeedSequence(seed))))]
-    return cases + [(trial_seed(seed, j), _row(dist, n, seed, j)) for j in _TRIALS]
+    """The trial seeds of ``seed``, each with the n increments that
+    sample_increments returns for it, the row of its trial's block."""
+    return [(trial_seed(seed, j), _row(dist, n, seed, j)) for j in _TRIALS]
 
 
 @pytest.mark.parametrize("dist", _SAMPLED, ids=lambda d: d.kind)
@@ -409,14 +405,18 @@ def test_trial_rows_are_read_only():
         row *= 2.0
     assert sample_increments(dist, 4, trial_seed(seed, 3)).flags.writeable is False
     assert row.tobytes() == _row(dist, 4, seed, 2).tobytes()
-    owned = sample_increments(dist, 4, seed)  # an int seed: a new array, the caller's
-    owned *= 2.0
-    assert owned.tobytes() == (2.0 * _fresh(dist, 4, np.random.Philox(seed))).tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, np.int64(7), np.random.SeedSequence(7), np.random.Philox(7),
+                                  None], ids=["int", "int64", "SeedSequence", "Philox", "None"])
+def test_sample_increments_takes_only_trial_seeds(seed):
+    with pytest.raises(TypeError, match="^seed must be a trial_seed"):
+        sample_increments(gaussian(R3, 1.5), 5, seed)
 
 
 def test_trial_rows_of_equal_laws_keep_their_own_bits():
     # scales 0.0 and -0.0 make equal laws whose zeros differ in sign: the
-    # block a thread keeps is not handed from one to the other
+    # block kept last is not handed from one to the other
     plus, minus = gaussian(R1, 0.0), gaussian(R1, -0.0)
     assert plus == minus
     for dist in (plus, minus, plus):
@@ -437,7 +437,7 @@ def test_interleaved_and_failed_calls_leave_later_streams_unchanged(monkeypatch)
         for dist, n, seed, want in cases[::5]:
             assert sample_increments(dist, n, seed).tobytes() == want.tobytes()
 
-    with pytest.raises(ValueError):  # a bad seed, before any draw
+    with pytest.raises(TypeError, match="seed"):  # a bad seed, before any draw
         sample_increments(_SAMPLED[0], 5, -1)
     later_calls_unchanged()
 
@@ -482,15 +482,12 @@ def test_sample_increments_on_four_threads_at_once():
     want = {dist: truncated_ensemble(dist, 5, 2048, 77, math.inf) for dist in _SAMPLED}
 
     def draws(worker):
-        got = [(i, sample_increments(dist, n, trial_seed(77, j)).tobytes())
-               for i, (dist, n, j) in enumerate(cases) if i % 4 == worker]
-        return stochastic._last_block.rows, got
+        return [(i, sample_increments(dist, n, trial_seed(77, j)).tobytes())
+                for i, (dist, n, j) in enumerate(cases) if i % 4 == worker]
 
-    results = _on_four_threads(draws)
-    got = dict(row for _, rows in results for row in rows)
+    got = dict(row for rows in _on_four_threads(draws) for row in rows)
     assert sorted(got) == list(range(len(cases)))
     assert all(got[i] == want[dist][j].tobytes() for i, (dist, _, j) in enumerate(cases))
-    assert len({id(block) for block, _ in results}) == 4  # one last block per thread
 
 
 def test_doob_generator_kept_by_sample_inputs_is_its_own():
@@ -544,7 +541,8 @@ def test_blocked_moment_draw_equals_one_draw(law, p, d):
     rows = 2 ** 16 // d
     norms = np.concatenate([dist.space.norms(stochastic._draw(dist, (min(rows, total - s),), rng))
                             for s in range(0, total, rows)])
-    assert np.array_equal(norms[:rows], dist.space.norms(sample_increments(dist, rows, seed)))
+    first = _fresh(dist, rows, np.random.Philox(seed))
+    assert np.array_equal(norms[:rows], dist.space.norms(first))
     for order in (2.0, 4.5):
         vals = norms ** order
         se = vals.std(ddof=1) / math.sqrt(total)
@@ -1135,7 +1133,8 @@ def _count_calls(bad):
         "SmoothSpace": (lambda: SmoothSpace(bad, 3.0), "dimension", InvalidDimensionError),
         "make_lp": (lambda: make_lp(bad, 3), "dimension", InvalidDimensionError),
         "make_euclidean": (lambda: make_euclidean(bad), "dimension", InvalidDimensionError),
-        "sample_increments n": (lambda: sample_increments(dist, bad, 0), "n", ValueError),
+        "sample_increments n": (lambda: sample_increments(dist, bad, trial_seed(0, 0)), "n",
+                                ValueError),
         "running_max_ensemble n": (lambda: stochastic.running_max_ensemble(dist, bad, 10, 1),
                                    "n", ValueError),
         "running_max_ensemble trials": (lambda: stochastic.running_max_ensemble(dist, 5, bad, 1),
@@ -1183,7 +1182,7 @@ def test_count_checks_take_numpy_integers_and_keep_their_other_rules():
     space = make_lp(np.uint8(16), 3.0)
     assert space == SmoothSpace(16, 3.0) and type(space.dimension) is int
     dist = gaussian(space, 1.0)
-    assert sample_increments(dist, np.int32(4), 0).shape == (4, 16)
+    assert sample_increments(dist, np.int32(4), trial_seed(0, 0)).shape == (4, 16)
     maxima = stochastic.running_max_ensemble(dist, np.uint16(5000), np.uint8(7), 1)
     assert np.array_equal(maxima, stochastic.running_max_ensemble(dist, 5000, 7, 1))
     config = dict(dist=dist, n=5, trials=100, q=4.0, D=1.0, u_grid=(0.1,), seed=1)

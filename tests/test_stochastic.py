@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -40,6 +41,11 @@ def _running_max(xi, space):
     return float(stochastic._paths(xi[None].copy(), space)[2][0])
 
 
+def _sample(dist, n, seed):
+    """n increments of a new Generator(Philox(seed)), drawn as every block is."""
+    return stochastic._draw(dist, (n,), np.random.Generator(np.random.Philox(seed)))
+
+
 def _truncate(xi, space, level):
     """xi with the increments that _kept drops at the level zeroed, as the
     iid kernel truncates."""
@@ -49,35 +55,30 @@ def _truncate(xi, space, level):
 # ---------------------------------------------------------------- sampling
 
 def test_rademacher_support():
-    xi = sample_increments(rademacher(R1, 1.0), 3, seed=7)
+    xi = _sample(rademacher(R1, 1.0), 3, seed=7)
     assert set(np.unique(xi)) <= {-1.0, 1.0}
 
 
 def test_sample_increments_is_an_array_read_only_for_a_trial_seed():
-    # a trial seed's row is a view of the block that later calls share; any
-    # other seed draws a new array, the caller's
+    # a trial seed's row is a view of the block that later calls share
     dist = gaussian(R2, 1.0)
     row = sample_increments(dist, 4, trial_seed(3, 1))
     assert type(row) is np.ndarray and row.shape == (4, 2) and row.dtype == np.float64
     assert not row.flags.writeable
-    for seed in (3, np.random.SeedSequence(3)):
-        own = sample_increments(dist, 4, seed)
-        assert type(own) is np.ndarray and own.shape == (4, 2) and own.dtype == np.float64
-        assert own.flags.writeable and own.flags.owndata
 
 
 def test_sampling_is_deterministic():
     d = symmetric_pareto(make_euclidean(3), 4.5)
-    a = sample_increments(d, 100, seed=42)
-    b = sample_increments(d, 100, seed=42)
+    a = _sample(d, 100, seed=42)
+    b = _sample(d, 100, seed=42)
     assert np.array_equal(a, b)
-    c = sample_increments(d, 100, seed=43)
+    c = _sample(d, 100, seed=43)
     assert not np.array_equal(a, c)
 
 
 def test_pareto_mean_zero_clt_sanity():
     d = symmetric_pareto(R1, 4.5)
-    xi = sample_increments(d, 10_000, seed=5).ravel()
+    xi = _sample(d, 10_000, seed=5).ravel()
     se = xi.std(ddof=1) / math.sqrt(len(xi))
     assert abs(xi.mean()) <= 4 * se
 
@@ -85,12 +86,12 @@ def test_pareto_mean_zero_clt_sanity():
 def test_radial_kinds_have_space_norm_equal_radius():
     # the norm of each increment follows the scalar radial law exactly
     sp = make_lp(4, 4)
-    xi = sample_increments(rademacher(sp, 2.5), 50, seed=3)
+    xi = _sample(rademacher(sp, 2.5), 50, seed=3)
     assert np.allclose(sp.norms(xi), 2.5, rtol=1e-12)
 
 
 def test_uniform_cube_support():
-    xi = sample_increments(uniform_cube(R2, 0.5), 100, seed=1)
+    xi = _sample(uniform_cube(R2, 0.5), 100, seed=1)
     assert np.abs(xi).max() <= 0.5
 
 
@@ -243,7 +244,7 @@ def test_truncation_at_a_point_mass_keeps_every_increment(space):
     # some unit directions have a computed norm of 1 + 2^-52; a law of norm
     # 1 truncated at 1 is the law itself, in every truncating path
     dist = rademacher(space, 1.0)
-    norms = space.norms(sample_increments(dist, 2000, seed=4))
+    norms = space.norms(_sample(dist, 2000, seed=4))
     assert (norms > 1.0).any() and stochastic._kept(norms, 1.0).all()
     assert np.array_equal(truncated_ensemble(dist, 20, 500, 4, 1.0),
                           truncated_ensemble(dist, 20, 500, 4, math.inf))
@@ -431,7 +432,7 @@ def test_pinelis_supermartingale_profile_stays_below_one():
 def test_truncated_norm_moments_match_sampling():
     d = symmetric_pareto(R1, 4.5)
     L = 2.0
-    norms = R1.norms(_truncate(sample_increments(d, 200_000, seed=8), R1, L))
+    norms = R1.norms(_truncate(_sample(d, 200_000, seed=8), R1, L))
     mgf_mc = np.exp(0.7 * norms).mean()
     assert truncated_norm_exp_moment(d, 0.7, L) == pytest.approx(mgf_mc, rel=5e-3)
     assert truncated_norm_mean(d, L) == pytest.approx(norms.mean(), rel=5e-3)
@@ -486,6 +487,46 @@ def test_rio_precondition_violations():
 
 
 # ---------------------------------------------------------------- ensembles
+
+def _allocations(n, trials):
+    """Calls that allocate n increments or trials paths, each with its
+    message: the per-trial block, the iid kernel's block buffers, and the
+    result arrays of truncated_ensemble (large in n) and running_max_ensemble
+    (large in trials)."""
+    sign, increments = rademacher(R1, 1.0), f"n = {n} increments in R^1"
+    return [(lambda: sample_increments(sign, n, trial_seed(0, 0)), increments),
+            (lambda: running_max_ensemble(sign, n, 100, 0), increments),
+            (lambda: truncated_ensemble(sign, n, 100, 0, 1.0),
+             f"trials = 100 paths of {increments}"),
+            (lambda: running_max_ensemble(sign, 5, trials, 0),
+             f"trials = {trials} paths of n = 5 increments in R^1")]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_allocations_that_do_not_fit_name_their_count(case, monkeypatch):
+    # a stub stands in for numpy's MemoryError past 1e9 values; nothing large is allocated
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > 10**9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    sample_increments(rademacher(R1, 1.0), 5, trial_seed(0, 0))  # a block to drop
+    monkeypatch.setattr(np, "empty", refusing)
+    call, message = _allocations(10**11, 10**13)[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} do not fit in memory$"):
+        call()
+    assert case or stochastic._last_block is None  # the failed draw keeps no block
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_shapes_past_numpys_largest_name_their_count(case):
+    # numpy refuses these shapes before it allocates anything
+    call, message = _allocations(10**30, 10**30)[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} do not fit in memory$"):
+        call()
+
 
 def _block_rows(dist, n, trials, seed, trunc_L=None):
     """The block contract, restated: block b holds trials [b B, (b+1) B) and

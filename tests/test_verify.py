@@ -93,6 +93,19 @@ def test_verify_confidence_passes_and_is_conservative():
         assert row.rate < row.level / 10  # the bound is far from tight here
 
 
+def test_a_level_passes_by_its_99_percent_clopper_pearson_limit_not_by_its_rate():
+    # at 1e-3 no trial of 1000 exceeds, a rate of 0 below the level, but the
+    # 99% limit of 0 in 1000 is about 4.6e-3: the level fails
+    config = CampaignConfig(dist=symmetric_pareto(make_euclidean(5), 4.5), n=50, trials=1000,
+                            q=4.0, D=1.0, u_grid=(0.5, 0.1, 1e-3), seed=11)
+    rows = verify_confidence(config).rows
+    assert any(row.rate <= row.level < row.cp_upper for row in rows)
+    for row in rows:
+        k, N = row.exceed, row.trials
+        assert row.cp_upper == float(beta.ppf(0.99, k + 1, N - k)), row
+        assert row.passed == (row.cp_upper <= row.level), row
+
+
 def test_verify_confidence_deterministic():
     a = verify_confidence(_small_campaign())
     b = verify_confidence(_small_campaign())
